@@ -5,7 +5,7 @@ Everything here exists in two interchangeable execution paths: vectorized
 numpy, and numba-compiled scalar loops. The path is chosen at call time
 (see jit_enabled) so setting FERMISKIN_NO_JIT works even after import, and
 so a missing numba degrades silently to the numpy path. Results agree to
-rounding either way; benchmarks/kernel_paths.py measures the difference.
+rounding either way; tests/test_kernels.py checks that they do.
 
 Conventions used throughout:
   * q is the wavevector scaled by omega_p/v_F, Om = omega/omega_p.
@@ -288,71 +288,88 @@ def _log_branch_np(q, Om, zi, im_sign):
     return np.log((z - q) / (z + q))
 
 
-def _family_np(q, which, Om, zi, im_sign):
+def _series_np(which, qs, w2, Om, z):
+    # one member below the series switch; the pole pair (3) has no series
+    if which == 3:
+        return -3.0 / (4.0 * Om * qs**3) * ((z + qs) / (z - qs) - (z - qs) / (z + qs))
+    coef = (SERIES_COEF, D1_COEF, D2_COEF)[which]
+    s = np.zeros(w2.shape, np.complex128)
+    for j in range(N_SERIES_TERMS - 1, -1, -1):
+        s = s * w2 + coef[j]
+    if which == 0:
+        return 1.0 - 3.0 / (Om * z) * s
+    if which == 1:
+        return -3.0 / (Om * z) * (qs / (z * z)) * s
+    return -3.0 / (Om * z**3) * s
+
+
+def _closed_np(which, qb, q2, z, z2, L, Om):
+    # one member above the series switch, from the shared logarithm L
+    if which == 3:
+        return -3.0 / (4.0 * Om * q2 * qb) * ((z + qb) / (z - qb) - (z - qb) / (z + qb))
+    if which == 0:
+        return 1.0 - 3.0 / (4.0 * Om * q2 * qb) * (2.0 * z * qb + (z2 - q2) * L)
+    if which == 1:
+        return 3.0 / (4.0 * Om * q2 * q2) * (6.0 * z * qb + (3.0 * z2 - q2) * L)
+    return -3.0 / (4.0 * Om * q2 * q2 * qb) * (
+        18.0 * z * qb
+        + 2.0 * z * qb * (3.0 * z2 - q2) / (z2 - q2)
+        + 2.0 * (6.0 * z2 - q2) * L
+    )
+
+
+def _family_members_np(q, members, Om, zi, im_sign):
+    """Evaluate several family members (see family_grid) at the same nodes.
+
+    The series/closed-form split and the logarithm branch are computed
+    once and shared by every member; returns a list of one array per
+    member.
+    """
     q = np.asarray(q, dtype=np.float64)
     z = complex(Om, zi)
-    out = np.empty(q.shape, dtype=np.complex128)
+    outs = [np.empty(q.shape, dtype=np.complex128) for _ in members]
     small = np.abs(q) < SERIES_SWITCH * abs(z)
     if small.any():
         qs = q[small]
         w2 = (qs / z) ** 2
-        coef = (SERIES_COEF, D1_COEF, D2_COEF, None)[which]
-        if which == 3:
-            out[small] = -3.0 / (4.0 * Om * qs**3) * (
-                (z + qs) / (z - qs) - (z - qs) / (z + qs)
-            )
-        else:
-            s = np.zeros(w2.shape, np.complex128)
-            for j in range(N_SERIES_TERMS - 1, -1, -1):
-                s = s * w2 + coef[j]
-            if which == 0:
-                out[small] = 1.0 - 3.0 / (Om * z) * s
-            elif which == 1:
-                out[small] = -3.0 / (Om * z) * (qs / (z * z)) * s
-            else:
-                out[small] = -3.0 / (Om * z**3) * s
+        for which, out in zip(members, outs):
+            out[small] = _series_np(which, qs, w2, Om, z)
     big = ~small
     if big.any():
         qb = q[big]
         q2 = qb * qb
         z2 = z * z
         with np.errstate(divide="ignore", invalid="ignore"):
-            if which == 3:
-                out[big] = -3.0 / (4.0 * Om * q2 * qb) * (
-                    (z + qb) / (z - qb) - (z - qb) / (z + qb)
-                )
-            else:
-                L = _log_branch_np(qb, Om, zi, im_sign)
-                if which == 0:
-                    out[big] = 1.0 - 3.0 / (4.0 * Om * q2 * qb) * (
-                        2.0 * z * qb + (z2 - q2) * L
-                    )
-                elif which == 1:
-                    out[big] = 3.0 / (4.0 * Om * q2 * q2) * (
-                        6.0 * z * qb + (3.0 * z2 - q2) * L
-                    )
-                else:
-                    out[big] = -3.0 / (4.0 * Om * q2 * q2 * qb) * (
-                        18.0 * z * qb
-                        + 2.0 * z * qb * (3.0 * z2 - q2) / (z2 - q2)
-                        + 2.0 * (6.0 * z2 - q2) * L
-                    )
-    return out
+            # only the pole-pair member (3) does without the logarithm
+            L = None if members == (3,) else _log_branch_np(qb, Om, zi, im_sign)
+            for which, out in zip(members, outs):
+                out[big] = _closed_np(which, qb, q2, z, z2, L, Om)
+    return outs
+
+
+def _family_np(q, which, Om, zi, im_sign):
+    return _family_members_np(q, (which,), Om, zi, im_sign)[0]
+
+
+# family members (see family_grid) each envelope kernel needs, eps_tr first
+_KERNEL_MEMBERS = {
+    KERNEL_RECIPROCAL: (0,),
+    KERNEL_IBP_EXACT: (0, 1, 2),
+    KERNEL_IBP_SECOND: (0, 2),
+    KERNEL_IBP_KOHN: (0, 3),
+}
 
 
 def _envelope_np(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
     s = np.asarray(s, dtype=np.float64)
     q = kappa * s
-    e = _family_np(q, 0, Om, zi, im_sign)
+    e, *derivs = _family_members_np(q, _KERNEL_MEMBERS[kernel_id], Om, zi, im_sign)
     D = e - bcoef * s * s
     if kernel_id == KERNEL_RECIPROCAL:
         return 1.0 / D
-    if kernel_id == KERNEL_IBP_SECOND:
-        return kappa * kappa * _family_np(q, 2, Om, zi, im_sign) / (D * D)
-    if kernel_id == KERNEL_IBP_KOHN:
-        return kappa * kappa * _family_np(q, 3, Om, zi, im_sign) / (D * D)
-    e1 = _family_np(q, 1, Om, zi, im_sign)
-    e2 = _family_np(q, 2, Om, zi, im_sign)
+    if kernel_id != KERNEL_IBP_EXACT:
+        return kappa * kappa * derivs[0] / (D * D)
+    e1, e2 = derivs
     Dp = kappa * e1 - 2.0 * bcoef * s
     Dpp = kappa * kappa * e2 - 2.0 * bcoef
     return (2.0 * Dp * Dp - Dpp * D) / (D * D * D)

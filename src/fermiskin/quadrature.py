@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from . import _kernels
 from ._kernels import KERNEL_RECIPROCAL
@@ -40,6 +39,39 @@ TAIL_TOL = 1e-6
 _MAX_REFINE_ROUNDS = 60
 _EULER_WINDOW = 48
 _MACH_EPS = float(np.finfo(np.float64).eps)
+
+
+def _si_complement(x: float) -> float:
+    """pi/2 - Si(x) for x >= 0, where Si is the sine integral.
+
+    A power series below x = 4 and, above it, the continued fraction for
+    E1(ix) = -Ci(x) - i (pi/2 - Si(x)) (Numerical Recipes cisi; A&S 5.2),
+    evaluated by the modified Lentz method. The complement is formed
+    directly, so it keeps its accuracy where Si(x) is close to pi/2.
+    """
+    if x < 4.0:
+        # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
+        x2 = x * x
+        term = x
+        si = x
+        for n in range(3, 41, 2):
+            term *= -x2 / ((n - 1) * n)
+            si += term / n
+        return 0.5 * math.pi - si
+    b = complex(1.0, x)
+    c = 1e300  # Lentz start: 1/tiny stands in for the empty numerator
+    d = h = 1.0 / b
+    for i in range(1, 200):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 2.0 * _MACH_EPS:
+            break
+    # E1(ix) = exp(-ix) h
+    return math.sin(x) * h.real - math.cos(x) * h.imag
 
 
 class QuadratureError(RuntimeError):
@@ -264,10 +296,9 @@ def oscillatory_halfline(
         err = err_a + tail_err
         if kernel_id == KERNEL_RECIPROCAL:
             # int_S^inf cos(ps)/s^2 ds = cos(pS)/S - p*(pi/2 - Si(pS))
-            si_val, _ = sici(phase * s_end)
             rem = (
                 math.cos(phase * s_end) / s_end
-                - phase * (0.5 * math.pi - si_val)
+                - phase * _si_complement(phase * s_end)
             )
             value += -(1.0 / bcoef) * rem
             eps_tail = max(

@@ -208,6 +208,35 @@ class TestBehavior:
         assert proc.returncode == 0, proc.stderr
         assert "na" in proc.stdout
 
+    def test_runtime_imports_no_scipy(self):
+        # numpy is the only runtime dependency: importing the package,
+        # running a command and taking an envelope-branch field point
+        # (whose tail closes with pi/2 - Si) must not load scipy
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import fermiskin\n"
+            "from fermiskin import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.main(['materials'])\n"
+            "assert code == 0 and 'na' in out.getvalue()\n"
+            "na = fermiskin.get_material('na')\n"
+            "p = fermiskin.params_for(na, 1e-2, 1e-4)\n"
+            "x = 0.05 * na.v_F / (1e-2 * na.omega_p)\n"
+            "_, info = fermiskin.field_ratio_rescaled(x, p, full_output=True)\n"
+            "assert info.quad.branch == 'envelope', info.quad.branch\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
     @pytest.mark.skipif(
         shutil.which("fermiskin") is None,
         reason="fermiskin console script is not installed on PATH",

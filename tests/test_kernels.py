@@ -3,7 +3,9 @@
 The two implementations are written independently (scalar loops vs
 vectorized expressions), so agreement here is a real consistency check,
 not a tautology. The env flag is read at call time, which is what makes
-these tests possible in one process.
+these tests possible in one process. The numpy envelope, which shares
+one series split and one logarithm branch among the family members, is
+also checked bit for bit against its members evaluated one by one.
 """
 
 import numpy as np
@@ -99,3 +101,33 @@ def test_field_point_identical_on_both_paths(monkeypatch):
     monkeypatch.setenv(k.JIT_ENV_VAR, "1")
     b = field_ratio_rescaled(3e-5, p)
     assert abs(a - b) <= 1e-9 * abs(a)
+
+
+@pytest.mark.parametrize("kernel_id", [0, 1, 2, 3])
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+@pytest.mark.parametrize("im_sign", [1, -1])
+def test_envelope_bit_identical_to_family_members(monkeypatch, kernel_id, eps, im_sign):
+    # QGRID crosses both the series switch (|q| = 0.1 |z|) and |q| = Om
+    monkeypatch.setenv(k.JIT_ENV_VAR, "1")
+    Om, zi, bcoef, kappa = 0.1, eps * im_sign, 2.7, 0.3
+    s = QGRID / kappa
+    q = kappa * s
+
+    def member(which):
+        return k.family_grid(q, which, Om, zi, im_sign)
+
+    e = member(0)
+    D = e - bcoef * s * s
+    if kernel_id == k.KERNEL_RECIPROCAL:
+        want = 1.0 / D
+    elif kernel_id == k.KERNEL_IBP_SECOND:
+        want = kappa * kappa * member(2) / (D * D)
+    elif kernel_id == k.KERNEL_IBP_KOHN:
+        want = kappa * kappa * member(3) / (D * D)
+    else:
+        Dp = kappa * member(1) - 2.0 * bcoef * s
+        Dpp = kappa * kappa * member(2) - 2.0 * bcoef
+        want = (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
+    got = k.envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, want)

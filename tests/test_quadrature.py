@@ -8,6 +8,7 @@ envelope-branch cases.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -15,7 +16,7 @@ from scipy.special import sici
 
 import fermiskin._kernels as k
 from fermiskin.materials import get_material, params_for
-from fermiskin.quadrature import QuadratureError, oscillatory_halfline
+from fermiskin.quadrature import QuadratureError, _si_complement, oscillatory_halfline
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,19 @@ def _scipy_env(p, kernel_id):
         return lo + hi
 
     return complex(part(True), part(False))
+
+
+def test_si_complement_against_mpmath():
+    # pi/2 - Si(x) closes the envelope-branch tail; it must hold its
+    # absolute accuracy against 1/x where Si(x) approaches pi/2, and
+    # across the switch from the series to the continued fraction at 4
+    assert _si_complement(0.0) == 0.5 * math.pi
+    xs = np.concatenate((np.geomspace(1e-8, 1e9, 400), [np.nextafter(4.0, 0.0), 4.0]))
+    with mpmath.workdps(40):
+        for x in xs:
+            ref = mpmath.pi / 2 - mpmath.si(mpmath.mpf(float(x)))
+            err = abs(float(mpmath.mpf(_si_complement(float(x))) - ref))
+            assert err * max(1.0, x) <= 1e-14, x
 
 
 def test_oscillatory_branch_against_qawo(na_params):
