@@ -1,11 +1,11 @@
 """Shared numerical kernels: the transverse permittivity family and batched
 Gauss-Kronrod panel evaluation.
 
-Everything here exists in two interchangeable execution paths: vectorized
-numpy, and numba-compiled scalar loops. The path is chosen at call time
-(see jit_enabled) so setting FERMISKIN_NO_JIT works even after import, and
-so a missing numba degrades silently to the numpy path. Results agree to
-rounding either way; tests/test_kernels.py checks that they do.
+One vectorized numpy path. The series/closed-form split is taken once per
+call and the logarithm branch of eps_tr at |q| = Om is chosen in one place,
+_log_branch, whose result every family member an envelope kernel needs
+shares. tests/test_kernels.py checks the family against an independent
+mpmath oracle and the panels against adaptive quadrature.
 
 Conventions used throughout:
   * q is the wavevector scaled by omega_p/v_F, Om = omega/omega_p.
@@ -20,36 +20,16 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# read by perfbench/run.py for its "# meta" line; they select nothing
+HAVE_NUMBA = False
 
 
-JIT_ENV_VAR = "FERMISKIN_NO_JIT"
-
-
-def jit_enabled() -> bool:
-    """True when the numba path should be used for this call."""
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get(JIT_ENV_VAR, "") in ("", "0")
+def jit_enabled():
+    return False
 
 
 # Kernel selector for the oscillatory integrand envelope.
@@ -120,165 +100,7 @@ WG7 = np.array(
 )
 
 
-# ---------------------------------------------------------------------------
-# scalar kernels (numba path)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, error_model="numpy")
-def _eps_tr_scalar(q, Om, zi, im_sign):
-    z = complex(Om, zi)
-    if abs(q) < SERIES_SWITCH * abs(z):
-        w = q / z
-        w2 = w * w
-        s = 0.0 + 0.0j
-        for j in range(N_SERIES_TERMS - 1, -1, -1):
-            s = s * w2 + SERIES_COEF[j]
-        return 1.0 - 3.0 / (Om * z) * s
-    if zi == 0.0:
-        # collisionless branch of Log((z-q)/(z+q)); the imaginary part is
-        # the Landau-damping step, signed by the frequency prescription
-        re = math.log(abs((Om - q) / (Om + q)))
-        if abs(q) > Om:
-            im = math.pi * im_sign * (1.0 if q > 0.0 else -1.0)
-        else:
-            im = 0.0
-        L = complex(re, im)
-    else:
-        L = cmath.log((z - q) / (z + q))
-    q2 = q * q
-    return 1.0 - 3.0 / (4.0 * Om * q2 * q) * (2.0 * z * q + (z * z - q2) * L)
-
-
-@njit(cache=True, error_model="numpy")
-def _d1_scalar(q, Om, zi, im_sign):
-    z = complex(Om, zi)
-    if abs(q) < SERIES_SWITCH * abs(z):
-        w = q / z
-        w2 = w * w
-        s = 0.0 + 0.0j
-        for j in range(N_SERIES_TERMS - 1, -1, -1):
-            s = s * w2 + D1_COEF[j]
-        return -3.0 / (Om * z) * (q / (z * z)) * s
-    if zi == 0.0:
-        re = math.log(abs((Om - q) / (Om + q)))
-        if abs(q) > Om:
-            im = math.pi * im_sign * (1.0 if q > 0.0 else -1.0)
-        else:
-            im = 0.0
-        L = complex(re, im)
-    else:
-        L = cmath.log((z - q) / (z + q))
-    q2 = q * q
-    return 3.0 / (4.0 * Om * q2 * q2) * (6.0 * z * q + (3.0 * z * z - q2) * L)
-
-
-@njit(cache=True, error_model="numpy")
-def _d2_scalar(q, Om, zi, im_sign):
-    z = complex(Om, zi)
-    if abs(q) < SERIES_SWITCH * abs(z):
-        w = q / z
-        w2 = w * w
-        s = 0.0 + 0.0j
-        for j in range(N_SERIES_TERMS - 1, -1, -1):
-            s = s * w2 + D2_COEF[j]
-        return -3.0 / (Om * z * z * z) * s
-    if zi == 0.0:
-        re = math.log(abs((Om - q) / (Om + q)))
-        if abs(q) > Om:
-            im = math.pi * im_sign * (1.0 if q > 0.0 else -1.0)
-        else:
-            im = 0.0
-        L = complex(re, im)
-    else:
-        L = cmath.log((z - q) / (z + q))
-    q2 = q * q
-    z2 = z * z
-    return -3.0 / (4.0 * Om * q2 * q2 * q) * (
-        18.0 * z * q
-        + 2.0 * z * q * (3.0 * z2 - q2) / (z2 - q2)
-        + 2.0 * (6.0 * z2 - q2) * L
-    )
-
-
-@njit(cache=True, error_model="numpy")
-def _d2_kohn_scalar(q, Om, zi, im_sign):
-    # Keeps only the pole pair of eps_tr''; im_sign is unused because the
-    # pole term carries no branch cut, but the signature stays uniform.
-    z = complex(Om, zi)
-    return -3.0 / (4.0 * Om * q * q * q) * ((z + q) / (z - q) - (z - q) / (z + q))
-
-
-@njit(cache=True, error_model="numpy")
-def _envelope_scalar(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    q = kappa * s
-    e = _eps_tr_scalar(q, Om, zi, im_sign)
-    D = e - bcoef * s * s
-    if kernel_id == 0:
-        return 1.0 / D
-    if kernel_id == 2:
-        return kappa * kappa * _d2_scalar(q, Om, zi, im_sign) / (D * D)
-    if kernel_id == 3:
-        return kappa * kappa * _d2_kohn_scalar(q, Om, zi, im_sign) / (D * D)
-    e1 = _d1_scalar(q, Om, zi, im_sign)
-    e2 = _d2_scalar(q, Om, zi, im_sign)
-    Dp = kappa * e1 - 2.0 * bcoef * s
-    Dpp = kappa * kappa * e2 - 2.0 * bcoef
-    return (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
-
-
-@njit(cache=True, error_model="numpy")
-def _grid_jit(q, which, Om, zi, im_sign):
-    out = np.empty(q.shape[0], np.complex128)
-    for i in range(q.shape[0]):
-        if which == 0:
-            out[i] = _eps_tr_scalar(q[i], Om, zi, im_sign)
-        elif which == 1:
-            out[i] = _d1_scalar(q[i], Om, zi, im_sign)
-        elif which == 2:
-            out[i] = _d2_scalar(q[i], Om, zi, im_sign)
-        else:
-            out[i] = _d2_kohn_scalar(q[i], Om, zi, im_sign)
-    return out
-
-
-@njit(cache=True, error_model="numpy")
-def _envelope_jit(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    out = np.empty(s.shape[0], np.complex128)
-    for i in range(s.shape[0]):
-        out[i] = _envelope_scalar(s[i], kernel_id, Om, zi, im_sign, bcoef, kappa)
-    return out
-
-
-@njit(cache=True, error_model="numpy")
-def _panel_batch_jit(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    n = lo.shape[0]
-    vals = np.empty(n, np.complex128)
-    errs = np.empty(n, np.float64)
-    for p in range(n):
-        c = 0.5 * (lo[p] + hi[p])
-        h = 0.5 * (hi[p] - lo[p])
-        kr = 0.0 + 0.0j
-        ga = 0.0 + 0.0j
-        for j in range(15):
-            s = c + h * XGK15[j]
-            f = math.cos(phase * s) * _envelope_scalar(
-                s, kernel_id, Om, zi, im_sign, bcoef, kappa
-            )
-            kr += WGK15[j] * f
-            if j % 2 == 1:
-                ga += WG7[(j - 1) // 2] * f
-        vals[p] = h * kr
-        errs[p] = abs(h * (kr - ga))
-    return vals, errs
-
-
-# ---------------------------------------------------------------------------
-# vectorized kernels (numpy path)
-# ---------------------------------------------------------------------------
-
-
-def _log_branch_np(q, Om, zi, im_sign):
+def _log_branch(q, Om, zi, im_sign):
     if zi == 0.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             L = np.log(np.abs((Om - q) / (Om + q))).astype(np.complex128)
@@ -288,7 +110,7 @@ def _log_branch_np(q, Om, zi, im_sign):
     return np.log((z - q) / (z + q))
 
 
-def _series_np(which, qs, w2, Om, z):
+def _series(which, qs, w2, Om, z):
     # one member below the series switch; the pole pair (3) has no series
     if which == 3:
         return -3.0 / (4.0 * Om * qs**3) * ((z + qs) / (z - qs) - (z - qs) / (z + qs))
@@ -303,7 +125,7 @@ def _series_np(which, qs, w2, Om, z):
     return -3.0 / (Om * z**3) * s
 
 
-def _closed_np(which, qb, q2, z, z2, L, Om):
+def _closed(which, qb, q2, z, z2, L, Om):
     # one member above the series switch, from the shared logarithm L
     if which == 3:
         return -3.0 / (4.0 * Om * q2 * qb) * ((z + qb) / (z - qb) - (z - qb) / (z + qb))
@@ -318,14 +140,13 @@ def _closed_np(which, qb, q2, z, z2, L, Om):
     )
 
 
-def _family_members_np(q, members, Om, zi, im_sign):
-    """Evaluate several family members (see family_grid) at the same nodes.
+def _family_members(q, members, Om, zi, im_sign):
+    """Evaluate several family members (see family_grid) at the float64 nodes q.
 
     The series/closed-form split and the logarithm branch are computed
     once and shared by every member; returns a list of one array per
     member.
     """
-    q = np.asarray(q, dtype=np.float64)
     z = complex(Om, zi)
     outs = [np.empty(q.shape, dtype=np.complex128) for _ in members]
     small = np.abs(q) < SERIES_SWITCH * abs(z)
@@ -333,7 +154,7 @@ def _family_members_np(q, members, Om, zi, im_sign):
         qs = q[small]
         w2 = (qs / z) ** 2
         for which, out in zip(members, outs):
-            out[small] = _series_np(which, qs, w2, Om, z)
+            out[small] = _series(which, qs, w2, Om, z)
     big = ~small
     if big.any():
         qb = q[big]
@@ -341,14 +162,10 @@ def _family_members_np(q, members, Om, zi, im_sign):
         z2 = z * z
         with np.errstate(divide="ignore", invalid="ignore"):
             # only the pole-pair member (3) does without the logarithm
-            L = None if members == (3,) else _log_branch_np(qb, Om, zi, im_sign)
+            L = None if members == (3,) else _log_branch(qb, Om, zi, im_sign)
             for which, out in zip(members, outs):
-                out[big] = _closed_np(which, qb, q2, z, z2, L, Om)
+                out[big] = _closed(which, qb, q2, z, z2, L, Om)
     return outs
-
-
-def _family_np(q, which, Om, zi, im_sign):
-    return _family_members_np(q, (which,), Om, zi, im_sign)[0]
 
 
 # family members (see family_grid) each envelope kernel needs, eps_tr first
@@ -360,10 +177,23 @@ _KERNEL_MEMBERS = {
 }
 
 
-def _envelope_np(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    s = np.asarray(s, dtype=np.float64)
+def family_grid(q, which, Om, zi, im_sign=1):
+    """Evaluate one member of the permittivity family on a 1-d grid.
+
+    which: 0 = eps_tr, 1 = d eps/dq, 2 = d2 eps/dq2, 3 = pole-pair
+    approximation of d2 eps/dq2.
+    """
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    return _family_members(q, (which,), float(Om), float(zi), int(im_sign))[0]
+
+
+def envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
+    """Oscillation-free factor of the field integrand on a 1-d grid."""
+    s = np.ascontiguousarray(s, dtype=np.float64)
+    Om, zi, im_sign = float(Om), float(zi), int(im_sign)
+    bcoef, kappa = float(bcoef), float(kappa)
     q = kappa * s
-    e, *derivs = _family_members_np(q, _KERNEL_MEMBERS[kernel_id], Om, zi, im_sign)
+    e, *derivs = _family_members(q, _KERNEL_MEMBERS[kernel_id], Om, zi, im_sign)
     D = e - bcoef * s * s
     if kernel_id == KERNEL_RECIPROCAL:
         return 1.0 / D
@@ -375,50 +205,6 @@ def _envelope_np(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
     return (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
 
 
-def _panel_batch_np(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    nodes = c[:, None] + h[:, None] * XGK15[None, :]
-    f = np.cos(phase * nodes) * _envelope_np(
-        nodes.ravel(), kernel_id, Om, zi, im_sign, bcoef, kappa
-    ).reshape(nodes.shape)
-    kron = h * (f @ WGK15)
-    gauss = h * (f[:, 1::2] @ WG7)
-    return kron, np.abs(kron - gauss)
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-# ---------------------------------------------------------------------------
-
-_WHICH_EPS = 0
-_WHICH_D1 = 1
-_WHICH_D2 = 2
-_WHICH_D2_KOHN = 3
-
-
-def family_grid(q, which, Om, zi, im_sign=1):
-    """Evaluate one member of the permittivity family on a 1-d grid.
-
-    which: 0 = eps_tr, 1 = d eps/dq, 2 = d2 eps/dq2, 3 = pole-pair
-    approximation of d2 eps/dq2.
-    """
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    if jit_enabled():
-        return _grid_jit(q, which, float(Om), float(zi), int(im_sign))
-    return _family_np(q, which, float(Om), float(zi), int(im_sign))
-
-
-def envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
-    """Oscillation-free factor of the field integrand on a 1-d grid."""
-    s = np.ascontiguousarray(s, dtype=np.float64)
-    if jit_enabled():
-        return _envelope_jit(
-            s, int(kernel_id), float(Om), float(zi), int(im_sign), float(bcoef), float(kappa)
-        )
-    return _envelope_np(s, kernel_id, float(Om), float(zi), int(im_sign), float(bcoef), float(kappa))
-
-
 def panel_batch(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
     """Gauss-Kronrod 15(7) over a batch of panels of cos(phase*s)*K(s).
 
@@ -428,14 +214,12 @@ def panel_batch(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
     """
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
-    if jit_enabled():
-        vals, errs = _panel_batch_jit(
-            lo, hi, float(phase), int(kernel_id), float(Om), float(zi),
-            int(im_sign), float(bcoef), float(kappa),
-        )
-    else:
-        vals, errs = _panel_batch_np(
-            lo, hi, float(phase), int(kernel_id), float(Om), float(zi),
-            int(im_sign), float(bcoef), float(kappa),
-        )
-    return vals, errs, 15 * lo.shape[0]
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    nodes = c[:, None] + h[:, None] * XGK15[None, :]
+    f = np.cos(float(phase) * nodes) * envelope_grid(
+        nodes.ravel(), kernel_id, Om, zi, im_sign, bcoef, kappa
+    ).reshape(nodes.shape)
+    kron = h * (f @ WGK15)
+    gauss = h * (f[:, 1::2] @ WG7)
+    return kron, np.abs(kron - gauss), 15 * lo.shape[0]

@@ -22,7 +22,6 @@ from test_cli import (
 )
 
 from fermiskin import cli
-from fermiskin._kernels import HAVE_NUMBA
 from fermiskin.analysis import crossover, envelope_fit, near_surface_fit, wavelength_extract
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import (
@@ -212,11 +211,7 @@ def test_8_crossover_depths():
              + ", ".join(f"{v:+.1%} at {Om:g}" for Om, v in sorted(kp_devs.items())))
 
 
-def test_9_cli_golden_equality(capsys, tmp_path, monkeypatch):
-    # the field payloads and fig1.csv are pinned to the compiled kernel
-    # path, so they are compared only when it is there; the other 16
-    # payloads are identical on both paths
-    monkeypatch.delenv("FERMISKIN_NO_JIT", raising=False)
+def test_9_cli_golden_equality(capsys, tmp_path):
     mismatched = []
     compared = 0
 
@@ -227,15 +222,14 @@ def test_9_cli_golden_equality(capsys, tmp_path, monkeypatch):
         if strip(text) != (GOLDEN_DIR / name).read_text(encoding="utf-8"):
             mismatched.append(name)
 
-    cases = list(STDOUT_CASES) + (list(FIELD_CASES) if HAVE_NUMBA else [])
-    for name, argv in cases:
+    for name, argv in STDOUT_CASES + FIELD_CASES:
         code = cli.main(argv)
         out = capsys.readouterr().out
         if code != 0:
             mismatched.append(name)
             continue
         compare(name, out)
-    for fig in (1, 2, 3, 4, 5, 6) if HAVE_NUMBA else (2, 3, 4, 5, 6):
+    for fig in (1, 2, 3, 4, 5, 6):
         out_path = tmp_path / f"fig{fig}.csv"
         code = cli.main(["figures", "--fig", str(fig), "--output", str(out_path)])
         capsys.readouterr()

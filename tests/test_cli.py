@@ -9,14 +9,9 @@ from pathlib import Path
 import pytest
 
 from fermiskin import cli
-from fermiskin._kernels import HAVE_NUMBA, JIT_ENV_VAR
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
-
-needs_jit = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="golden bytes are pinned to the compiled kernels"
-)
 
 
 def run_cli(capsys, argv):
@@ -48,7 +43,7 @@ def check_golden(name: str, text: str, regen: bool):
     assert text == path.read_text(encoding="utf-8")
 
 
-# stdout-emitting invocations whose payload is path-independent
+# stdout-emitting invocations
 STDOUT_CASES = [
     ("materials_all.csv", ["materials"]),
     ("materials_na.json", ["materials", "--material", "na", "--format", "json"]),
@@ -66,8 +61,7 @@ STDOUT_CASES = [
     ("crossover_na.json", ["crossover", "--Omega", "1e-2", "--format", "json"]),
 ]
 
-# the numeric field profile goes through the integration kernels, so
-# its bytes are pinned to one code path (as is fig1.csv, |d eps/dq|)
+# the numeric field profile, through the integration kernels
 FIELD_CASES = [
     ("field_rescaled.csv",
      ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:3"]),
@@ -78,16 +72,6 @@ FIELD_CASES = [
 
 
 class TestGoldenOutputs:
-    # field_rescaled.csv, field_ibp.json and fig1.csv go through the
-    # integration or permittivity kernels and print 12 significant
-    # digits, close enough to the compiled/numpy twin gap (~1e-12 at
-    # worst) for single-digit flips; their golden bytes therefore pin the
-    # compiled path and run only with it. Every other payload is
-    # identical on both paths.
-    @pytest.fixture(autouse=True)
-    def _pin_kernel_path(self, monkeypatch):
-        monkeypatch.delenv(JIT_ENV_VAR, raising=False)
-
     @pytest.mark.parametrize("name,argv", STDOUT_CASES, ids=[c[0] for c in STDOUT_CASES])
     def test_stdout_payloads(self, capsys, regen_golden, name, argv):
         code, out, err = run_cli(capsys, argv)
@@ -96,7 +80,6 @@ class TestGoldenOutputs:
         strip = strip_json_stamp if name.endswith(".json") else strip_csv_stamp
         check_golden(name, strip(out), regen_golden)
 
-    @needs_jit
     @pytest.mark.parametrize("name,argv", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
     def test_field_payloads(self, capsys, regen_golden, name, argv):
         code, out, err = run_cli(capsys, argv)
@@ -105,7 +88,7 @@ class TestGoldenOutputs:
         strip = strip_json_stamp if name.endswith(".json") else strip_csv_stamp
         check_golden(name, strip(out), regen_golden)
 
-    @pytest.mark.parametrize("fig", [pytest.param(1, marks=needs_jit), 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("fig", [1, 2, 3, 4, 5, 6])
     def test_figures(self, capsys, regen_golden, tmp_path, fig):
         out_path = tmp_path / f"fig{fig}.csv"
         code, out, err = run_cli(
