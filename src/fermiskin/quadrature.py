@@ -14,7 +14,8 @@ structure points, refine adaptively with batched Gauss-Kronrod 15(7)
 panels, then sum the tail half-period by half-period and accelerate the
 alternating partial sums by repeated averaging. When the phase is too
 small to oscillate over the structure region the tail is instead summed
-with geometric panels and closed with an analytic envelope remainder.
+with geometric panels, evaluated four per call beyond the floor that no
+panel may stop before, and closed with an analytic envelope remainder.
 
 Truncation honesty: the tail beyond the last evaluated point s_end is
 bounded by the envelope bound reported in QuadratureResult.tail_bound,
@@ -39,6 +40,11 @@ TAIL_TOL = 1e-6
 _MAX_REFINE_ROUNDS = 60
 _EULER_WINDOW = 48
 _MACH_EPS = float(np.finfo(np.float64).eps)
+# envelope-branch tail: panel growth ratio, panels per kernel call beyond
+# the stopping floor, and the cap on panels summed
+_TAIL_GROW = 1.6
+_TAIL_CHUNK = 4
+_TAIL_PANELS = 400
 
 
 def _si_complement(x: float) -> float:
@@ -86,7 +92,7 @@ class QuadratureResult:
     s_max: float
     q_max: float
     n_panels: int
-    n_evals: int
+    n_evals: int  # includes speculative tail panels evaluated and discarded
     n_tail_terms: int
     branch: str
 
@@ -173,6 +179,48 @@ def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
     return lo, hi, vals, errs, n_evals
 
 
+def _envelope_tail(s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign, bcoef,
+                   kappa, tol_rel, tol_abs):
+    """Sum geometric panels [s, 1.6 s] from s0 until one ending at or past
+    min_end is below a quarter of the target.
+
+    Panels ending below min_end cannot stop the sum, so the first kernel
+    call evaluates all of them plus _TAIL_CHUNK more; each later call
+    evaluates _TAIL_CHUNK. Panels past the stopping one are discarded but
+    counted in the evaluations. Returns (value, error, s_end, n_panels,
+    n_evals).
+    """
+    edges = [s0]
+    while edges[-1] < min_end and len(edges) <= _TAIL_PANELS:
+        edges.append(edges[-1] * _TAIL_GROW)
+    n_call = len(edges) - 2 + _TAIL_CHUNK  # the panels ending below min_end
+    tail_val = 0.0 + 0.0j
+    tail_err = 0.0
+    n_tail = 0
+    n_evals = 0
+    while n_tail < _TAIL_PANELS:
+        n_call = min(n_call, _TAIL_PANELS - n_tail)
+        while len(edges) <= n_tail + n_call:
+            edges.append(edges[-1] * _TAIL_GROW)
+        e = np.array(edges[n_tail:n_tail + n_call + 1])
+        cvals, cerrs, ev = _kernels.panel_batch(
+            e[:-1], e[1:], phase, kernel_id, Om, zi, im_sign, bcoef, kappa
+        )
+        n_evals += ev
+        for c, c_err, s_end in zip(cvals.tolist(), cerrs.tolist(), e[1:].tolist()):
+            tail_val += c
+            tail_err += c_err
+            n_tail += 1
+            target = max(tol_rel * abs(value_a + tail_val), tol_abs)
+            if abs(c) <= 0.25 * target and s_end >= min_end:
+                return tail_val, tail_err, s_end, n_tail, n_evals
+        n_call = _TAIL_CHUNK
+    raise QuadratureError(
+        f"tail budget {_TAIL_PANELS} geometric panels exhausted at "
+        f"s = {s_end:.3e}, last panel {abs(c):.3e}"
+    )
+
+
 def oscillatory_halfline(
     phase: float,
     kernel_id: int,
@@ -235,7 +283,6 @@ def oscillatory_halfline(
     err_a = errs.sum()
     target = max(tol_rel * abs(value_a), tol_abs)
 
-    n_tail = 0
     if branch == "oscillatory":
         chunk = 64
         terms: list[complex] = []
@@ -273,25 +320,12 @@ def oscillatory_halfline(
     else:
         # no oscillation to alternate over: geometric panels, then an
         # analytic remainder for the asymptotic envelope -1/(bcoef s^2)
-        grow = 1.6
-        s_end = s0
         min_end = max(s_floor, 38.0 * s_peak, 2.0 * s0)
-        tail_val = 0.0 + 0.0j
-        tail_err = 0.0
-        for _ in range(400):
-            nxt = s_end * grow
-            cvals, cerrs, ev = _kernels.panel_batch(
-                np.array([s_end]), np.array([nxt]), phase, kernel_id,
-                Om, zi, im_sign, bcoef, kappa,
-            )
-            n_evals += ev
-            tail_val += cvals[0]
-            tail_err += cerrs[0]
-            s_end = nxt
-            n_tail += 1
-            target = max(tol_rel * abs(value_a + tail_val), tol_abs)
-            if abs(cvals[0]) <= 0.25 * target and s_end >= min_end:
-                break
+        tail_val, tail_err, s_end, n_tail, ev = _envelope_tail(
+            s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
+            tol_rel, tol_abs,
+        )
+        n_evals += ev
         value = value_a + tail_val
         err = err_a + tail_err
         if kernel_id == KERNEL_RECIPROCAL:

@@ -5,6 +5,8 @@ arbitrates. QAWO handles the oscillatory weight, plain QAGS the
 envelope-branch cases.
 """
 
+import functools
+import itertools
 import math
 import warnings
 
@@ -15,6 +17,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import sici
 
 import fermiskin._kernels as k
+from fermiskin import quadrature
 from fermiskin.materials import get_material, params_for
 from fermiskin.quadrature import QuadratureError, _si_complement, oscillatory_halfline
 
@@ -177,3 +180,111 @@ def test_parameter_validation(na_params):
         oscillatory_halfline(1.0, 0, p.Omega, p.eps, 1, p.b, 0.0)
     with pytest.raises(ValueError):
         oscillatory_halfline(1.0, 0, 0.0, p.eps, 1, p.b, 1.0)
+
+
+def test_envelope_tail_budget_raises(monkeypatch):
+    # tolerances no panel can meet: the geometric tail must stop at its
+    # 400-panel cap with an error, not return an unconverged value, and
+    # its last kernel call must not carry the sum past the cap
+    calls = []
+    orig = k.panel_batch
+
+    def recorded(lo, hi, *args):
+        calls.append((np.asarray(lo).copy(), np.asarray(hi).copy()))
+        return orig(lo, hi, *args)
+
+    monkeypatch.setattr(k, "panel_batch", recorded)
+    with pytest.raises(QuadratureError, match="tail budget 400 geometric panels"):
+        oscillatory_halfline(
+            1e-4, 0, 1e-2, 1e-4, 1, 7.9, 1.0, tol_rel=1e-300, tol_abs=1e-300
+        )
+    s0 = calls[0][1][-1]  # the structure panels end where the tail starts
+    assert sum(int((lo >= s0).sum()) for lo, _ in calls) == 400
+
+
+def _one_panel_tail(panels, s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign,
+                    bcoef, kappa, tol_rel, tol_abs):
+    # reference for quadrature._envelope_tail: the same geometric panels
+    # and stop rule, one kernel call per panel; each panel value is
+    # appended to `panels`
+    tail_val, tail_err, s_end, n_evals = 0.0 + 0.0j, 0.0, s0, 0
+    for n_tail in range(1, 401):
+        nxt = s_end * 1.6
+        c, c_err, ev = k.panel_batch(
+            np.array([s_end]), np.array([nxt]), phase, kernel_id,
+            Om, zi, im_sign, bcoef, kappa,
+        )
+        n_evals += ev
+        tail_val += c[0]
+        tail_err += c_err[0]
+        s_end = nxt
+        panels.append(c[0])
+        target = max(tol_rel * abs(value_a + tail_val), tol_abs)
+        if abs(c[0]) <= 0.25 * target and s_end >= min_end:
+            return tail_val, tail_err, s_end, n_tail, n_evals
+    raise QuadratureError("tail budget 400 geometric panels exhausted")
+
+
+_TAIL_CASES = list(itertools.product(
+    range(4), ("na", "au", "al"), (1e-4, 0.0), (0.0, 0.3, 2.0, 10.0), (1e-8, 1e-10)
+))
+
+
+@functools.lru_cache(maxsize=None)
+def _chunked_and_reference(kernel_id, material, eps, phase, tol_rel):
+    p = params_for(get_material(material), 1e-2, eps)
+    args = (phase, kernel_id, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(*args, tol_rel=tol_rel)
+    panels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_envelope_tail", functools.partial(_one_panel_tail, panels))
+        ref = oscillatory_halfline(*args, tol_rel=tol_rel)
+    return res, ref, sum(abs(c) for c in panels)
+
+
+@pytest.mark.parametrize("kernel_id,material,eps,phase,tol_rel", _TAIL_CASES)
+def test_chunked_tail_stops_where_one_panel_loop_stops(kernel_id, material, eps, phase,
+                                                       tol_rel):
+    res, ref, panel_sum = _chunked_and_reference(kernel_id, material, eps, phase, tol_rel)
+    assert res.branch == ref.branch == "envelope"
+    assert res.n_tail_terms == ref.n_tail_terms
+    assert res.s_max == ref.s_max
+    # the panel sums round differently with the batch size; a tail that
+    # cancels (kernel 1 integrates to ~0 at phase 0) makes that rounding
+    # large next to the value itself, so it is measured against the
+    # panel magnitudes
+    scale = max(abs(ref.value), panel_sum)
+    assert abs(res.value - ref.value) <= 1e-13 * scale
+    assert abs(res.error - ref.error) <= 1e-13 * max(ref.error, panel_sum)
+    assert 0 <= res.n_evals - ref.n_evals <= 45  # at most 3 discarded panels
+
+
+def test_chunked_tail_grid_stops_at_every_chunk_position():
+    # 0, 1, 2 or 3 discarded panels: the stop falls on each of the four
+    # positions of a chunk somewhere in the grid above
+    wasted = set()
+    for case in _TAIL_CASES:
+        res, ref, _ = _chunked_and_reference(*case)
+        wasted.add(res.n_evals - ref.n_evals)
+    assert wasted == {0, 15, 30, 45}
+
+
+@pytest.mark.parametrize("phase", [None, 2.0])
+def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
+    # speculative tail panels that are discarded are still counted
+    p = na_params
+    oscillating = phase is None
+    if oscillating:
+        phase = p.omega_p * 1e-5 / p.v_F
+    total = [0]
+    orig = k.panel_batch
+
+    def counted(*args):
+        out = orig(*args)
+        total[0] += out[2]
+        return out
+
+    monkeypatch.setattr(k, "panel_batch", counted)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    assert res.branch == ("oscillatory" if oscillating else "envelope")
+    assert res.n_evals == total[0]
