@@ -4,8 +4,11 @@ Gauss-Kronrod panel evaluation.
 One vectorized numpy path. The series/closed-form split is taken once per
 call and the logarithm branch of eps_tr at |q| = Om is chosen in one place,
 _log_branch, whose result every family member an envelope kernel needs
-shares. tests/test_kernels.py checks the family against an independent
-mpmath oracle and the panels against adaptive quadrature.
+shares. For zi != 0 it computes log((z - q)/(z + q)) in real arithmetic,
+the modulus as log1p and the argument as arctan2, which is the principal
+branch of the complex logarithm without its complex division.
+tests/test_kernels.py checks the branch and the family against independent
+mpmath oracles and the panels against adaptive quadrature.
 
 Conventions used throughout:
   * q is the wavevector scaled by omega_p/v_F, Om = omega/omega_p.
@@ -106,8 +109,14 @@ def _log_branch(q, Om, zi, im_sign):
             L = np.log(np.abs((Om - q) / (Om + q))).astype(np.complex128)
         L += 1j * math.pi * im_sign * np.sign(q) * (np.abs(q) > Om)
         return L
-    z = complex(Om, zi)
-    return np.log((z - q) / (z + q))
+    # the principal log((z - q)/(z + q)) in real arithmetic: the modulus
+    # is written as log1p of a non-negative argument, which stays
+    # accurate both where the ratio is near 1 and where |z - q| -> |zi|
+    aq = np.abs(q)
+    d = Om - aq
+    re = np.copysign(0.5 * np.log1p(4.0 * Om * aq / (d * d + zi * zi)), -q)
+    im = np.arctan2(2.0 * zi * q, d * (Om + aq) + zi * zi)
+    return re + 1j * im
 
 
 def _series(which, qs, w2, Om, z):

@@ -11,8 +11,13 @@ faster for the IBP kernels), and the phase can range from 0 to ~1e6.
 
 Strategy: split [0, S0] at every half-period pi/phase and at the known
 structure points, refine adaptively with batched Gauss-Kronrod 15(7)
-panels, then sum the tail half-period by half-period and accelerate the
-alternating partial sums by repeated averaging. When the phase is too
+panels, then sum the tail half-period by half-period, 64 per kernel call,
+and accelerate the alternating partial sums by repeated averaging. The
+first 64 tail half-periods are evaluated in the same kernel call as the
+initial mesh, since the tail always needs them. The averaging is computed
+in closed form, as two binomially weighted sums of the last 48 partial
+sums, and refinement stops when three rounds in a row fail to halve the
+best error so far (the rounding floor). When the phase is too
 small to oscillate over the structure region the tail is instead summed
 with geometric panels, evaluated four per call beyond the floor that no
 panel may stop before, and closed with an analytic envelope remainder.
@@ -39,7 +44,15 @@ TAIL_TOL = 1e-6
 
 _MAX_REFINE_ROUNDS = 60
 _EULER_WINDOW = 48
+# row m - 1 holds C(m - 1, k) / 2^(m - 1), k < m: the weights that m - 1
+# rounds of pairwise averaging give the m points of a window
+_EULER_WEIGHTS = [
+    np.array([math.comb(m - 1, k) for k in range(m)], dtype=np.float64) / 2.0 ** (m - 1)
+    for m in range(1, _EULER_WINDOW + 1)
+]
 _MACH_EPS = float(np.finfo(np.float64).eps)
+# oscillatory-branch tail: half-periods per kernel call
+_OSC_CHUNK = 64
 # envelope-branch tail: panel growth ratio, panels per kernel call beyond
 # the stopping floor, and the cap on panels summed
 _TAIL_GROW = 1.6
@@ -98,15 +111,15 @@ class QuadratureResult:
 
 
 def _euler_limit(psums: np.ndarray) -> tuple[complex, float]:
-    # repeated averaging of the trailing partial sums; for an alternating
-    # tail each stage roughly halves the remainder
-    v = psums[-min(psums.size, _EULER_WINDOW):].copy()
-    corner = v[-1]
-    prev = corner
-    while v.size > 1:
-        v = 0.5 * (v[:-1] + v[1:])
-        prev = corner
-        corner = v[-1]
+    # repeated averaging of the trailing partial sums, m - 1 rounds over a
+    # window of m, in closed form; for an alternating tail each round
+    # roughly halves the remainder, and the last round's change is the error
+    v = psums[-_EULER_WINDOW:]
+    m = v.size
+    if m == 1:
+        return v[0], 0.0
+    corner = _EULER_WEIGHTS[m - 1] @ v
+    prev = _EULER_WEIGHTS[m - 2] @ v[1:]
     return corner, abs(corner - prev)
 
 
@@ -136,7 +149,7 @@ def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
     """Split worst panels in rounds until the summed error estimate meets
     the target. Returns updated arrays plus the evaluation count."""
     n_evals = 0
-    prev_tot = math.inf
+    best = math.inf
     stall = 0
     for _ in range(_MAX_REFINE_ROUNDS):
         total = vals.sum()
@@ -149,13 +162,15 @@ def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
         # adds panels, not digits
         if tot_err <= 64.0 * _MACH_EPS * np.abs(vals).sum():
             break
-        if tot_err > 0.99 * prev_tot:
-            stall += 1
-            if stall >= 2:
-                break  # rounding floor; report the achieved error honestly
-        else:
+        # a round that does not halve the best error so far is a stall;
+        # three in a row mean the rounding floor, whose error is reported
+        if tot_err < 0.5 * best:
+            best = tot_err
             stall = 0
-        prev_tot = tot_err
+        else:
+            stall += 1
+            if stall >= 3:
+                break
         allow = 0.5 * target / max(lo.size, 1)
         mask = errs > allow
         if not mask.any():
@@ -270,10 +285,19 @@ def oscillatory_halfline(
         edges = _structure_edges(kohn, s_peak, zi, kappa, s0)
 
     lo, hi = edges[:-1], edges[1:]
+    n_mesh = lo.size
+    if branch == "oscillatory":
+        # the tail always starts with this chunk: evaluate it in the mesh's call
+        tail_edges = s0 + halfw * np.arange(_OSC_CHUNK + 1, dtype=np.float64)
+        s_end = float(tail_edges[-1])
+        lo = np.concatenate((lo, tail_edges[:-1]))
+        hi = np.concatenate((hi, tail_edges[1:]))
     vals, errs, ev = _kernels.panel_batch(
         lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa
     )
     n_evals += ev
+    cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
+    lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
     lo, hi, vals, errs, ev = _refine(
         lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
         tol_rel, tol_abs, panel_budget,
@@ -281,28 +305,16 @@ def oscillatory_halfline(
     n_evals += ev
     value_a = vals.sum()
     err_a = errs.sum()
-    target = max(tol_rel * abs(value_a), tol_abs)
 
     if branch == "oscillatory":
-        chunk = 64
         terms: list[complex] = []
         gk_err = 0.0
-        s_end = s0
-        tail_est = 0.0 + 0.0j
-        tail_err = math.inf
         while True:
-            e = s_end + halfw * np.arange(chunk + 1, dtype=np.float64)
-            cvals, cerrs, ev = _kernels.panel_batch(
-                e[:-1], e[1:], phase, kernel_id, Om, zi, im_sign, bcoef, kappa
-            )
-            n_evals += ev
             gk_err += cerrs.sum()
             terms.extend(cvals.tolist())
-            s_end = float(e[-1])
             n_tail = len(terms)
             psums = np.cumsum(np.asarray(terms, dtype=np.complex128))
             tail_est, acc_err = _euler_limit(psums)
-            tail_err = acc_err + gk_err
             target = max(tol_rel * abs(value_a + tail_est), tol_abs)
             if acc_err <= 0.3 * target and s_end >= s_floor:
                 break
@@ -311,8 +323,14 @@ def oscillatory_halfline(
                     f"tail budget {tail_budget} half-periods exhausted at "
                     f"error {acc_err:.3e}"
                 )
+            e = s_end + halfw * np.arange(_OSC_CHUNK + 1, dtype=np.float64)
+            cvals, cerrs, ev = _kernels.panel_batch(
+                e[:-1], e[1:], phase, kernel_id, Om, zi, im_sign, bcoef, kappa
+            )
+            n_evals += ev
+            s_end = float(e[-1])
         value = value_a + tail_est
-        err = err_a + tail_err
+        err = err_a + (acc_err + gk_err)
         if kernel_id == KERNEL_RECIPROCAL:
             tail_bound = 2.0 / (bcoef * s_end)
         else:

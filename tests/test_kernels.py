@@ -1,7 +1,8 @@
 """The permittivity family and the Gauss-Kronrod panels against
 independent references.
 
-The family members are checked against the mpmath oracle of conftest,
+The logarithm branch is checked against mpmath's principal logarithm. The
+family members are checked against the mpmath oracle of conftest,
 which takes the derivatives by numerical differentiation of the closed
 form at 60 digits and codes the pole pair directly, so it shares neither
 the series nor the derivative formulas with the package. The panels are
@@ -13,6 +14,7 @@ evaluated one by one.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -28,6 +30,22 @@ QGRID = np.concatenate([
     0.1 + np.geomspace(1e-6, 0.3, 60),
     np.linspace(0.5, 5.0, 40),
 ])
+
+
+@pytest.mark.parametrize("zi", [1e-4, -1e-4, 1e-6, -1e-6])
+def test_log_branch_against_mpmath(zi):
+    # the real-arithmetic branch must be the principal log((z - q)/(z + q))
+    # on both sides of q = 0, at the singular shell q = +-Om and far past
+    # it; a slip by 2 pi or a flipped sign in the argument fails by far
+    Om = 1e-2
+    g = np.geomspace(1e-6, 1e3, 300)
+    q = np.concatenate((-g[::-1], [-Om], g, [Om]))
+    got = k._log_branch(q, Om, zi, 1 if zi > 0 else -1)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(Om, zi)
+        want = np.array([complex(mpmath.log((z - x) / (z + x))) for x in q.tolist()])
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.imag, want.imag, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2, 3])

@@ -19,7 +19,12 @@ from scipy.special import sici
 import fermiskin._kernels as k
 from fermiskin import quadrature
 from fermiskin.materials import get_material, params_for
-from fermiskin.quadrature import QuadratureError, _si_complement, oscillatory_halfline
+from fermiskin.quadrature import (
+    QuadratureError,
+    _euler_limit,
+    _si_complement,
+    oscillatory_halfline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,32 @@ def test_si_complement_against_mpmath():
             ref = mpmath.pi / 2 - mpmath.si(mpmath.mpf(float(x)))
             err = abs(float(mpmath.mpf(_si_complement(float(x))) - ref))
             assert err * max(1.0, x) <= 1e-14, x
+
+
+def _averaged(psums):
+    # reference for _euler_limit: the repeated pairwise averaging of the
+    # last 48 partial sums that it evaluates in closed form
+    v = psums[-48:].copy()
+    corner = prev = v[-1]
+    while v.size > 1:
+        v = 0.5 * (v[:-1] + v[1:])
+        prev, corner = corner, v[-1]
+    return corner, abs(corner - prev)
+
+
+def test_euler_limit_matches_repeated_averaging():
+    # the closed form sums in another order: allow a few roundings of the
+    # largest partial sum in the window
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(6)
+    for size in range(1, 61):
+        for _ in range(5):
+            psums = np.cumsum(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            tol = 4.0 * eps * np.abs(psums[-48:]).max()
+            got, got_err = _euler_limit(psums)
+            want, want_err = _averaged(psums)
+            assert abs(got - want) <= tol, size
+            assert abs(got_err - want_err) <= tol, size
 
 
 def test_oscillatory_branch_against_qawo(na_params):
@@ -150,6 +181,41 @@ def test_result_metadata(na_params):
     assert res.n_evals >= 15 * res.n_panels
     assert res.error >= 0.0
     assert res.n_tail_terms > 0
+
+
+def test_oscillatory_integral_in_one_kernel_call(na_params, monkeypatch):
+    # without refinement and with a tail that stops after one chunk, the
+    # mesh and the first 64 half-periods of the tail share one kernel call
+    p = na_params
+    phase = p.omega_p * 1e-5 / p.v_F
+    calls = []
+    orig = k.panel_batch
+
+    def recorded(lo, hi, *args):
+        out = orig(lo, hi, *args)
+        calls.append((float(np.asarray(hi)[-1]), out[2]))
+        return out
+
+    monkeypatch.setattr(k, "panel_batch", recorded)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    assert res.branch == "oscillatory"
+    assert res.n_tail_terms == 64
+    assert len(calls) == 1
+    assert calls[0][0] == res.s_max
+    assert res.n_evals == calls[0][1] == 15 * res.n_panels
+
+
+@pytest.mark.parametrize("phase", [1.0, 3.0, 5.0])
+def test_refine_stops_at_rounding_floor(phase):
+    # at tol_rel 1e-10 the target lies below the IBP kernel's rounding
+    # floor (the summed error swings between 4e-15 and 7e-15): refinement
+    # must stop there with the error it reached, not exhaust the panel
+    # budget, and that error must cover the gap to the 1e-8 result
+    p = params_for(get_material("al"), 1e-2, 1e-4)
+    args = (phase, 1, p.Omega, p.eps, 1, p.b, 1.0)
+    tight = oscillatory_halfline(*args, tol_rel=1e-10)
+    loose = oscillatory_halfline(*args, tol_rel=1e-8)
+    assert abs(tight.value - loose.value) <= tight.error + loose.error
 
 
 def test_tail_budget_exhaustion_raises(na_params):
