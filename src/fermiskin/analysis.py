@@ -22,6 +22,14 @@ from .constants import SPEED_OF_LIGHT
 from .field import FieldProfile, amplitude_B
 from .materials import Material
 
+# fewest refined peaks, sign changes and near-surface samples a fit accepts
+_MIN_EXTREMA = 4
+_MIN_CROSSINGS = 3
+_MIN_POINTS = 5
+_REL_WIDTH = 1e-12
+_RESIDUAL_TOL = 1e-10
+_MAX_EXPAND = 1e6
+
 
 class AnalysisError(RuntimeError):
     """Extraction or root-finding failed on structurally unsuitable input."""
@@ -142,7 +150,7 @@ def _refined_peaks(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.asarray(xs), np.asarray(ps)
 
 
-def envelope_fit(profile, window=None, *, min_extrema: int = 4) -> FitResult:
+def envelope_fit(profile, window=None) -> FitResult:
     """Power-law exponent of the oscillation envelope.
 
     Finds local maxima of |Re value| inside the window and fits
@@ -156,9 +164,9 @@ def envelope_fit(profile, window=None, *, min_extrema: int = 4) -> FitResult:
     xs, ps = _refined_peaks(x, m)
     pos = ps > 0
     xs, ps = xs[pos], ps[pos]
-    if xs.size < min_extrema:
+    if xs.size < _MIN_EXTREMA:
         raise AnalysisError(
-            f"need at least {min_extrema} local extrema in the window, "
+            f"need at least {_MIN_EXTREMA} local extrema in the window, "
             f"found {xs.size}"
         )
     slope, intercept, r2 = _line_fit(np.log(xs), np.log(ps))
@@ -170,7 +178,7 @@ def envelope_fit(profile, window=None, *, min_extrema: int = 4) -> FitResult:
     )
 
 
-def wavelength_extract(profile, window=None, *, min_crossings: int = 3) -> WavelengthEstimate:
+def wavelength_extract(profile, window=None) -> WavelengthEstimate:
     """Oscillation wavelength from linear-interpolated zero crossings.
 
     The wavelength is twice the mean spacing of consecutive sign
@@ -187,9 +195,9 @@ def wavelength_extract(profile, window=None, *, min_crossings: int = 3) -> Wavel
     exact = np.nonzero(s == 0)[0]
     if exact.size:
         crossings = np.sort(np.concatenate([crossings, x[exact]]))
-    if crossings.size < min_crossings:
+    if crossings.size < _MIN_CROSSINGS:
         raise AnalysisError(
-            f"need at least {min_crossings} sign changes, found {crossings.size}"
+            f"need at least {_MIN_CROSSINGS} sign changes, found {crossings.size}"
         )
     spacings = np.diff(crossings)
     return WavelengthEstimate(
@@ -200,7 +208,7 @@ def wavelength_extract(profile, window=None, *, min_crossings: int = 3) -> Wavel
     )
 
 
-def near_surface_fit(profile, window, *, delta: float | None = None, min_points: int = 5) -> FitResult:
+def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResult:
     """Exponential decay constant of the near-surface field.
 
     Fits ln|value| against x inside the window, which must sit inside
@@ -229,9 +237,9 @@ def near_surface_fit(profile, window, *, delta: float | None = None, min_points:
     m = np.abs(y)
     pos = m > 0
     x, m = x[pos], m[pos]
-    if x.size < min_points:
+    if x.size < _MIN_POINTS:
         raise AnalysisError(
-            f"need at least {min_points} samples in the window, found {x.size}"
+            f"need at least {_MIN_POINTS} samples in the window, found {x.size}"
         )
     slope, intercept, r2 = _line_fit(x, np.log(m))
     if slope >= 0:
@@ -242,22 +250,16 @@ def near_surface_fit(profile, window, *, delta: float | None = None, min_points:
     )
 
 
-def crossover(
-    Omega: float,
-    material: Material,
-    E0: float = 1.0,
-    *,
-    rel_width: float = 1e-12,
-    residual_tol: float = 1e-10,
-    max_expand: float = 1e6,
-) -> CrossoverResult:
+def crossover(Omega: float, material: Material, E0: float = 1.0) -> CrossoverResult:
     """Depth where the oscillatory tail overtakes the surface exponential.
 
     Solves B/x^2 = exp(-omega_p x / c) for the root beyond the minimum
     of g(x) = ln B - 2 ln x + omega_p x / c at x_min = 2c/omega_p; g is
     convex, so past that point the inverse-square tail wins for good.
-    Bisection to relative width rel_width, polished by a few Newton
-    steps; the residual |g(x_star)| must come out below residual_tol.
+    Bisection to relative width _REL_WIDTH = 1e-12, polished by a few
+    Newton steps; the residual |g(x_star)| must come out below
+    _RESIDUAL_TOL = 1e-10, and the bracket may grow to _MAX_EXPAND = 1e6
+    times 2c/omega_p.
     """
     B = amplitude_B(Omega, material, E0)
     k = material.omega_p / SPEED_OF_LIGHT
@@ -283,13 +285,13 @@ def crossover(
         lo = hi
         hi *= 2.0
         expansions += 1
-        if hi > max_expand * x_min:
+        if hi > _MAX_EXPAND * x_min:
             raise AnalysisError(
-                f"crossover bracket expansion exceeded {max_expand:g} * x_min"
+                f"crossover bracket expansion exceeded {_MAX_EXPAND:g} * x_min"
             )
 
     iterations = expansions
-    while (hi - lo) > rel_width * hi:
+    while (hi - lo) > _REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0.0:
             lo = mid
@@ -307,9 +309,10 @@ def crossover(
         iterations += 1
 
     residual = abs(g(x_star))
-    if residual > residual_tol:
+    # written so that a NaN residual fails too
+    if not residual <= _RESIDUAL_TOL:
         raise AnalysisError(
-            f"crossover root residual {residual:.3g} exceeds {residual_tol:g}"
+            f"crossover root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g}"
         )
     return CrossoverResult(
         x_star=x_star,

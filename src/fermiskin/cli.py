@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -20,11 +20,10 @@ import numpy as np
 from . import analysis, field, permittivity
 from .constants import SPEED_OF_LIGHT
 from .materials import (
-    BUILTIN_MATERIALS,
     MATERIALS_ENV_VAR,
     Material,
     get_material,
-    load_materials_file,
+    material_table,
     params_for,
 )
 
@@ -84,11 +83,13 @@ def _emit(args, subcommand, meta, columns, rows, comments=()):
         _emit_csv(args.output, columns, rows, comments)
 
 
-def _parse_grid(text: str, *, what: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--grid must be min:max:n, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"--grid needs finite min and max, got {text!r}")
     if not (lo < hi):
         raise ValueError(f"--grid needs min < max, got {text!r}")
     if n < 2:
@@ -127,10 +128,7 @@ def _cmd_materials(args) -> int:
     if args.material:
         mats = [_material(args)]
     else:
-        table = dict(BUILTIN_MATERIALS)
-        path = args.config or os.environ.get(MATERIALS_ENV_VAR)
-        if path:
-            table.update(load_materials_file(path))
+        table = material_table(args.config)
         mats = [table[k] for k in sorted(table)]
     columns = [
         "name",
@@ -166,7 +164,7 @@ def _cmd_epsilon(args) -> int:
     if args.q is not None:
         qs = np.asarray([args.q])
     else:
-        lo, hi, n = _parse_grid(args.grid, what="q")
+        lo, hi, n = _parse_grid(args.grid)
         qs = np.linspace(lo, hi, n)
     vals = permittivity.eps_tr(qs, args.Omega, args.eps)
     meta = {"Omega": args.Omega, "eps": args.eps}
@@ -177,7 +175,7 @@ def _cmd_epsilon(args) -> int:
 
 
 def _cmd_kohn_scan(args) -> int:
-    lo, hi, n = _parse_grid(args.grid, what="q")
+    lo, hi, n = _parse_grid(args.grid)
     res = permittivity.kohn_scan(args.Omega, args.eps, lo, hi, n)
     meta = {
         "Omega": args.Omega,
@@ -195,7 +193,7 @@ def _cmd_kohn_scan(args) -> int:
 def _cmd_field(args) -> int:
     mat = _material(args)
     params = params_for(mat, args.Omega, args.eps)
-    lo, hi, n = _parse_grid(args.grid, what="x")
+    lo, hi, n = _parse_grid(args.grid)
     xs = np.linspace(lo, hi, n)
     prof = field.profile(xs, params, args.method, kernel=args.kernel,
                          tol_rel=args.tol_rel)
@@ -233,7 +231,7 @@ def _cmd_asymptotic(args) -> int:
         _emit(args, "asymptotic", meta, columns, rows,
               [f"material = {mat.name}"])
         return 0
-    lo, hi, n = _parse_grid(args.grid, what="x")
+    lo, hi, n = _parse_grid(args.grid)
     xs = np.linspace(lo, hi, n)
     vals = field.asymptotic_field(xs, args.Omega, mat,
                                   normalization=args.normalization)
@@ -368,14 +366,13 @@ def _cmd_figures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, material=False, output=True, fmt=True):
+def _add_common(p, *, material=False, fmt=True):
     if material:
         p.add_argument("--material", default=None if p.prog.endswith("materials") else "na",
                        help="material name from the built-in table or config")
         p.add_argument("--config", default=None,
                        help=f"materials JSON path (or set {MATERIALS_ENV_VAR})")
-    if output:
-        p.add_argument("--output", default=None, help="output path (default stdout)")
+    p.add_argument("--output", default=None, help="output path (default stdout)")
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

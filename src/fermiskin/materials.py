@@ -149,18 +149,24 @@ def load_materials_file(path: str) -> dict[str, Material]:
     return table
 
 
-def get_material(name: str, config_path: str | None = None) -> Material:
-    """Look up a material by name.
+def material_table(config_path: str | None = None) -> dict[str, Material]:
+    """The built-in materials, extended by a config file.
 
-    Resolution order: explicit ``config_path``, then the file named by
-    the ``FERMISKIN_MATERIALS`` environment variable, then the built-in
-    table. A config file extends and may shadow the built-ins.
+    The file is ``config_path`` if given, else the one named by the
+    ``FERMISKIN_MATERIALS`` environment variable; its entries may shadow
+    the built-ins.
     """
-    key = name.lower()
     table = dict(BUILTIN_MATERIALS)
     path = config_path or os.environ.get(MATERIALS_ENV_VAR)
     if path:
         table.update(load_materials_file(path))
+    return table
+
+
+def get_material(name: str, config_path: str | None = None) -> Material:
+    """Look up a material by name in material_table(config_path)."""
+    key = name.lower()
+    table = material_table(config_path)
     if key not in table:
         raise ValueError(
             f"unknown material {name!r}; known: {', '.join(sorted(table))}"
@@ -191,10 +197,10 @@ class PlasmaParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.Omega <= 0:
-            raise ValueError("Omega must be > 0")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not 0.0 < self.Omega < math.inf:
+            raise ValueError(f"Omega must be finite and > 0, got {self.Omega}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         # b*eps^2 = a is definitional; tolerate only rounding.
         expect_a = self.b * self.eps * self.eps
         if abs(self.a - expect_a) > 1e-13 * max(expect_a, 1e-300):

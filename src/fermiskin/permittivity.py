@@ -13,6 +13,7 @@ call keeps the branch bookkeeping trivial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,12 +22,15 @@ import numpy as np
 from . import _kernels
 from ._kernels import N_SERIES_TERMS
 
+_SCAN_ROUNDS = 3
+_SCAN_REFINE = 10
+
 
 def _validate(Omega: float, eps: float, im_sign: int) -> float:
-    if Omega <= 0:
-        raise ValueError(f"Omega must be > 0, got {Omega}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not 0.0 < Omega < math.inf:
+        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if im_sign not in (1, -1):
         raise ValueError(f"im_sign must be +1 or -1, got {im_sign}")
     return eps * im_sign
@@ -161,31 +165,27 @@ def kohn_scan(
     q_max: float,
     n_points: int,
     *,
-    rounds: int = 3,
-    refine: int = 10,
     im_sign: int = 1,
 ) -> KohnScanResult:
     """Localize the singular wavevector by scanning |d eps_tr/dq|.
 
-    A uniform scan over [q_min, q_max] is followed by `rounds` zoom
-    stages, each shrinking the step by `refine` with 2*refine + 1 nodes
-    around the running argmax; defaults resolve the peak to a
-    thousandth of the initial spacing. Note that at finite eps the peak
-    of the broadened modulus sits a fraction of eps above Omega, so the
-    resolution worth asking for is bounded by eps itself.
+    A uniform scan over [q_min, q_max] is followed by _SCAN_ROUNDS = 3
+    zoom stages, each shrinking the step by _SCAN_REFINE = 10 with
+    2*_SCAN_REFINE + 1 nodes around the running argmax, which resolves
+    the peak to a thousandth of the initial spacing. Note that at finite
+    eps the peak of the broadened modulus sits a fraction of eps above
+    Omega, so the resolution worth asking for is bounded by eps itself.
     """
     zi = _validate(Omega, eps, im_sign)
     if n_points < 10:
         raise ValueError(f"n_points must be >= 10, got {n_points}")
     if not (0.0 < q_min < q_max):
         raise ValueError("need 0 < q_min < q_max")
-    if rounds < 0 or refine < 2:
-        raise ValueError("rounds must be >= 0 and refine >= 2")
 
     grid = np.linspace(q_min, q_max, n_points)
     step = (q_max - q_min) / (n_points - 1)
     n_skipped = 0
-    for r in range(rounds + 1):
+    for r in range(_SCAN_ROUNDS + 1):
         # raw kernel call: a sample on the singularity must be skipped
         # here, not raised as it would be by the public evaluator
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -198,10 +198,11 @@ def kohn_scan(
         i = int(np.argmax(masked))
         center = float(grid[i])
         best = float(vals[i])
-        if r < rounds:
-            # zoom: 2*refine + 1 nodes spanning +- one current step
-            step /= refine
-            grid = center + step * np.arange(-refine, refine + 1, dtype=np.float64)
+        if r < _SCAN_ROUNDS:
+            # zoom: 2*_SCAN_REFINE + 1 nodes spanning +- one current step
+            step /= _SCAN_REFINE
+            grid = center + step * np.arange(-_SCAN_REFINE, _SCAN_REFINE + 1,
+                                             dtype=np.float64)
             grid = grid[grid > 0.0]
     return KohnScanResult(
         q_star=center,

@@ -43,6 +43,9 @@ from ._kernels import KERNEL_RECIPROCAL
 TAIL_TOL = 1e-6
 
 _MAX_REFINE_ROUNDS = 60
+# mesh panels and oscillatory-tail half-periods allowed before failing
+_PANEL_BUDGET = 20000
+_TAIL_HALF_PERIODS = 8000
 _EULER_WINDOW = 48
 # row m - 1 holds C(m - 1, k) / 2^(m - 1), k < m: the weights that m - 1
 # rounds of pairwise averaging give the m points of a window
@@ -144,10 +147,10 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     return arr[keep]
 
 
-def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
-            tol_rel, tol_abs, panel_budget):
+def _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs):
     """Split worst panels in rounds until the summed error estimate meets
-    the target. Returns updated arrays plus the evaluation count."""
+    the target; batch(lo, hi) integrates panels. Returns updated arrays
+    plus the evaluation count."""
     n_evals = 0
     best = math.inf
     stall = 0
@@ -175,18 +178,16 @@ def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
         mask = errs > allow
         if not mask.any():
             mask = errs >= errs.max()
-        if lo.size + int(mask.sum()) > panel_budget:
+        if lo.size + int(mask.sum()) > _PANEL_BUDGET:
             raise QuadratureError(
-                f"panel budget {panel_budget} exhausted at error {tot_err:.3e}"
+                f"panel budget {_PANEL_BUDGET} exhausted at error {tot_err:.3e}"
             )
         mid = 0.5 * (lo[mask] + hi[mask])
         new_lo = np.concatenate((lo[~mask], lo[mask], mid))
         new_hi = np.concatenate((hi[~mask], mid, hi[mask]))
         child_lo = new_lo[lo.size - int(mask.sum()):]
         child_hi = new_hi[lo.size - int(mask.sum()):]
-        cvals, cerrs, ev = _kernels.panel_batch(
-            child_lo, child_hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa
-        )
+        cvals, cerrs, ev = batch(child_lo, child_hi)
         n_evals += ev
         vals = np.concatenate((vals[~mask], cvals))
         errs = np.concatenate((errs[~mask], cerrs))
@@ -194,8 +195,7 @@ def _refine(lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
     return lo, hi, vals, errs, n_evals
 
 
-def _envelope_tail(s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign, bcoef,
-                   kappa, tol_rel, tol_abs):
+def _envelope_tail(s0, min_end, value_a, batch, tol_rel, tol_abs):
     """Sum geometric panels [s, 1.6 s] from s0 until one ending at or past
     min_end is below a quarter of the target.
 
@@ -218,9 +218,7 @@ def _envelope_tail(s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign, bcoe
         while len(edges) <= n_tail + n_call:
             edges.append(edges[-1] * _TAIL_GROW)
         e = np.array(edges[n_tail:n_tail + n_call + 1])
-        cvals, cerrs, ev = _kernels.panel_batch(
-            e[:-1], e[1:], phase, kernel_id, Om, zi, im_sign, bcoef, kappa
-        )
+        cvals, cerrs, ev = batch(e[:-1], e[1:])
         n_evals += ev
         for c, c_err, s_end in zip(cvals.tolist(), cerrs.tolist(), e[1:].tolist()):
             tail_val += c
@@ -247,15 +245,13 @@ def oscillatory_halfline(
     *,
     tol_rel: float = 1e-8,
     tol_abs: float = 1e-300,
-    panel_budget: int = 20000,
-    tail_budget: int = 8000,
-    tail_stretch: float = 1.0,
 ) -> QuadratureResult:
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K.
 
-    tail_stretch scales the minimum truncation abscissa; running the same
-    integral at 1.0 and 2.0 exposes how much the quoted tail bound really
-    covers.
+    The mesh may hold _PANEL_BUDGET panels and the oscillatory tail may
+    sum _TAIL_HALF_PERIODS half-periods (the envelope tail _TAIL_PANELS
+    geometric panels); past either the integral raises QuadratureError.
+    The tail never stops before 20 kappa / (bcoef * TAIL_TOL).
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0:
         raise ValueError("need Om > 0, bcoef > 0, kappa > 0")
@@ -265,7 +261,14 @@ def oscillatory_halfline(
     e0 = abs(1.0 - 1.0 / (Om * z))
     s_peak = math.sqrt(e0 / bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
-    s_floor = tail_stretch * 20.0 * kappa / (bcoef * TAIL_TOL)
+    s_floor = 20.0 * kappa / (bcoef * TAIL_TOL)
+
+    # the integrand, bound once; panel_batch is looked up on each call so
+    # that a wrapper installed on the module sees every evaluation
+    def batch(lo, hi):
+        return _kernels.panel_batch(
+            lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa
+        )
 
     n_evals = 0
     if phase * q_smooth >= 2.0:
@@ -292,16 +295,11 @@ def oscillatory_halfline(
         s_end = float(tail_edges[-1])
         lo = np.concatenate((lo, tail_edges[:-1]))
         hi = np.concatenate((hi, tail_edges[1:]))
-    vals, errs, ev = _kernels.panel_batch(
-        lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa
-    )
+    vals, errs, ev = batch(lo, hi)
     n_evals += ev
     cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
     lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
-    lo, hi, vals, errs, ev = _refine(
-        lo, hi, vals, errs, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
-        tol_rel, tol_abs, panel_budget,
-    )
+    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs)
     n_evals += ev
     value_a = vals.sum()
     err_a = errs.sum()
@@ -318,15 +316,13 @@ def oscillatory_halfline(
             target = max(tol_rel * abs(value_a + tail_est), tol_abs)
             if acc_err <= 0.3 * target and s_end >= s_floor:
                 break
-            if n_tail >= tail_budget:
+            if n_tail >= _TAIL_HALF_PERIODS:
                 raise QuadratureError(
-                    f"tail budget {tail_budget} half-periods exhausted at "
+                    f"tail budget {_TAIL_HALF_PERIODS} half-periods exhausted at "
                     f"error {acc_err:.3e}"
                 )
             e = s_end + halfw * np.arange(_OSC_CHUNK + 1, dtype=np.float64)
-            cvals, cerrs, ev = _kernels.panel_batch(
-                e[:-1], e[1:], phase, kernel_id, Om, zi, im_sign, bcoef, kappa
-            )
+            cvals, cerrs, ev = batch(e[:-1], e[1:])
             n_evals += ev
             s_end = float(e[-1])
         value = value_a + tail_est
@@ -340,8 +336,7 @@ def oscillatory_halfline(
         # analytic remainder for the asymptotic envelope -1/(bcoef s^2)
         min_end = max(s_floor, 38.0 * s_peak, 2.0 * s0)
         tail_val, tail_err, s_end, n_tail, ev = _envelope_tail(
-            s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign, bcoef, kappa,
-            tol_rel, tol_abs,
+            s0, min_end, value_a, batch, tol_rel, tol_abs
         )
         n_evals += ev
         value = value_a + tail_val

@@ -220,6 +220,12 @@ class TestCrossover:
         with pytest.raises(NoCrossoverError, match="dominates everywhere"):
             crossover(1e-2, na, E0=1e5)
 
+    def test_nan_residual_fails(self, na):
+        # a NaN surface field propagates to the residual, which must not
+        # pass for a root
+        with pytest.raises(AnalysisError, match="residual nan"):
+            crossover(1e-2, na, E0=float("nan"))
+
     def test_depth_scales_with_skin_depth_alone(self, na):
         # in units of c/omega_p the crossover depends only on Omega and
         # v_F/c, so doubling omega_p at fixed v_F must collapse onto the

@@ -151,6 +151,22 @@ class TestBehavior:
         names = [row[0] for row in json.loads(out)["rows"]]
         assert "cs" in names and "na" in names
 
+    def test_environment_extends_table(self, capsys, tmp_path, monkeypatch):
+        # FERMISKIN_MATERIALS alone, no --config: the listing extends and
+        # shadows the built-ins the same way a material lookup does
+        cfg = tmp_path / "mats.json"
+        cfg.write_text(json.dumps([
+            {"name": "cs", "n_e_cm3": 0.91e22},
+            {"name": "na", "n_e_cm3": 2.60e22},
+        ]))
+        monkeypatch.setenv("FERMISKIN_MATERIALS", str(cfg))
+        code, out, _ = run_cli(capsys, ["materials", "--format", "json"])
+        assert code == 0
+        rows = {row[0]: row for row in json.loads(out)["rows"]}
+        assert set(rows) == {"al", "au", "cs", "na"}
+        assert rows["cs"][1] == 0.91e22
+        assert rows["na"][1] == 2.60e22
+
     def test_output_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "eps.csv"
         code, out, err = run_cli(
@@ -275,3 +291,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["epsilon", "--Omega", "nan", "--q", "0.05"],
+             "Omega must be finite and > 0, got nan"),
+            (["epsilon", "--Omega", "0.1", "--eps", "nan", "--q", "0.05"],
+             "eps must be finite and >= 0, got nan"),
+            (["asymptotic", "--Omega", "nan"],
+             "Omega must be finite and > 0, got nan"),
+            (["crossover", "--Omega", "nan"],
+             "Omega must be finite and > 0, got nan"),
+            (["field", "--Omega", "0.01", "--grid", "1e-5:inf:3"],
+             "--grid needs finite min and max"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, capsys, argv, fragment):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert fragment in err
+        assert out == ""

@@ -174,6 +174,11 @@ class TestRouteDomains:
         with pytest.raises(ValueError, match="x must be >= 0"):
             field_ratio_rescaled(-1e-5, p_1em4)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
+    def test_non_finite_depth_rejected(self, p_1em4, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            field_ratio_rescaled(x, p_1em4)
+
     def test_rescaled_works_collisionless(self, na):
         p = params_for(na, 1e-2, 0.0)
         v = field_ratio_rescaled(3e-5, p)
@@ -300,6 +305,10 @@ class TestOscillationStrength:
             f_of_Omega(0.0, na)
         with pytest.raises(ValueError):
             f_of_Omega_dimensional(-1.0, na)
+        with pytest.raises(ValueError, match="Omega must be finite"):
+            f_of_Omega(float("nan"), na)
+        with pytest.raises(ValueError, match="Omega must be finite"):
+            amplitude_A(float("inf"), na)
 
 
 class TestAmplitudeModes:

@@ -132,6 +132,10 @@ def test_to_dimensionless_rejects_bad_omega(na):
         to_dimensionless(-1e14, 0.0, na)
     with pytest.raises(ValueError):
         to_dimensionless(1e14, -1.0, na)
+    with pytest.raises(ValueError, match="Omega must be finite"):
+        to_dimensionless(float("nan"), 0.0, na)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        params_for(na, 1e-2, float("inf"))
 
 
 def test_params_validation_catches_inconsistent_a(na):

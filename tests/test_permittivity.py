@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermiskin import permittivity
 from fermiskin.permittivity import (
     KohnScanResult,
     d2_eps_dq2,
@@ -246,6 +247,10 @@ class TestDomain:
             eps_tr(0.05, 0.1, -1e-3)
         with pytest.raises(ValueError):
             eps_tr(0.05, 0.1, 0.01, im_sign=0)
+        with pytest.raises(ValueError, match="Omega must be finite"):
+            eps_tr(0.05, float("nan"), 0.01)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            eps_tr(0.05, 0.1, float("inf"))
 
 
 class TestKohnScan:
@@ -272,16 +277,20 @@ class TestKohnScan:
         assert res.max_abs_derivative / far_lo > 1e3
         assert res.max_abs_derivative / far_hi > 1e3
 
-    def test_collisionless_scan_skips_singular_node(self):
+    def test_collisionless_scan_skips_singular_node(self, monkeypatch):
         grid = np.linspace(0.05, 0.25, 11)
         Omega = float(grid[3])  # an exact grid node
-        res = kohn_scan(Omega, 0.0, 0.05, 0.25, 11, rounds=0)
+        monkeypatch.setattr(permittivity, "_SCAN_ROUNDS", 0)
+        res = kohn_scan(Omega, 0.0, 0.05, 0.25, 11)
+        assert res.grid.size == 11  # the uniform scan alone
         assert res.n_skipped >= 1
         assert np.isfinite(res.max_abs_derivative)
         assert res.q_star != Omega
 
-    def test_collisionless_zoom_converges(self):
-        res = kohn_scan(0.1, 0.0, 0.05, 0.2, 16, rounds=6)
+    def test_collisionless_zoom_converges(self, monkeypatch):
+        monkeypatch.setattr(permittivity, "_SCAN_ROUNDS", 6)
+        res = kohn_scan(0.1, 0.0, 0.05, 0.2, 16)
+        assert res.refined_step == pytest.approx(0.01 / 10**6, rel=1e-12)
         assert abs(res.q_star - 0.1) < 1e-5
         assert res.values.shape == res.grid.shape
 
@@ -292,5 +301,3 @@ class TestKohnScan:
             kohn_scan(0.1, 1e-4, 0.2, 0.02, 50)
         with pytest.raises(ValueError, match="q_min"):
             kohn_scan(0.1, 1e-4, 0.0, 0.2, 50)
-        with pytest.raises(ValueError):
-            kohn_scan(0.1, 1e-4, 0.02, 0.2, 50, refine=1)

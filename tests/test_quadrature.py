@@ -138,19 +138,18 @@ def test_envelope_branch_against_qags(na_params):
     assert abs(res.value - ref) <= 1e-7 * abs(ref)
 
 
-def test_tail_bound_honesty(na_params):
-    # pushing the truncation point out twice as far must move the value
-    # by no more than twice the quoted tail bound; stretches below ~10
-    # leave the accuracy-driven stopping point in charge here, so use
-    # ones that actually bind
+def test_tail_bound_honesty(na_params, monkeypatch):
+    # pushing the truncation floor 20 kappa / (bcoef TAIL_TOL) out twice
+    # as far must move the value by no more than twice the quoted tail
+    # bound; floors less than ~10x the default leave the accuracy-driven
+    # stopping point in charge here, so use ones that actually bind
     p = na_params
     phase = p.omega_p * 1e-5 / p.v_F
-    base = oscillatory_halfline(
-        phase, 0, p.Omega, p.eps, 1, p.b, 1.0, tail_stretch=20.0
-    )
-    far = oscillatory_halfline(
-        phase, 0, p.Omega, p.eps, 1, p.b, 1.0, tail_stretch=40.0
-    )
+    tol = quadrature.TAIL_TOL
+    monkeypatch.setattr(quadrature, "TAIL_TOL", tol / 20.0)
+    base = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    monkeypatch.setattr(quadrature, "TAIL_TOL", tol / 40.0)
+    far = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
     assert far.s_max > 2.0 * base.s_max * 0.9
     assert abs(base.value - far.value) <= 2.0 * base.tail_bound
 
@@ -218,24 +217,33 @@ def test_refine_stops_at_rounding_floor(phase):
     assert abs(tight.value - loose.value) <= tight.error + loose.error
 
 
-def test_tail_budget_exhaustion_raises(na_params):
+def test_tail_budget_exhaustion_raises(na_params, monkeypatch):
+    # a truncation floor 1e4 times the default needs far more than 100
+    # half-periods: the tail stops after its second 64-half-period chunk,
+    # the first one riding in the mesh's kernel call
     p = na_params
     phase = p.omega_p * 1e-5 / p.v_F
-    with pytest.raises(QuadratureError, match="tail budget"):
-        oscillatory_halfline(
-            phase, 0, p.Omega, p.eps, 1, p.b, 1.0,
-            tail_budget=100, tail_stretch=1e4,
-        )
+    calls = []
+    orig = k.panel_batch
+
+    def recorded(lo, hi, *args):
+        calls.append(np.asarray(lo).size)
+        return orig(lo, hi, *args)
+
+    monkeypatch.setattr(k, "panel_batch", recorded)
+    monkeypatch.setattr(quadrature, "_TAIL_HALF_PERIODS", 100)
+    monkeypatch.setattr(quadrature, "TAIL_TOL", quadrature.TAIL_TOL / 1e4)
+    with pytest.raises(QuadratureError, match="tail budget 100 half-periods"):
+        oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    assert len(calls) == 2 and calls[1] == 64
 
 
-def test_panel_budget_exhaustion_raises(na_params):
+def test_panel_budget_exhaustion_raises(na_params, monkeypatch):
     p = na_params
     phase = p.omega_p * 1e-5 / p.v_F
-    with pytest.raises(QuadratureError, match="panel budget"):
-        oscillatory_halfline(
-            phase, 0, p.Omega, p.eps, 1, p.b, 1.0,
-            tol_rel=1e-13, panel_budget=4,
-        )
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 4)
+    with pytest.raises(QuadratureError, match="panel budget 4 exhausted"):
+        oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0, tol_rel=1e-13)
 
 
 def test_parameter_validation(na_params):
@@ -268,18 +276,14 @@ def test_envelope_tail_budget_raises(monkeypatch):
     assert sum(int((lo >= s0).sum()) for lo, _ in calls) == 400
 
 
-def _one_panel_tail(panels, s0, min_end, value_a, phase, kernel_id, Om, zi, im_sign,
-                    bcoef, kappa, tol_rel, tol_abs):
+def _one_panel_tail(panels, s0, min_end, value_a, batch, tol_rel, tol_abs):
     # reference for quadrature._envelope_tail: the same geometric panels
     # and stop rule, one kernel call per panel; each panel value is
     # appended to `panels`
     tail_val, tail_err, s_end, n_evals = 0.0 + 0.0j, 0.0, s0, 0
     for n_tail in range(1, 401):
         nxt = s_end * 1.6
-        c, c_err, ev = k.panel_batch(
-            np.array([s_end]), np.array([nxt]), phase, kernel_id,
-            Om, zi, im_sign, bcoef, kappa,
-        )
+        c, c_err, ev = batch(np.array([s_end]), np.array([nxt]))
         n_evals += ev
         tail_val += c[0]
         tail_err += c_err[0]
