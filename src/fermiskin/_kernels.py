@@ -12,10 +12,10 @@ mpmath oracles and the panels against adaptive quadrature.
 
 Conventions used throughout:
   * q is the wavevector scaled by omega_p/v_F, Om = omega/omega_p.
-  * z = Om + i*zi, where zi carries both the collision rate and the sign
-    of the frequency prescription. zi = 0 is the collisionless limit and
-    needs an explicit branch choice for the logarithm, supplied by
-    im_sign (+1 for the exp(-i omega t) convention, -1 for its mirror).
+  * Time enters as exp(-i omega t), so z = Om + i*zi with zi = eps =
+    nu/omega_p >= 0. zi = 0 is the collisionless limit, taken from
+    Im z > 0; _log_branch makes that choice. The mirror convention
+    exp(+i omega t) is the complex conjugate of every value (np.conj).
   * The small-argument series in q/z and the closed form are switched at
     |q/z| = 0.1 with a fixed 24-term tail, which keeps the crossover
     error below 1e-13 of the leading term.
@@ -103,11 +103,12 @@ WG7 = np.array(
 )
 
 
-def _log_branch(q, Om, zi, im_sign):
+def _log_branch(q, Om, zi):
     if zi == 0.0:
+        # the limit from Im z > 0: the absorption step +-i pi past |q| = Om
         with np.errstate(divide="ignore", invalid="ignore"):
             L = np.log(np.abs((Om - q) / (Om + q))).astype(np.complex128)
-        L += 1j * math.pi * im_sign * np.sign(q) * (np.abs(q) > Om)
+        L += 1j * math.pi * np.sign(q) * (np.abs(q) > Om)
         return L
     # the principal log((z - q)/(z + q)) in real arithmetic: the modulus
     # is written as log1p of a non-negative argument, which stays
@@ -149,7 +150,7 @@ def _closed(which, qb, q2, z, z2, L, Om):
     )
 
 
-def _family_members(q, members, Om, zi, im_sign):
+def _family_members(q, members, Om, zi):
     """Evaluate several family members (see family_grid) at the float64 nodes q.
 
     The series/closed-form split and the logarithm branch are computed
@@ -171,7 +172,7 @@ def _family_members(q, members, Om, zi, im_sign):
         z2 = z * z
         with np.errstate(divide="ignore", invalid="ignore"):
             # only the pole-pair member (3) does without the logarithm
-            L = None if members == (3,) else _log_branch(qb, Om, zi, im_sign)
+            L = None if members == (3,) else _log_branch(qb, Om, zi)
             for which, out in zip(members, outs):
                 out[big] = _closed(which, qb, q2, z, z2, L, Om)
     return outs
@@ -190,19 +191,22 @@ def family_grid(q, which, Om, zi, im_sign=1):
     """Evaluate one member of the permittivity family on a 1-d grid.
 
     which: 0 = eps_tr, 1 = d eps/dq, 2 = d2 eps/dq2, 3 = pole-pair
-    approximation of d2 eps/dq2.
+    approximation of d2 eps/dq2. im_sign = -1 returns the mirror
+    convention's values, the complex conjugates; the argument stays
+    because perfbench/run.py passes all five positionally.
     """
     q = np.ascontiguousarray(q, dtype=np.float64)
-    return _family_members(q, (which,), float(Om), float(zi), int(im_sign))[0]
+    out = _family_members(q, (which,), float(Om), float(zi))[0]
+    return np.conj(out) if im_sign < 0 else out
 
 
-def envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
+def envelope_grid(s, kernel_id, Om, zi, bcoef, kappa):
     """Oscillation-free factor of the field integrand on a 1-d grid."""
     s = np.ascontiguousarray(s, dtype=np.float64)
-    Om, zi, im_sign = float(Om), float(zi), int(im_sign)
+    Om, zi = float(Om), float(zi)
     bcoef, kappa = float(bcoef), float(kappa)
     q = kappa * s
-    e, *derivs = _family_members(q, _KERNEL_MEMBERS[kernel_id], Om, zi, im_sign)
+    e, *derivs = _family_members(q, _KERNEL_MEMBERS[kernel_id], Om, zi)
     D = e - bcoef * s * s
     if kernel_id == KERNEL_RECIPROCAL:
         return 1.0 / D
@@ -214,7 +218,7 @@ def envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa):
     return (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
 
 
-def panel_batch(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
+def panel_batch(lo, hi, phase, kernel_id, Om, zi, bcoef, kappa):
     """Gauss-Kronrod 15(7) over a batch of panels of cos(phase*s)*K(s).
 
     Returns (values, error_estimates, n_evaluations). The error estimate
@@ -230,7 +234,7 @@ def panel_batch(lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa):
     h = 0.5 * (hi - lo)
     nodes = c[:, None] + h[:, None] * XGK15[None, :]
     f = np.cos(float(phase) * nodes) * envelope_grid(
-        nodes.ravel(), kernel_id, Om, zi, im_sign, bcoef, kappa
+        nodes.ravel(), kernel_id, Om, zi, bcoef, kappa
     ).reshape(nodes.shape)
     kron = h * (f @ WGK15)
     gauss = h * (f[:, 1::2] @ WG7)

@@ -79,12 +79,11 @@ class CrossoverResult:
     iterations: int
 
 
-def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray, str]:
+def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
     """Accept a FieldProfile or an (xs, values) pair; drop failed points."""
     if isinstance(profile, FieldProfile):
         x = profile.xs
         y = profile.values
-        method = profile.method
     else:
         try:
             x, y = profile
@@ -92,7 +91,6 @@ def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray, str]:
             raise TypeError(
                 "profile must be a FieldProfile or an (xs, values) pair"
             ) from None
-        method = "synthetic"
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 1 or x.shape != y.shape:
@@ -102,7 +100,7 @@ def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray, str]:
         x, y = x[ok], y[ok]
     if x.size < 4:
         raise AnalysisError("profile has fewer than 4 usable points")
-    return x, np.real(y).astype(np.float64), method
+    return x, np.real(y).astype(np.float64)
 
 
 def _in_window(x: np.ndarray, window) -> np.ndarray:
@@ -157,7 +155,7 @@ def envelope_fit(profile, window=None) -> FitResult:
     ln(peak) against ln(x); a slope of -2 is the inverse-square
     envelope of the far-field oscillation.
     """
-    x, y, _ = _coerce_profile(profile)
+    x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
     m = np.abs(y)
@@ -185,7 +183,7 @@ def wavelength_extract(profile, window=None) -> WavelengthEstimate:
     changes of Re value. Constant-sign input has no crossings and is
     rejected.
     """
-    x, y, _ = _coerce_profile(profile)
+    x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
     s = np.sign(y)
@@ -214,12 +212,9 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
     Fits ln|value| against x inside the window, which must sit inside
     (0, 1.5*delta]; the slope estimates -omega_p/c. delta is taken from
     the profile's params when present, so it only needs passing for
-    synthetic input. Asymptotic-method profiles are rejected: they have
-    no near-surface region.
+    synthetic input.
     """
-    x, y, method = _coerce_profile(profile)
-    if method == "asymptotic":
-        raise AnalysisError("near-surface fit needs a numeric profile, not asymptotic")
+    x, y = _coerce_profile(profile)
     if delta is None:
         if isinstance(profile, FieldProfile):
             delta = profile.params.delta

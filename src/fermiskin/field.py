@@ -4,7 +4,11 @@ The normalized field E(x)/E'(0) is a half-line cosine transform of the
 reciprocal dispersion denominator. Two parametrizations of the same
 integral are provided (the mean-free-path "direct" axis and the
 plasma-scaled "rescaled" axis), plus integrated-by-parts variants, and
-the closed-form far-field oscillation with its amplitude coefficients.
+the closed-form far-field oscillation with its amplitude coefficients
+(asymptotic_field, the one closed-form path).
+
+Time enters as exp(-i omega t), as in permittivity; np.conj of a field
+value gives the mirror convention exp(+i omega t).
 
 Depths are in cm; the E(x)/E'(0) normalization carries a length, so
 those values are in cm too, while E(x)/E(0) is dimensionless.
@@ -43,7 +47,7 @@ _IBP_KERNELS = {
     "kohn-pole": KERNEL_IBP_KOHN,
 }
 
-PROFILE_METHODS = ("direct", "rescaled", "ibp", "asymptotic")
+PROFILE_METHODS = ("direct", "rescaled", "ibp")
 
 # absolute error floor of a field value, in the units of E(x)/E'(0) (cm)
 _TOL_ABS = 1e-30
@@ -51,7 +55,7 @@ _TOL_ABS = 1e-30
 _ROOT_SCAN_NODES = 512
 
 
-def dispersion_denominator(q, Omega: float, eps: float, b: float, *, im_sign: int = 1):
+def dispersion_denominator(q, Omega: float, eps: float, b: float):
     """eps_tr(q, Omega, eps) - b q^2, the transform's denominator.
 
     b is passed explicitly rather than through PlasmaParams so the
@@ -60,11 +64,11 @@ def dispersion_denominator(q, Omega: float, eps: float, b: float, *, im_sign: in
     """
     if b <= 0:
         raise ValueError(f"b must be > 0, got {b}")
-    e = permittivity.eps_tr(q, Omega, eps, im_sign=im_sign)
+    e = permittivity.eps_tr(q, Omega, eps)
     return e - b * np.asarray(q, dtype=np.float64) ** 2
 
 
-def check_dispersion_roots(params: PlasmaParams, *, im_sign: int = 1) -> None:
+def check_dispersion_roots(params: PlasmaParams) -> None:
     """Raise DispersionRootError if the denominator has a real-axis zero.
 
     Only the collisionless window 0 < q < Omega can host one: there the
@@ -79,7 +83,7 @@ def check_dispersion_roots(params: PlasmaParams, *, im_sign: int = 1) -> None:
     Om = params.Omega
     n = _ROOT_SCAN_NODES
     qs = np.linspace(Om / n, Om * (1.0 - 1.0 / n), n)
-    d = dispersion_denominator(qs, Om, 0.0, params.b, im_sign=im_sign)
+    d = dispersion_denominator(qs, Om, 0.0, params.b)
     re = np.real(d)
     if np.any(re[:-1] * re[1:] < 0.0) or np.any(re == 0.0):
         i = int(np.argmin(np.abs(re)))
@@ -106,15 +110,14 @@ def _field_point(
     route: str,
     kernel_name: str,
     kernel_id: int,
-    exponent_sign: int,
     tol_rel: float,
 ) -> FieldPointInfo:
     if not math.isfinite(x_cm):
         raise ValueError(f"x must be finite, got {x_cm}")
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
-    if exponent_sign not in (1, -1):
-        raise ValueError("exponent_sign must be +1 or -1")
+    if not 0.0 < tol_rel < 1.0:
+        raise ValueError(f"tol_rel must be finite and in (0, 1), got {tol_rel}")
     mat = params.material
     x_scaled = mat.omega_p * x_cm / mat.v_F
     if route == "rescaled":
@@ -139,15 +142,14 @@ def _field_point(
             raise ValueError("integrated-by-parts kernels are undefined at x = 0")
         if params.eps == 0.0:
             raise ValueError("integrated-by-parts kernels need eps > 0")
-    check_dispersion_roots(params, im_sign=exponent_sign)
+    check_dispersion_roots(params)
     # the engine works in its own integrand units; translate the absolute
     # floor, which is stated in field units
     quad = oscillatory_halfline(
         phase,
         kernel_id,
         params.Omega,
-        params.eps * exponent_sign,
-        exponent_sign,
+        params.eps,
         bcoef,
         kappa,
         tol_rel=tol_rel,
@@ -175,14 +177,12 @@ def field_ratio_rescaled(
     x_cm: float,
     params: PlasmaParams,
     *,
-    exponent_sign: int = 1,
     tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
     """E(x)/E'(0) in cm via the plasma-scaled axis. Works at eps = 0."""
     info = _field_point(
-        x_cm, params, "rescaled", "reciprocal", KERNEL_RECIPROCAL,
-        exponent_sign, tol_rel,
+        x_cm, params, "rescaled", "reciprocal", KERNEL_RECIPROCAL, tol_rel
     )
     return (info.value, info) if full_output else info.value
 
@@ -191,7 +191,6 @@ def field_ratio_direct(
     x_cm: float,
     params: PlasmaParams,
     *,
-    exponent_sign: int = 1,
     tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
@@ -202,8 +201,7 @@ def field_ratio_direct(
     cross-check, not merged.
     """
     info = _field_point(
-        x_cm, params, "direct", "reciprocal", KERNEL_RECIPROCAL,
-        exponent_sign, tol_rel,
+        x_cm, params, "direct", "reciprocal", KERNEL_RECIPROCAL, tol_rel
     )
     return (info.value, info) if full_output else info.value
 
@@ -213,7 +211,6 @@ def field_ratio_ibp(
     params: PlasmaParams,
     *,
     kernel: str = "exact",
-    exponent_sign: int = 1,
     tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
@@ -236,9 +233,7 @@ def field_ratio_ibp(
         raise ValueError(
             f"unknown ibp kernel {kernel!r}; choose from {sorted(_IBP_KERNELS)}"
         ) from None
-    info = _field_point(
-        x_cm, params, "rescaled", kernel, kid, exponent_sign, tol_rel
-    )
+    info = _field_point(x_cm, params, "rescaled", kernel, kid, tol_rel)
     return (info.value, info) if full_output else info.value
 
 
@@ -246,11 +241,10 @@ def field_ratio_ibp(
 class FieldProfile:
     """Field ratio sampled on a strictly increasing depth grid.
 
-    values is complex E(x)/E'(0) in cm (or E(x)/E(0), dimensionless;
-    see normalization); abs_err the per-point error estimate;
-    diagnostics the per-point quadrature records (None where closed
-    form or failed); errors the (index, message) list of failed points,
-    which keep NaN in values rather than being dropped.
+    values is complex E(x)/E'(0) in cm; abs_err the per-point error
+    estimate; diagnostics the per-point quadrature records (None where
+    failed); errors the (index, message) list of failed points, which
+    keep NaN in values rather than being dropped.
     """
 
     xs: np.ndarray
@@ -258,7 +252,6 @@ class FieldProfile:
     abs_err: np.ndarray
     params: PlasmaParams
     method: str
-    normalization: str
     diagnostics: list
     errors: list
 
@@ -273,18 +266,16 @@ def profile(
     method: str = "rescaled",
     *,
     kernel: str = "exact",
-    normalization: str = "per_Eprime0",
-    exponent_sign: int = 1,
     tol_rel: float = 1e-8,
 ) -> FieldProfile:
     """Evaluate the field ratio on an array of depths.
 
     params is a PlasmaParams or a bare (Omega, material) pair, which
-    means the collisionless state. method is one of direct / rescaled /
-    ibp / asymptotic; kernel only matters for ibp. Depths must be
-    strictly increasing (and positive for asymptotic). Per-point
-    quadrature failures are collected in .errors with NaN left in
-    .values; only a profile with no successful point at all raises
+    means the collisionless state. method is one of PROFILE_METHODS
+    (direct / rescaled / ibp); kernel only matters for ibp. The closed
+    form is asymptotic_field. Depths must be strictly increasing.
+    Per-point quadrature failures are collected in .errors with NaN left
+    in .values; only a profile with no successful point at all raises
     ProfileEvaluationError.
     """
     if not isinstance(params, PlasmaParams):
@@ -297,48 +288,22 @@ def profile(
         raise ValueError("depths must be strictly increasing")
     if method not in PROFILE_METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {PROFILE_METHODS}")
-    if normalization not in ("per_Eprime0", "per_E0"):
-        raise ValueError(f"unknown normalization {normalization!r}")
 
-    if method == "asymptotic":
-        vals = asymptotic_field(
-            x, params.Omega, params.material, normalization=normalization
-        ).astype(np.complex128)
-        return FieldProfile(
-            xs=x,
-            values=vals,
-            abs_err=np.zeros(x.shape),
-            params=params,
-            method=method,
-            normalization=normalization,
-            diagnostics=[None] * x.size,
-            errors=[],
-        )
-
-    if normalization != "per_Eprime0":
-        raise ValueError("numeric methods produce the per_Eprime0 normalization")
+    # looked up here, not at import, so that a wrapper installed on the
+    # module sees every point
+    route = {
+        "direct": field_ratio_direct,
+        "rescaled": field_ratio_rescaled,
+        "ibp": field_ratio_ibp,
+    }[method]
+    opts = {"kernel": kernel} if method == "ibp" else {}
     vals = np.full(x.shape, np.nan + 0j, dtype=np.complex128)
     errs = np.full(x.shape, np.nan)
     diags: list = [None] * x.size
     failures: list = []
     for i, xi in enumerate(x):
         try:
-            if method == "direct":
-                _, info = field_ratio_direct(
-                    float(xi), params, exponent_sign=exponent_sign,
-                    tol_rel=tol_rel, full_output=True,
-                )
-            elif method == "rescaled":
-                _, info = field_ratio_rescaled(
-                    float(xi), params, exponent_sign=exponent_sign,
-                    tol_rel=tol_rel, full_output=True,
-                )
-            else:
-                _, info = field_ratio_ibp(
-                    float(xi), params, kernel=kernel,
-                    exponent_sign=exponent_sign,
-                    tol_rel=tol_rel, full_output=True,
-                )
+            _, info = route(float(xi), params, tol_rel=tol_rel, full_output=True, **opts)
         except QuadratureError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue
@@ -355,7 +320,6 @@ def profile(
         abs_err=errs,
         params=params,
         method=method,
-        normalization="per_Eprime0",
         diagnostics=diags,
         errors=failures,
     )
@@ -419,8 +383,8 @@ def amplitude_B(Omega: float, material: Material, E0: float = 1.0) -> float:
     B = (omega_p/c) A E0; E0 is an overall surface-field scale used
     mostly to probe the crossover logic.
     """
-    if E0 <= 0:
-        raise ValueError("E0 must be > 0")
+    if not 0.0 < E0 < math.inf:
+        raise ValueError(f"E0 must be finite and > 0, got {E0}")
     return material.omega_p / SPEED_OF_LIGHT * amplitude_A(Omega, material) * E0
 
 

@@ -2,9 +2,9 @@
 
 A material is fully specified by its free-electron number density; the
 plasma frequency and Fermi velocity follow from the free-electron-gas
-formulas. Dimensional drive parameters (angular frequency omega and
-collision frequency nu) convert to the dimensionless set
-(Omega, eps, a, b) used by every downstream computation.
+formulas. A regime is the material plus the dimensionless pair
+(Omega, eps) = (omega, nu)/omega_p; every other regime quantity
+(a, b, omega, nu, l, tau, delta) is derived from those three.
 """
 
 from __future__ import annotations
@@ -69,10 +69,13 @@ class Material:
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool) -> None:
-        if self.n_e <= 0:
-            raise ValueError(f"material {self.name!r}: n_e must be > 0")
-        if self.omega_p <= 0 or self.v_F <= 0:
-            raise ValueError(f"material {self.name!r}: omega_p and v_F must be > 0")
+        for label, value in (("n_e", self.n_e), ("omega_p", self.omega_p),
+                             ("v_F", self.v_F)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"material {self.name!r}: {label} must be finite and > 0, "
+                    f"got {value}"
+                )
         if self.v_F >= SPEED_OF_LIGHT:
             raise ValueError(
                 f"material {self.name!r}: v_F = {self.v_F:g} cm/s is not "
@@ -176,9 +179,9 @@ def get_material(name: str, config_path: str | None = None) -> Material:
 
 @dataclass(frozen=True)
 class PlasmaParams:
-    """Dimensionless regime parameters plus their dimensional carriers.
+    """A material driven at Omega = omega/omega_p with collision rate
+    eps = nu/omega_p; everything else is derived.
 
-    Omega = omega/omega_p and eps = nu/omega_p set the regime;
     b = (c/(v_F Omega))^2 and a = b*eps^2 are the quadratic
     coefficients of the two equivalent dispersion denominators. The
     mean free path l and relaxation time tau are infinite in the
@@ -188,23 +191,12 @@ class PlasmaParams:
     material: Material
     Omega: float
     eps: float
-    a: float
-    b: float
-    omega: float
-    nu: float
-    l: float
-    delta: float
-    tau: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.Omega < math.inf:
             raise ValueError(f"Omega must be finite and > 0, got {self.Omega}")
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        # b*eps^2 = a is definitional; tolerate only rounding.
-        expect_a = self.b * self.eps * self.eps
-        if abs(self.a - expect_a) > 1e-13 * max(expect_a, 1e-300):
-            raise ValueError("inconsistent params: a != b*eps^2")
 
     @property
     def omega_p(self) -> float:
@@ -215,49 +207,48 @@ class PlasmaParams:
         return self.material.v_F
 
     @property
+    def b(self) -> float:
+        return (SPEED_OF_LIGHT / (self.v_F * self.Omega)) ** 2
+
+    @property
+    def a(self) -> float:
+        return self.b * self.eps * self.eps
+
+    @property
+    def omega(self) -> float:
+        """Drive angular frequency, rad/s."""
+        return self.Omega * self.omega_p
+
+    @property
+    def nu(self) -> float:
+        """Collision frequency, rad/s."""
+        return self.eps * self.omega_p
+
+    @property
+    def l(self) -> float:
+        """Mean free path v_F/nu, cm."""
+        return self.v_F / self.nu if self.eps > 0.0 else math.inf
+
+    @property
+    def tau(self) -> float:
+        """Relaxation time 1/nu, s."""
+        return 1.0 / self.nu if self.eps > 0.0 else math.inf
+
+    @property
+    def delta(self) -> float:
+        """Collisionless skin depth c/omega_p, cm."""
+        return self.material.skin_depth
+
+    @property
     def collisionless(self) -> bool:
         return self.eps == 0.0
 
 
 def to_dimensionless(omega: float, nu: float, material: Material) -> PlasmaParams:
-    """Convert a dimensional drive (omega, nu) to PlasmaParams.
-
-    nu = 0 is the collisionless state: eps = 0, a = 0, and the mean
-    free path is reported as infinity.
-    """
-    if omega <= 0:
-        raise ValueError(f"omega must be > 0, got {omega}")
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
-    w_p, v_f = material.omega_p, material.v_F
-    Omega = omega / w_p
-    eps = nu / w_p
-    b = (SPEED_OF_LIGHT / (v_f * Omega)) ** 2
-    a = b * eps * eps
-    if nu > 0:
-        l = v_f / nu
-        tau = 1.0 / nu
-    else:
-        l = math.inf
-        tau = math.inf
-    return PlasmaParams(
-        material=material,
-        Omega=Omega,
-        eps=eps,
-        a=a,
-        b=b,
-        omega=omega,
-        nu=nu,
-        l=l,
-        delta=SPEED_OF_LIGHT / w_p,
-        tau=tau,
-    )
+    """PlasmaParams of a dimensional drive: omega and nu in rad/s."""
+    return PlasmaParams(material, omega / material.omega_p, nu / material.omega_p)
 
 
 def params_for(material: Material, Omega: float, eps: float = 0.0) -> PlasmaParams:
-    """Convenience builder from the dimensionless pair (Omega, eps)."""
-    if Omega <= 0:
-        raise ValueError(f"Omega must be > 0, got {Omega}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    return to_dimensionless(Omega * material.omega_p, eps * material.omega_p, material)
+    """PlasmaParams of the dimensionless pair (Omega, eps)."""
+    return PlasmaParams(material, Omega, eps)

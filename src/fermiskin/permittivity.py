@@ -8,7 +8,9 @@ computed downstream).
 
 All evaluators accept scalars or array-likes in q and return matching
 shapes. Omega and eps are scalars by design: one frequency point per
-call keeps the branch bookkeeping trivial.
+call keeps the branch bookkeeping trivial. Time enters as
+exp(-i omega t), so z = Omega + i eps; np.conj of any value gives the
+mirror convention exp(+i omega t).
 """
 
 from __future__ import annotations
@@ -26,14 +28,11 @@ _SCAN_ROUNDS = 3
 _SCAN_REFINE = 10
 
 
-def _validate(Omega: float, eps: float, im_sign: int) -> float:
+def _validate(Omega: float, eps: float) -> None:
     if not 0.0 < Omega < math.inf:
         raise ValueError(f"Omega must be finite and > 0, got {Omega}")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    if im_sign not in (1, -1):
-        raise ValueError(f"im_sign must be +1 or -1, got {im_sign}")
-    return eps * im_sign
 
 
 def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
@@ -45,51 +44,50 @@ def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
         )
 
 
-def _eval(q, which: int, Omega: float, eps: float, im_sign: int):
-    zi = _validate(Omega, eps, im_sign)
+def _eval(q, which: int, Omega: float, eps: float):
+    _validate(Omega, eps)
     arr = np.asarray(q, dtype=np.float64)
     _check_domain(arr, Omega, eps)
-    out = _kernels.family_grid(arr.ravel(), which, Omega, zi, im_sign)
+    out = _kernels.family_grid(arr.ravel(), which, Omega, eps)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
 
 
-def eps_tr(q, Omega: float, eps: float = 0.0, *, im_sign: int = 1):
+def eps_tr(q, Omega: float, eps: float = 0.0):
     """Transverse dielectric function at scaled wavevector q.
 
     q is in units of omega_p/v_F, Omega = omega/omega_p, eps = nu/omega_p.
     eps = 0 means the limit of vanishing collisions taken from Im z > 0,
     which is real for |q| < Omega and carries the collisionless damping
-    step for |q| > Omega. im_sign = -1 selects the mirror prescription
-    (complex conjugate values for real q).
+    step for |q| > Omega.
 
     Below |q/z| = 0.1 the closed form loses digits to cancellation and
     the series takes over transparently.
     """
-    return _eval(q, 0, Omega, eps, im_sign)
+    return _eval(q, 0, Omega, eps)
 
 
-def d_eps_dq(q, Omega: float, eps: float = 0.0, *, im_sign: int = 1):
+def d_eps_dq(q, Omega: float, eps: float = 0.0):
     """First q-derivative of eps_tr, closed form. Odd in q.
 
     Diverges logarithmically at |q| = Omega in the collisionless limit;
     that point is rejected, and eps > 0 rounds the divergence into a
     finite peak of width ~eps.
     """
-    return _eval(q, 1, Omega, eps, im_sign)
+    return _eval(q, 1, Omega, eps)
 
 
-def d2_eps_dq2(q, Omega: float, eps: float = 0.0, *, im_sign: int = 1):
+def d2_eps_dq2(q, Omega: float, eps: float = 0.0):
     """Full second q-derivative of eps_tr, closed form; even in q.
 
     Carries a simple pole pair at q = +-z, so it grows like 1/eps on
     approach to |q| = Omega at finite collisionality.
     """
-    return _eval(q, 2, Omega, eps, im_sign)
+    return _eval(q, 2, Omega, eps)
 
 
-def d2_eps_near_singularity(q, Omega: float, eps: float = 0.0, *, im_sign: int = 1):
+def d2_eps_near_singularity(q, Omega: float, eps: float = 0.0):
     """Pole-pair part of the second derivative alone.
 
     Keeps only the terms of d2_eps_dq2 that blow up at |q| = Omega;
@@ -97,7 +95,7 @@ def d2_eps_near_singularity(q, Omega: float, eps: float = 0.0, *, im_sign: int =
     approached. Even in q: the bracket is odd and the 1/q^3 prefactor
     is odd.
     """
-    return _eval(q, 3, Omega, eps, im_sign)
+    return _eval(q, 3, Omega, eps)
 
 
 class SeriesValue(NamedTuple):
@@ -110,8 +108,6 @@ def small_q_series(
     Omega: float,
     eps: float = 0.0,
     n_terms: int = N_SERIES_TERMS,
-    *,
-    im_sign: int = 1,
 ) -> SeriesValue:
     """Expansion of eps_tr in powers of (q/z)^2, with a truncation bound.
 
@@ -120,10 +116,10 @@ def small_q_series(
     of the last retained term: a true remainder bound once |q/z| < 1/2
     and plain bookkeeping closer to the edge.
     """
-    zi = _validate(Omega, eps, im_sign)
+    _validate(Omega, eps)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    z = complex(Omega, zi)
+    z = complex(Omega, eps)
     w = q / z
     if abs(w) >= 1.0:
         raise ValueError(
@@ -164,8 +160,6 @@ def kohn_scan(
     q_min: float,
     q_max: float,
     n_points: int,
-    *,
-    im_sign: int = 1,
 ) -> KohnScanResult:
     """Localize the singular wavevector by scanning |d eps_tr/dq|.
 
@@ -176,7 +170,7 @@ def kohn_scan(
     eps the peak of the broadened modulus sits a fraction of eps above
     Omega, so the resolution worth asking for is bounded by eps itself.
     """
-    zi = _validate(Omega, eps, im_sign)
+    _validate(Omega, eps)
     if n_points < 10:
         raise ValueError(f"n_points must be >= 10, got {n_points}")
     if not (0.0 < q_min < q_max):
@@ -189,7 +183,7 @@ def kohn_scan(
         # raw kernel call: a sample on the singularity must be skipped
         # here, not raised as it would be by the public evaluator
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.abs(_kernels.family_grid(grid, 1, Omega, zi, im_sign))
+            vals = np.abs(_kernels.family_grid(grid, 1, Omega, eps))
         ok = np.isfinite(vals)
         n_skipped += int((~ok).sum())
         if not ok.any():

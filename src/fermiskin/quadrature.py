@@ -134,7 +134,7 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     pts.append(kohn)
     pts.append(2.0 * kohn)
     # resolve the collision-broadened layer around the singular wavevector
-    w = max(abs(zi), 1e-9) / kappa
+    w = max(zi, 1e-9) / kappa
     for f in (1.0, 3.0, 10.0, 30.0, 100.0):
         pts.append(kohn - f * w)
         pts.append(kohn + f * w)
@@ -239,22 +239,22 @@ def oscillatory_halfline(
     kernel_id: int,
     Om: float,
     zi: float,
-    im_sign: int,
     bcoef: float,
     kappa: float,
     *,
     tol_rel: float = 1e-8,
     tol_abs: float = 1e-300,
 ) -> QuadratureResult:
-    """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K.
+    """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
+    at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
     The mesh may hold _PANEL_BUDGET panels and the oscillatory tail may
     sum _TAIL_HALF_PERIODS half-periods (the envelope tail _TAIL_PANELS
     geometric panels); past either the integral raises QuadratureError.
     The tail never stops before 20 kappa / (bcoef * TAIL_TOL).
     """
-    if bcoef <= 0 or kappa <= 0 or Om <= 0:
-        raise ValueError("need Om > 0, bcoef > 0, kappa > 0")
+    if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
+        raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
     phase = abs(float(phase))
     z = complex(Om, zi)
     kohn = Om / kappa
@@ -267,7 +267,7 @@ def oscillatory_halfline(
     # that a wrapper installed on the module sees every evaluation
     def batch(lo, hi):
         return _kernels.panel_batch(
-            lo, hi, phase, kernel_id, Om, zi, im_sign, bcoef, kappa
+            lo, hi, phase, kernel_id, Om, zi, bcoef, kappa
         )
 
     n_evals = 0
@@ -349,7 +349,7 @@ def oscillatory_halfline(
             )
             value += -(1.0 / bcoef) * rem
             eps_tail = max(
-                abs(_kernels.family_grid(np.array([kappa * s_end]), 0, Om, zi, im_sign)[0]),
+                abs(_kernels.family_grid(np.array([kappa * s_end]), 0, Om, zi)[0]),
                 1.5,
             )
             tail_bound = 3.0 * eps_tail / (bcoef * bcoef * s_end**3)

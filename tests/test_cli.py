@@ -263,6 +263,9 @@ class TestExitCodes:
             # the figure payloads are CSV with a JSON sidecar by design;
             # there is no --format switch to misuse
             ["figures", "--fig", "1", "--format", "json"],
+            # the closed form is the asymptotic subcommand, not a method
+            ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
+             "--method", "asymptotic"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -305,10 +308,28 @@ class TestExitCodes:
              "Omega must be finite and > 0, got nan"),
             (["field", "--Omega", "0.01", "--grid", "1e-5:inf:3"],
              "--grid needs finite min and max"),
+            (["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:2",
+              "--tol-rel", "nan"],
+             "tol_rel must be finite and in (0, 1), got nan"),
+            (["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:2",
+              "--tol-rel", "-1"],
+             "tol_rel must be finite and in (0, 1), got -1.0"),
+            (["crossover", "--Omega", "1e-2", "--E0", "nan"],
+             "E0 must be finite and > 0, got nan"),
         ],
     )
     def test_non_finite_inputs_rejected(self, capsys, argv, fragment):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert fragment in err
+        assert out == ""
+
+    def test_nan_materials_file_rejected(self, capsys, tmp_path):
+        # NaN is valid JSON to Python's reader; it must not load as a metal
+        cfg = tmp_path / "mats.json"
+        cfg.write_text('[{"name": "x", "n_e_cm3": 2.65e22, "omega_p": NaN, "v_F": NaN}]')
+        argv = ["asymptotic", "--Omega", "1e-2", "--material", "x", "--config", str(cfg)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "material 'x': omega_p must be finite and > 0, got nan" in err
         assert out == ""

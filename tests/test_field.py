@@ -185,18 +185,6 @@ class TestRouteDomains:
         assert np.isfinite(v)
 
 
-class TestHermitianSymmetry:
-    def test_conjugate_exponent(self, p_1em4):
-        for fn in (field_ratio_rescaled, field_ratio_direct, field_ratio_ibp):
-            plus = fn(3e-5, p_1em4, exponent_sign=1)
-            minus = fn(3e-5, p_1em4, exponent_sign=-1)
-            assert abs(minus - plus.conjugate()) <= 1e-13 * abs(plus)
-
-    def test_bad_sign_rejected(self, p_1em4):
-        with pytest.raises(ValueError, match="exponent_sign"):
-            field_ratio_rescaled(3e-5, p_1em4, exponent_sign=0)
-
-
 class TestNearSurface:
     def test_frozen_regression_values(self, p_1em5):
         assert abs(field_ratio_rescaled(0.0, p_1em5) - E_AT_0) <= 1e-12 * abs(E_AT_0)
@@ -341,6 +329,8 @@ class TestAmplitudeModes:
         )
         with pytest.raises(ValueError, match="E0"):
             amplitude_B(1e-2, na, E0=0.0)
+        with pytest.raises(ValueError, match="E0 must be finite and > 0, got nan"):
+            amplitude_B(1e-2, na, E0=float("nan"))
 
     def test_coefficient_bundle(self, na):
         co = asymptotic_coefficients(1e-2, na)
@@ -388,24 +378,13 @@ class TestProfile:
         for x, v in zip(xs, prof.values):
             assert v == field_ratio_rescaled(float(x), p_1em4)
         assert prof.ok.all()
-        assert prof.normalization == "per_Eprime0"
+        assert prof.method == "rescaled"
         assert not prof.errors
 
     def test_pair_shorthand_means_collisionless(self, na):
         prof = profile([1e-5, 2e-5], (1e-2, na), "rescaled")
         assert prof.params.eps == 0.0
         assert prof.params.material is na
-
-    def test_asymptotic_branch_is_closed_form(self, na):
-        xs = np.geomspace(1e-5, 1e-4, 20)
-        prof = profile(xs, (1e-2, na), "asymptotic", normalization="per_E0")
-        np.testing.assert_allclose(
-            prof.values.real,
-            asymptotic_field(xs, 1e-2, na, normalization="per_E0"),
-            rtol=1e-14,
-        )
-        assert np.all(prof.values.imag == 0.0)
-        assert np.all(prof.abs_err == 0.0)
 
     def test_grid_validation(self, p_1em4):
         with pytest.raises(ValueError, match="empty"):
@@ -414,8 +393,9 @@ class TestProfile:
             profile([2e-5, 1e-5], p_1em4)
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "magic")
-        with pytest.raises(ValueError, match="per_Eprime0"):
-            profile([1e-5], p_1em4, "rescaled", normalization="per_E0")
+        # the closed form is asymptotic_field, not a profile method
+        with pytest.raises(ValueError, match="unknown method"):
+            profile([1e-5], p_1em4, "asymptotic")
 
     def test_partial_failure_is_collected(self, p_1em4, monkeypatch):
         real = field_ratio_rescaled

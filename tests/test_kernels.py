@@ -9,7 +9,9 @@ the series nor the derivative formulas with the package. The panels are
 checked against scipy's adaptive quadrature of the same integrand. The
 envelope, which shares one series split and one logarithm branch among
 the family members, is checked bit for bit against its members
-evaluated one by one.
+evaluated one by one. The mirror convention exp(+i omega t) is the
+conjugate that family_grid returns for im_sign = -1, checked against the
+oracle at z = Om - i zi.
 """
 
 import warnings
@@ -32,20 +34,24 @@ QGRID = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("zi", [1e-4, -1e-4, 1e-6, -1e-6])
+@pytest.mark.parametrize("zi", [1e-4, -1e-4, 1e-6, -1e-6, 0.0])
 def test_log_branch_against_mpmath(zi):
     # the real-arithmetic branch must be the principal log((z - q)/(z + q))
     # on both sides of q = 0, at the singular shell q = +-Om and far past
-    # it; a slip by 2 pi or a flipped sign in the argument fails by far
+    # it; a slip by 2 pi or a flipped sign in the argument fails by far.
+    # zi = 0 is the limit from Im z > 0, which z = Om + 1e-60 i stands
+    # in for; the shell itself is the log singularity there and is left out
     Om = 1e-2
     g = np.geomspace(1e-6, 1e3, 300)
-    q = np.concatenate((-g[::-1], [-Om], g, [Om]))
-    got = k._log_branch(q, Om, zi, 1 if zi > 0 else -1)
+    q = np.concatenate((-g[::-1], g) if zi == 0.0 else (-g[::-1], [-Om], g, [Om]))
+    got = k._log_branch(q, Om, zi)
     with mpmath.workdps(40):
-        z = mpmath.mpc(Om, zi)
+        z = mpmath.mpc(Om, zi if zi != 0.0 else 1e-60)
         want = np.array([complex(mpmath.log((z - x) / (z + x))) for x in q.tolist()])
-    np.testing.assert_allclose(got.real, want.real, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(got.imag, want.imag, rtol=1e-13, atol=0)
+    # the zi = 0 branch divides before taking the log, which costs
+    # relative accuracy where the ratio nears +-1 (3.8e-12 here)
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-13 if zi else 1e-11, atol=0)
+    np.testing.assert_allclose(got.imag, want.imag, rtol=1e-13, atol=1e-40)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2, 3])
@@ -54,7 +60,7 @@ def test_family_against_mpmath(family_oracle, which, zi):
     # the closed form's cancellation just above the series switch
     # (|q| = 0.1 |z|) sets the worst case, about 2.4e-10 for d2
     im_sign = 1 if zi >= 0 else -1
-    got = k.family_grid(QGRID, which, 0.1, zi, im_sign)
+    got = k.family_grid(QGRID, which, 0.1, abs(zi), im_sign)
     want = np.array([family_oracle(q, which, 0.1, abs(zi), im_sign) for q in QGRID])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -66,7 +72,7 @@ def test_panel_batch_against_quad(kernel_id):
     edges = np.geomspace(1e-3, 1.0, 41)
     lo, hi = edges[:-1], edges[1:]
     phase = 30.0
-    args = (kernel_id, p.Omega, p.eps, 1, p.b, 1.0)
+    args = (kernel_id, p.Omega, p.eps, p.b, 1.0)
     vals, errs, n = k.panel_batch(lo, hi, phase, *args)
     assert n == 15 * lo.size
 
@@ -88,16 +94,15 @@ def test_panel_batch_against_quad(kernel_id):
 
 
 @pytest.mark.parametrize("kernel_id", [0, 1, 2, 3])
-@pytest.mark.parametrize("eps", [0.0, 1e-4])
-@pytest.mark.parametrize("im_sign", [1, -1])
-def test_envelope_bit_identical_to_family_members(kernel_id, eps, im_sign):
+@pytest.mark.parametrize("zi", [0.0, 1e-4])
+def test_envelope_bit_identical_to_family_members(kernel_id, zi):
     # QGRID crosses both the series switch (|q| = 0.1 |z|) and |q| = Om
-    Om, zi, bcoef, kappa = 0.1, eps * im_sign, 2.7, 0.3
+    Om, bcoef, kappa = 0.1, 2.7, 0.3
     s = QGRID / kappa
     q = kappa * s
 
     def member(which):
-        return k.family_grid(q, which, Om, zi, im_sign)
+        return k.family_grid(q, which, Om, zi)
 
     e = member(0)
     D = e - bcoef * s * s
@@ -111,6 +116,6 @@ def test_envelope_bit_identical_to_family_members(kernel_id, eps, im_sign):
         Dp = kappa * member(1) - 2.0 * bcoef * s
         Dpp = kappa * kappa * member(2) - 2.0 * bcoef
         want = (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
-    got = k.envelope_grid(s, kernel_id, Om, zi, im_sign, bcoef, kappa)
+    got = k.envelope_grid(s, kernel_id, Om, zi, bcoef, kappa)
     assert np.isfinite(got).all()
     assert np.array_equal(got, want)

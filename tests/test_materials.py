@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -138,13 +139,20 @@ def test_to_dimensionless_rejects_bad_omega(na):
         params_for(na, 1e-2, float("inf"))
 
 
-def test_params_validation_catches_inconsistent_a(na):
-    p = params_for(na, 1e-2, 1e-4)
-    with pytest.raises(ValueError, match="a != b"):
-        PlasmaParams(
-            material=na, Omega=p.Omega, eps=p.eps, a=p.a * 1.5, b=p.b,
-            omega=p.omega, nu=p.nu, l=p.l, delta=p.delta, tau=p.tau,
-        )
+def test_params_store_only_the_regime():
+    assert [f.name for f in dataclasses.fields(PlasmaParams)] == [
+        "material", "Omega", "eps",
+    ]
+    # Au at Omega = 1e-4: (Omega omega_p)/omega_p rounds to 9.999999999999999e-05,
+    # so a round trip through the dimensional pair would not keep it
+    au = get_material("au")
+    p = params_for(au, 1e-4, 1e-5)
+    assert (p.Omega, p.eps) == (1e-4, 1e-5)
+    assert p.b == (SPEED_OF_LIGHT / (au.v_F * 1e-4)) ** 2
+    assert p.omega == 1e-4 * au.omega_p
+    assert p.nu == 1e-5 * au.omega_p
+    assert p.tau == 1.0 / p.nu
+    assert p.delta == au.skin_depth
 
 
 @settings(deadline=None, max_examples=60)
@@ -193,6 +201,16 @@ def test_config_file_missing_keys_rejected(tmp_path):
     cfg = tmp_path / "mats.json"
     cfg.write_text(json.dumps([{"name": "k"}]))
     with pytest.raises(ValueError, match="needs both"):
+        load_materials_file(str(cfg))
+
+
+@pytest.mark.parametrize("key", ["n_e_cm3", "omega_p", "v_F"])
+def test_config_file_nan_values_rejected(tmp_path, key):
+    entry = {"name": "k", "n_e_cm3": 1.40e22}
+    entry[key] = math.nan  # json writes NaN, which json.load reads back
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps([entry]))
+    with pytest.raises(ValueError, match=f"{key.removesuffix('_cm3')} must be finite"):
         load_materials_file(str(cfg))
 
 

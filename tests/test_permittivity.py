@@ -58,10 +58,6 @@ class TestValues:
         ref = complex(eps_tr_oracle(q, Omega, eps))
         _close(eps_tr(q, Omega, eps), ref, 1e-12)
 
-    def test_oracle_mirror_prescription(self, eps_tr_oracle):
-        ref = complex(eps_tr_oracle(0.2, 0.08, 0.0, im_sign=-1))
-        _close(eps_tr(0.2, 0.08, 0.0, im_sign=-1), ref, 1e-12)
-
     def test_collisionless_real_below_omega(self, eps_tr_oracle):
         v = eps_tr(0.05, 0.1, 0.0)
         assert v.imag == 0.0
@@ -76,12 +72,6 @@ class TestValues:
         grid = eps_tr(np.full((3, 4), 0.05), 0.1, 1e-3)
         assert grid.shape == (3, 4)
         assert np.all(grid == scalar)
-
-    def test_conjugate_prescriptions(self):
-        for q, Omega, eps in [(0.05, 0.1, 1e-3), (0.2, 0.08, 0.0)]:
-            plus = eps_tr(q, Omega, eps, im_sign=1)
-            minus = eps_tr(q, Omega, eps, im_sign=-1)
-            assert minus == pytest.approx(plus.conjugate(), rel=1e-14)
 
 
 class TestParity:
@@ -245,8 +235,6 @@ class TestDomain:
             eps_tr(0.05, 0.0, 0.01)
         with pytest.raises(ValueError):
             eps_tr(0.05, 0.1, -1e-3)
-        with pytest.raises(ValueError):
-            eps_tr(0.05, 0.1, 0.01, im_sign=0)
         with pytest.raises(ValueError, match="Omega must be finite"):
             eps_tr(0.05, float("nan"), 0.01)
         with pytest.raises(ValueError, match="eps must be finite"):

@@ -35,7 +35,7 @@ def na_params():
 def _scipy_osc(p, phase, kernel_id, *, split=2.0, upper=40.0):
     def part(re):
         def f(s):
-            v = k.envelope_grid(np.array([s]), kernel_id, p.Omega, p.eps, 1, p.b, 1.0)[0]
+            v = k.envelope_grid(np.array([s]), kernel_id, p.Omega, p.eps, p.b, 1.0)[0]
             return v.real if re else v.imag
 
         args = dict(weight="cos", wvar=phase, limit=4000, epsabs=1e-18, epsrel=1e-13)
@@ -61,7 +61,7 @@ def _scipy_osc(p, phase, kernel_id, *, split=2.0, upper=40.0):
 def _scipy_env(p, kernel_id):
     def part(re):
         def f(s):
-            v = k.envelope_grid(np.array([s]), kernel_id, p.Omega, p.eps, 1, p.b, 1.0)[0]
+            v = k.envelope_grid(np.array([s]), kernel_id, p.Omega, p.eps, p.b, 1.0)[0]
             return v.real if re else v.imag
 
         with warnings.catch_warnings():
@@ -116,7 +116,7 @@ def test_euler_limit_matches_repeated_averaging():
 def test_oscillatory_branch_against_qawo(na_params):
     p = na_params
     phase = p.omega_p * 1e-5 / p.v_F  # deep in the oscillatory regime
-    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == "oscillatory"
     ref = _scipy_osc(p, phase, 0)
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
@@ -125,14 +125,14 @@ def test_oscillatory_branch_against_qawo(na_params):
 def test_oscillatory_ibp_kernel_against_qawo(na_params):
     p = na_params
     phase = p.omega_p * 1e-4 / p.v_F
-    res = oscillatory_halfline(phase, 1, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, 1, p.Omega, p.eps, p.b, 1.0)
     ref = _scipy_osc(p, phase, 1)
     assert abs(res.value - ref) <= 1e-6 * abs(ref)
 
 
 def test_envelope_branch_against_qags(na_params):
     p = na_params
-    res = oscillatory_halfline(0.0, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(0.0, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == "envelope"
     ref = _scipy_env(p, 0)
     assert abs(res.value - ref) <= 1e-7 * abs(ref)
@@ -147,9 +147,9 @@ def test_tail_bound_honesty(na_params, monkeypatch):
     phase = p.omega_p * 1e-5 / p.v_F
     tol = quadrature.TAIL_TOL
     monkeypatch.setattr(quadrature, "TAIL_TOL", tol / 20.0)
-    base = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    base = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     monkeypatch.setattr(quadrature, "TAIL_TOL", tol / 40.0)
-    far = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    far = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert far.s_max > 2.0 * base.s_max * 0.9
     assert abs(base.value - far.value) <= 2.0 * base.tail_bound
 
@@ -165,7 +165,7 @@ def test_error_estimate_is_honest(na_params, phase, kernel_id):
     oscillating = phase is None
     if oscillating:
         phase = p.omega_p * 1e-5 / p.v_F
-    res = oscillatory_halfline(phase, kernel_id, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, kernel_id, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == ("oscillatory" if oscillating else "envelope")
     ref = _scipy_osc(p, phase, kernel_id)
     assert abs(res.value - ref) <= 10.0 * res.error
@@ -174,7 +174,7 @@ def test_error_estimate_is_honest(na_params, phase, kernel_id):
 def test_result_metadata(na_params):
     p = na_params
     phase = p.omega_p * 1e-5 / p.v_F
-    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.q_max == pytest.approx(res.s_max, rel=1e-15)  # kappa = 1 here
     assert res.n_panels > 0
     assert res.n_evals >= 15 * res.n_panels
@@ -196,7 +196,7 @@ def test_oscillatory_integral_in_one_kernel_call(na_params, monkeypatch):
         return out
 
     monkeypatch.setattr(k, "panel_batch", recorded)
-    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == "oscillatory"
     assert res.n_tail_terms == 64
     assert len(calls) == 1
@@ -211,7 +211,7 @@ def test_refine_stops_at_rounding_floor(phase):
     # must stop there with the error it reached, not exhaust the panel
     # budget, and that error must cover the gap to the 1e-8 result
     p = params_for(get_material("al"), 1e-2, 1e-4)
-    args = (phase, 1, p.Omega, p.eps, 1, p.b, 1.0)
+    args = (phase, 1, p.Omega, p.eps, p.b, 1.0)
     tight = oscillatory_halfline(*args, tol_rel=1e-10)
     loose = oscillatory_halfline(*args, tol_rel=1e-8)
     assert abs(tight.value - loose.value) <= tight.error + loose.error
@@ -234,7 +234,7 @@ def test_tail_budget_exhaustion_raises(na_params, monkeypatch):
     monkeypatch.setattr(quadrature, "_TAIL_HALF_PERIODS", 100)
     monkeypatch.setattr(quadrature, "TAIL_TOL", quadrature.TAIL_TOL / 1e4)
     with pytest.raises(QuadratureError, match="tail budget 100 half-periods"):
-        oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+        oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert len(calls) == 2 and calls[1] == 64
 
 
@@ -243,17 +243,19 @@ def test_panel_budget_exhaustion_raises(na_params, monkeypatch):
     phase = p.omega_p * 1e-5 / p.v_F
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 4)
     with pytest.raises(QuadratureError, match="panel budget 4 exhausted"):
-        oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0, tol_rel=1e-13)
+        oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0, tol_rel=1e-13)
 
 
 def test_parameter_validation(na_params):
     p = na_params
     with pytest.raises(ValueError):
-        oscillatory_halfline(1.0, 0, p.Omega, p.eps, 1, -1.0, 1.0)
+        oscillatory_halfline(1.0, 0, p.Omega, p.eps, -1.0, 1.0)
     with pytest.raises(ValueError):
-        oscillatory_halfline(1.0, 0, p.Omega, p.eps, 1, p.b, 0.0)
+        oscillatory_halfline(1.0, 0, p.Omega, p.eps, p.b, 0.0)
     with pytest.raises(ValueError):
-        oscillatory_halfline(1.0, 0, 0.0, p.eps, 1, p.b, 1.0)
+        oscillatory_halfline(1.0, 0, 0.0, p.eps, p.b, 1.0)
+    with pytest.raises(ValueError, match="zi >= 0"):
+        oscillatory_halfline(1.0, 0, p.Omega, -1e-4, p.b, 1.0)
 
 
 def test_envelope_tail_budget_raises(monkeypatch):
@@ -270,7 +272,7 @@ def test_envelope_tail_budget_raises(monkeypatch):
     monkeypatch.setattr(k, "panel_batch", recorded)
     with pytest.raises(QuadratureError, match="tail budget 400 geometric panels"):
         oscillatory_halfline(
-            1e-4, 0, 1e-2, 1e-4, 1, 7.9, 1.0, tol_rel=1e-300, tol_abs=1e-300
+            1e-4, 0, 1e-2, 1e-4, 7.9, 1.0, tol_rel=1e-300, tol_abs=1e-300
         )
     s0 = calls[0][1][-1]  # the structure panels end where the tail starts
     assert sum(int((lo >= s0).sum()) for lo, _ in calls) == 400
@@ -303,7 +305,7 @@ _TAIL_CASES = list(itertools.product(
 @functools.lru_cache(maxsize=None)
 def _chunked_and_reference(kernel_id, material, eps, phase, tol_rel):
     p = params_for(get_material(material), 1e-2, eps)
-    args = (phase, kernel_id, p.Omega, p.eps, 1, p.b, 1.0)
+    args = (phase, kernel_id, p.Omega, p.eps, p.b, 1.0)
     res = oscillatory_halfline(*args, tol_rel=tol_rel)
     panels = []
     with pytest.MonkeyPatch.context() as mp:
@@ -355,6 +357,6 @@ def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
         return out
 
     monkeypatch.setattr(k, "panel_batch", counted)
-    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, 1, p.b, 1.0)
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == ("oscillatory" if oscillating else "envelope")
     assert res.n_evals == total[0]
