@@ -4,9 +4,10 @@ Gauss-Kronrod panel evaluation.
 One vectorized numpy path. The series/closed-form split is taken once per
 call and the logarithm branch of eps_tr at |q| = Om is chosen in one place,
 _log_branch, whose result every family member an envelope kernel needs
-shares. For zi != 0 it computes log((z - q)/(z + q)) in real arithmetic,
-the modulus as log1p and the argument as arctan2, which is the principal
-branch of the complex logarithm without its complex division.
+shares. It computes log((z - q)/(z + q)) in real arithmetic, the
+modulus as log1p and the argument as arctan2, which is the principal
+branch of the complex logarithm without its complex division, and at
+zi = 0 its limit from Im z > 0.
 tests/test_kernels.py checks the branch and the family against independent
 mpmath oracles and the panels against adaptive quadrature.
 
@@ -22,8 +23,6 @@ Conventions used throughout:
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -104,15 +103,11 @@ WG7 = np.array(
 
 
 def _log_branch(q, Om, zi):
-    if zi == 0.0:
-        # the limit from Im z > 0: the absorption step +-i pi past |q| = Om
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = np.log(np.abs((Om - q) / (Om + q))).astype(np.complex128)
-        L += 1j * math.pi * np.sign(q) * (np.abs(q) > Om)
-        return L
     # the principal log((z - q)/(z + q)) in real arithmetic: the modulus
     # is written as log1p of a non-negative argument, which stays
-    # accurate both where the ratio is near 1 and where |z - q| -> |zi|
+    # accurate both where the ratio is near 1 and where |z - q| -> |zi|.
+    # At zi = 0 the signed zero of 2 zi q makes arctan2 take the limit
+    # from Im z > 0: the absorption step +-pi past |q| = Om
     aq = np.abs(q)
     d = Om - aq
     re = np.copysign(0.5 * np.log1p(4.0 * Om * aq / (d * d + zi * zi)), -q)

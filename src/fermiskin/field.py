@@ -427,6 +427,9 @@ def asymptotic_field(
     signs differ because E(0)/E'(0) = -c/omega_p near the surface.
     """
     x = np.asarray(x_cm, dtype=np.float64)
+    bad = x[~np.isfinite(x)]
+    if bad.size:
+        raise ValueError(f"x must be finite, got {bad.flat[0]}")
     if np.any(x <= 0):
         raise ValueError("asymptotic form needs x > 0")
     u = Omega * material.omega_p * x / material.v_F

@@ -36,6 +36,9 @@ def _validate(Omega: float, eps: float) -> None:
 
 
 def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"q must be finite, got {bad.flat[0]}")
     if np.any(arr == 0.0):
         raise ValueError("q = 0 is outside the closed-form domain; use small_q_series")
     if eps == 0.0 and np.any(np.abs(arr) == Omega):
@@ -117,6 +120,8 @@ def small_q_series(
     and plain bookkeeping closer to the edge.
     """
     _validate(Omega, eps)
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     z = complex(Omega, eps)

@@ -9,25 +9,30 @@ denominator or an integrated-by-parts variant). K is smooth except for
 a logarithmic structure at s = Om/kappa, decays like 1/(bcoef s^2) (or
 faster for the IBP kernels), and the phase can range from 0 to ~1e6.
 
-Strategy: split [0, S0] at every half-period pi/phase and at the known
-structure points, refine adaptively with batched Gauss-Kronrod 15(7)
-panels, then sum the tail half-period by half-period, 64 per kernel call,
-and accelerate the alternating partial sums by repeated averaging. The
-first 64 tail half-periods are evaluated in the same kernel call as the
-initial mesh, since the tail always needs them. The averaging is computed
-in closed form, as two binomially weighted sums of the last 48 partial
-sums, and refinement stops when three rounds in a row fail to halve the
-best error so far (the rounding floor). When the phase is too
-small to oscillate over the structure region the tail is instead summed
-with geometric panels, evaluated four per call beyond the floor that no
-panel may stop before, and closed with an analytic envelope remainder.
+Strategy: one algorithm for every depth. Split [0, S0] at every
+half-period pi/phase and at the known structure points, refine with
+batched Gauss-Kronrod 15(7) panels until three rounds in a row fail to
+halve the best error (the rounding floor), then sum the tail half-period
+by half-period and accelerate the alternating partial sums by repeated
+averaging (two binomially weighted sums of the last 48). The mesh's
+kernel call also evaluates the first 64 tail half-periods, or 16 where
+one half-period spans the whole structure region and is graded into
+geometric panels [s, 1.6 s]; there the tail stops after 4-16.
 
-Truncation honesty: the tail beyond the last evaluated point s_end is
-bounded by the envelope bound reported in QuadratureResult.tail_bound,
-and s_end is never allowed below the fixed physical-axis floor
-20 kappa / (bcoef * TAIL_TOL), which keeps the envelope bound at or
-under a tenth of the 1e-6 working target for integrals on the unscaled
-wavevector axis.
+A phase below 0.1 tol_rel / s_peak, x = 0 included, takes the "envelope"
+path: a mesh graded out to a depth S, closed by -1/(bcoef S), the
+integral of the asymptotic envelope -1/(bcoef s^2) past it.
+
+Truncation honesty: QuadratureResult.tail_bound bounds what lies past
+the last evaluated point s_end, which is never below the physical-axis
+floor 20 kappa / (bcoef * TAIL_TOL); that keeps the bound at or under a
+tenth of the 1e-6 working target on the unscaled wavevector axis. On the
+envelope path S is pushed out until the remainder bound is below 1e-4
+tol_rel of the Lorentzian core's integral pi / (2 bcoef s_peak), and a
+phase adds phase pi / (2 bcoef) for the cos(phase s) it ignores. The
+integrated-by-parts kernels cancel below what the Gauss-Kronrod estimate
+sees, so their error carries a floor of 3e-13 times the summed panel and
+tail-term magnitudes.
 """
 
 from __future__ import annotations
@@ -54,46 +59,15 @@ _EULER_WEIGHTS = [
     for m in range(1, _EULER_WINDOW + 1)
 ]
 _MACH_EPS = float(np.finfo(np.float64).eps)
-# oscillatory-branch tail: half-periods per kernel call
+# tail half-periods per kernel call; in the mesh's call where one
+# half-period spans the structure region
 _OSC_CHUNK = 64
-# envelope-branch tail: panel growth ratio, panels per kernel call beyond
-# the stopping floor, and the cap on panels summed
-_TAIL_GROW = 1.6
-_TAIL_CHUNK = 4
-_TAIL_PANELS = 400
-
-
-def _si_complement(x: float) -> float:
-    """pi/2 - Si(x) for x >= 0, where Si is the sine integral.
-
-    A power series below x = 4 and, above it, the continued fraction for
-    E1(ix) = -Ci(x) - i (pi/2 - Si(x)) (Numerical Recipes cisi; A&S 5.2),
-    evaluated by the modified Lentz method. The complement is formed
-    directly, so it keeps its accuracy where Si(x) is close to pi/2.
-    """
-    if x < 4.0:
-        # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-        x2 = x * x
-        term = x
-        si = x
-        for n in range(3, 41, 2):
-            term *= -x2 / ((n - 1) * n)
-            si += term / n
-        return 0.5 * math.pi - si
-    b = complex(1.0, x)
-    c = 1e300  # Lentz start: 1/tiny stands in for the empty numerator
-    d = h = 1.0 / b
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 2.0 * _MACH_EPS:
-            break
-    # E1(ix) = exp(-ix) h
-    return math.sin(x) * h.real - math.cos(x) * h.imag
+_OSC_FIRST_GRADED = 16
+# growth ratio of geometrically graded panels
+_GRADE = 1.6
+# rounding floor of the integrated-by-parts kernels per unit of summed
+# panel and tail-term magnitude
+_IBP_FLOOR = 3e-13
 
 
 class QuadratureError(RuntimeError):
@@ -108,7 +82,7 @@ class QuadratureResult:
     s_max: float
     q_max: float
     n_panels: int
-    n_evals: int  # includes speculative tail panels evaluated and discarded
+    n_evals: int  # every kernel evaluation, refinement and tail included
     n_tail_terms: int
     branch: str
 
@@ -195,43 +169,15 @@ def _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs):
     return lo, hi, vals, errs, n_evals
 
 
-def _envelope_tail(s0, min_end, value_a, batch, tol_rel, tol_abs):
-    """Sum geometric panels [s, 1.6 s] from s0 until one ending at or past
-    min_end is below a quarter of the target.
-
-    Panels ending below min_end cannot stop the sum, so the first kernel
-    call evaluates all of them plus _TAIL_CHUNK more; each later call
-    evaluates _TAIL_CHUNK. Panels past the stopping one are discarded but
-    counted in the evaluations. Returns (value, error, s_end, n_panels,
-    n_evals).
-    """
-    edges = [s0]
-    while edges[-1] < min_end and len(edges) <= _TAIL_PANELS:
-        edges.append(edges[-1] * _TAIL_GROW)
-    n_call = len(edges) - 2 + _TAIL_CHUNK  # the panels ending below min_end
-    tail_val = 0.0 + 0.0j
-    tail_err = 0.0
-    n_tail = 0
-    n_evals = 0
-    while n_tail < _TAIL_PANELS:
-        n_call = min(n_call, _TAIL_PANELS - n_tail)
-        while len(edges) <= n_tail + n_call:
-            edges.append(edges[-1] * _TAIL_GROW)
-        e = np.array(edges[n_tail:n_tail + n_call + 1])
-        cvals, cerrs, ev = batch(e[:-1], e[1:])
-        n_evals += ev
-        for c, c_err, s_end in zip(cvals.tolist(), cerrs.tolist(), e[1:].tolist()):
-            tail_val += c
-            tail_err += c_err
-            n_tail += 1
-            target = max(tol_rel * abs(value_a + tail_val), tol_abs)
-            if abs(c) <= 0.25 * target and s_end >= min_end:
-                return tail_val, tail_err, s_end, n_tail, n_evals
-        n_call = _TAIL_CHUNK
-    raise QuadratureError(
-        f"tail budget {_TAIL_PANELS} geometric panels exhausted at "
-        f"s = {s_end:.3e}, last panel {abs(c):.3e}"
-    )
+def _graded(start: float, end: float) -> list[float]:
+    # geometric edges start * _GRADE^k below end / _GRADE, so that the
+    # panel closing at end is no shorter than the others
+    pts = []
+    s = start
+    while s < end / _GRADE:
+        pts.append(s)
+        s *= _GRADE
+    return pts
 
 
 def oscillatory_halfline(
@@ -248,10 +194,13 @@ def oscillatory_halfline(
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
-    The mesh may hold _PANEL_BUDGET panels and the oscillatory tail may
-    sum _TAIL_HALF_PERIODS half-periods (the envelope tail _TAIL_PANELS
-    geometric panels); past either the integral raises QuadratureError.
-    The tail never stops before 20 kappa / (bcoef * TAIL_TOL).
+    Every phase of at least 0.1 tol_rel / s_peak runs the half-period
+    mesh and the averaged half-period tail (branch "oscillatory"); a
+    smaller one, 0 included, integrates a graded mesh to a depth S and
+    closes it analytically (branch "envelope"). The mesh may hold
+    _PANEL_BUDGET panels and the tail may sum _TAIL_HALF_PERIODS
+    half-periods; past either the integral raises QuadratureError. The
+    tail never stops before 20 kappa / (bcoef * TAIL_TOL).
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
@@ -270,53 +219,64 @@ def oscillatory_halfline(
             lo, hi, phase, kernel_id, Om, zi, bcoef, kappa
         )
 
-    n_evals = 0
-    if phase * q_smooth >= 2.0:
+    def remainder_bound(s):
+        # |int_s^inf (1/D + 1/(bcoef t^2)) dt| for the reciprocal kernel
+        eps_s = abs(_kernels.family_grid(np.array([kappa * s]), 0, Om, zi)[0])
+        return 3.0 * max(eps_s, 1.5) / (bcoef * bcoef * s**3)
+
+    if phase * s_peak >= 0.1 * tol_rel:
         branch = "oscillatory"
         halfw = math.pi / phase
         n_half = int(math.ceil(q_smooth / halfw))
         s0 = n_half * halfw
-        edges = np.union1d(
-            _structure_edges(kohn, s_peak, zi, kappa, s0),
-            halfw * np.arange(n_half + 1, dtype=np.float64),
-        )
+        grid = halfw * np.arange(n_half + 1, dtype=np.float64)
+        n_first = _OSC_CHUNK
+        if n_half == 1:
+            grid = np.append(grid, _graded(q_smooth, s0))
+            n_first = _OSC_FIRST_GRADED
+        edges = np.union1d(_structure_edges(kohn, s_peak, zi, kappa, s0), grid)
         keep = np.concatenate(([True], np.diff(edges) > 1e-15 * s0))
         edges = edges[keep]
+        # the tail always starts with these half-periods: evaluate them in
+        # the mesh's call
+        tail_edges = s0 + halfw * np.arange(n_first + 1, dtype=np.float64)
+        s_end = float(tail_edges[-1])
     else:
         branch = "envelope"
-        s0 = q_smooth
-        edges = _structure_edges(kohn, s_peak, zi, kappa, s0)
+        s_end = max(s_floor, 38.0 * s_peak, 2.0 * q_smooth)
+        # the Lorentzian core carries pi / (2 bcoef s_peak)
+        core = math.pi / (2.0 * bcoef * s_peak)
+        while remainder_bound(s_end) > 1e-4 * tol_rel * core:
+            s_end *= _GRADE
+        edges = np.union1d(
+            _structure_edges(kohn, s_peak, zi, kappa, q_smooth),
+            _graded(q_smooth, s_end) + [s_end],
+        )
+        tail_edges = np.empty(0)
 
-    lo, hi = edges[:-1], edges[1:]
-    n_mesh = lo.size
-    if branch == "oscillatory":
-        # the tail always starts with this chunk: evaluate it in the mesh's call
-        tail_edges = s0 + halfw * np.arange(_OSC_CHUNK + 1, dtype=np.float64)
-        s_end = float(tail_edges[-1])
-        lo = np.concatenate((lo, tail_edges[:-1]))
-        hi = np.concatenate((hi, tail_edges[1:]))
-    vals, errs, ev = batch(lo, hi)
-    n_evals += ev
+    lo = np.concatenate((edges[:-1], tail_edges[:-1]))
+    hi = np.concatenate((edges[1:], tail_edges[1:]))
+    n_mesh = edges.size - 1
+    vals, errs, n_evals = batch(lo, hi)
     cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
     lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
     lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs)
     n_evals += ev
-    value_a = vals.sum()
-    err_a = errs.sum()
+    value = vals.sum()
+    err = errs.sum()
 
+    terms: list[complex] = []
     if branch == "oscillatory":
-        terms: list[complex] = []
         gk_err = 0.0
         while True:
             gk_err += cerrs.sum()
             terms.extend(cvals.tolist())
-            n_tail = len(terms)
             psums = np.cumsum(np.asarray(terms, dtype=np.complex128))
             tail_est, acc_err = _euler_limit(psums)
-            target = max(tol_rel * abs(value_a + tail_est), tol_abs)
+            target = max(tol_rel * abs(value + tail_est), tol_abs)
             if acc_err <= 0.3 * target and s_end >= s_floor:
                 break
-            if n_tail >= _TAIL_HALF_PERIODS:
+            if len(terms) >= _TAIL_HALF_PERIODS:
                 raise QuadratureError(
                     f"tail budget {_TAIL_HALF_PERIODS} half-periods exhausted at "
                     f"error {acc_err:.3e}"
@@ -325,36 +285,19 @@ def oscillatory_halfline(
             cvals, cerrs, ev = batch(e[:-1], e[1:])
             n_evals += ev
             s_end = float(e[-1])
-        value = value_a + tail_est
-        err = err_a + (acc_err + gk_err)
-        if kernel_id == KERNEL_RECIPROCAL:
-            tail_bound = 2.0 / (bcoef * s_end)
-        else:
-            tail_bound = 8.0 / (bcoef * s_end**3)
+        value += tail_est
+        err += acc_err + gk_err
+    elif kernel_id == KERNEL_RECIPROCAL:
+        # int_S^inf -1/(bcoef s^2) ds, with cos(phase s) taken as 1
+        value += -1.0 / (bcoef * s_end)
+
+    if kernel_id != KERNEL_RECIPROCAL:
+        tail_bound = 8.0 / (bcoef * s_end**3)
+        err += _IBP_FLOOR * (np.abs(vals).sum() + np.abs(terms).sum())
+    elif branch == "oscillatory":
+        tail_bound = 2.0 / (bcoef * s_end)
     else:
-        # no oscillation to alternate over: geometric panels, then an
-        # analytic remainder for the asymptotic envelope -1/(bcoef s^2)
-        min_end = max(s_floor, 38.0 * s_peak, 2.0 * s0)
-        tail_val, tail_err, s_end, n_tail, ev = _envelope_tail(
-            s0, min_end, value_a, batch, tol_rel, tol_abs
-        )
-        n_evals += ev
-        value = value_a + tail_val
-        err = err_a + tail_err
-        if kernel_id == KERNEL_RECIPROCAL:
-            # int_S^inf cos(ps)/s^2 ds = cos(pS)/S - p*(pi/2 - Si(pS))
-            rem = (
-                math.cos(phase * s_end) / s_end
-                - phase * _si_complement(phase * s_end)
-            )
-            value += -(1.0 / bcoef) * rem
-            eps_tail = max(
-                abs(_kernels.family_grid(np.array([kappa * s_end]), 0, Om, zi)[0]),
-                1.5,
-            )
-            tail_bound = 3.0 * eps_tail / (bcoef * bcoef * s_end**3)
-        else:
-            tail_bound = 8.0 / (bcoef * s_end**3)
+        tail_bound = remainder_bound(s_end) + phase * math.pi / (2.0 * bcoef)
 
     return QuadratureResult(
         value=complex(value),
@@ -362,8 +305,8 @@ def oscillatory_halfline(
         tail_bound=float(tail_bound),
         s_max=float(s_end),
         q_max=float(kappa * s_end),
-        n_panels=int(lo.size + n_tail),
+        n_panels=int(lo.size + len(terms)),
         n_evals=int(n_evals),
-        n_tail_terms=int(n_tail),
+        n_tail_terms=len(terms),
         branch=branch,
     )

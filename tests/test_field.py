@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestRoutesAgainstFrozenReferences:
             r = field_ratio_rescaled(x, p_1em4)
             assert abs(i - r) <= 1e-4 * max(abs(i), abs(r))
 
+    @pytest.mark.parametrize("material", ["na", "au", "al"])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    @pytest.mark.parametrize("u", [0.03, 0.1, 0.3])
+    def test_ibp_exact_equals_rescaled_in_skin_layer(self, material, eps, u):
+        # two independent integrands of the same field, at depths where one
+        # half-period of the transform spans the whole structure region
+        p = params_for(get_material(material), 1e-2, eps)
+        x = u * p.material.v_F / (p.Omega * p.material.omega_p)
+        i = field_ratio_ibp(x, p, kernel="exact")
+        r = field_ratio_rescaled(x, p)
+        assert abs(i - r) <= 1e-8 * abs(r)
+
     @pytest.mark.parametrize("kernel", ["second-derivative", "kohn-pole"])
     def test_truncated_kernels_are_not_the_field(self, p_1em4, kernel):
         # the study kernels keep the oscillation but drop smooth terms;
@@ -190,6 +203,16 @@ class TestNearSurface:
         assert abs(field_ratio_rescaled(0.0, p_1em5) - E_AT_0) <= 1e-12 * abs(E_AT_0)
         got = field_ratio_rescaled(p_1em5.delta, p_1em5)
         assert abs(got - E_AT_DELTA) <= 1e-12 * abs(E_AT_DELTA)
+
+    @pytest.mark.parametrize("x", [1e-310, 1e-200, 1e-30, 1e-16])
+    def test_tiny_depths_match_the_surface(self, p_1em5, x):
+        # depths whose phase is too small to oscillate over the structure
+        # region: no overflow, no lost structure edges, the surface value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v0, i0 = field_ratio_rescaled(0.0, p_1em5, full_output=True)
+            v, info = field_ratio_rescaled(x, p_1em5, full_output=True)
+        assert abs(v - v0) <= info.abs_err_est + i0.abs_err_est
 
     def test_surface_value_is_minus_skin_depth(self, p_1em5):
         # E(0)/E'(0) = -c/omega_p to within the ten-percent contract
@@ -368,6 +391,10 @@ class TestAsymptoticField:
             asymptotic_field(0.0, 1e-2, na)
         with pytest.raises(ValueError, match="normalization"):
             asymptotic_field(1e-4, 1e-2, na, normalization="per_B")
+
+    def test_non_finite_depth_rejected(self, na):
+        with pytest.raises(ValueError, match="x must be finite, got nan"):
+            asymptotic_field([1e-4, float("nan")], 1e-2, na)
 
 
 class TestProfile:

@@ -48,9 +48,7 @@ def test_log_branch_against_mpmath(zi):
     with mpmath.workdps(40):
         z = mpmath.mpc(Om, zi if zi != 0.0 else 1e-60)
         want = np.array([complex(mpmath.log((z - x) / (z + x))) for x in q.tolist()])
-    # the zi = 0 branch divides before taking the log, which costs
-    # relative accuracy where the ratio nears +-1 (3.8e-12 here)
-    np.testing.assert_allclose(got.real, want.real, rtol=1e-13 if zi else 1e-11, atol=0)
+    np.testing.assert_allclose(got.real, want.real, rtol=1e-13, atol=0)
     np.testing.assert_allclose(got.imag, want.imag, rtol=1e-13, atol=1e-40)
 
 

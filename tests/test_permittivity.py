@@ -222,6 +222,20 @@ class TestDomain:
         with pytest.raises(ValueError, match="small_q_series"):
             d_eps_dq(np.array([0.05, 0.0]), 0.1, 0.01)
 
+    @pytest.mark.parametrize(
+        "call,bad",
+        [
+            (lambda: eps_tr(float("nan"), 0.1, 0.0), "nan"),
+            (lambda: d_eps_dq([0.05, np.inf], 0.1, 0.0), "inf"),
+            (lambda: small_q_series(float("nan"), 0.1), "nan"),
+        ],
+        ids=["eps_tr", "d_eps_dq", "small_q_series"],
+    )
+    def test_non_finite_wavevector_rejected(self, call, bad):
+        # NaN slips through every comparison: it must be named, not returned
+        with pytest.raises(ValueError, match=f"q must be finite, got {bad}"):
+            call()
+
     def test_collisionless_singular_point_rejected(self):
         with pytest.raises(ValueError, match="singular point"):
             eps_tr(0.1, 0.1, 0.0)

@@ -1,8 +1,8 @@
 """Engine checks against scipy.integrate.quad as an independent oracle.
 
 scipy is deliberately kept out of the runtime integration path; here it
-arbitrates. QAWO handles the oscillatory weight, plain QAGS the
-envelope-branch cases.
+arbitrates. QAWO handles the oscillatory weight, plain QAGS the phase-0
+(envelope-branch) case.
 """
 
 import functools
@@ -10,7 +10,6 @@ import itertools
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
@@ -19,12 +18,7 @@ from scipy.special import sici
 import fermiskin._kernels as k
 from fermiskin import quadrature
 from fermiskin.materials import get_material, params_for
-from fermiskin.quadrature import (
-    QuadratureError,
-    _euler_limit,
-    _si_complement,
-    oscillatory_halfline,
-)
+from fermiskin.quadrature import QuadratureError, _euler_limit, oscillatory_halfline
 
 
 @pytest.fixture(scope="module")
@@ -72,19 +66,6 @@ def _scipy_env(p, kernel_id):
         return lo + hi
 
     return complex(part(True), part(False))
-
-
-def test_si_complement_against_mpmath():
-    # pi/2 - Si(x) closes the envelope-branch tail; it must hold its
-    # absolute accuracy against 1/x where Si(x) approaches pi/2, and
-    # across the switch from the series to the continued fraction at 4
-    assert _si_complement(0.0) == 0.5 * math.pi
-    xs = np.concatenate((np.geomspace(1e-8, 1e9, 400), [np.nextafter(4.0, 0.0), 4.0]))
-    with mpmath.workdps(40):
-        for x in xs:
-            ref = mpmath.pi / 2 - mpmath.si(mpmath.mpf(float(x)))
-            err = abs(float(mpmath.mpf(_si_complement(float(x))) - ref))
-            assert err * max(1.0, x) <= 1e-14, x
 
 
 def _averaged(psums):
@@ -157,18 +138,26 @@ def test_tail_bound_honesty(na_params, monkeypatch):
 @pytest.mark.parametrize("kernel_id", [0, 1])
 @pytest.mark.parametrize("phase", [None, 1.0, 5.0, 10.0])
 def test_error_estimate_is_honest(na_params, phase, kernel_id):
-    # None is the oscillatory regime at x = 1e-5 cm; phases 1-10 run the
-    # envelope branch, whose geometric tail panels span tens of
-    # oscillations, so the value misses tol_rel on kernel 0 (up to
-    # 7e-6 relative) but the reported error still covers the gap
+    # None is x = 1e-5 cm, many half-periods into the structure region;
+    # at phases 1-10 one half-period spans it and is graded geometrically
     p = na_params
-    oscillating = phase is None
-    if oscillating:
+    if phase is None:
         phase = p.omega_p * 1e-5 / p.v_F
     res = oscillatory_halfline(phase, kernel_id, p.Omega, p.eps, p.b, 1.0)
-    assert res.branch == ("oscillatory" if oscillating else "envelope")
     ref = _scipy_osc(p, phase, kernel_id)
     assert abs(res.value - ref) <= 10.0 * res.error
+
+
+@pytest.mark.parametrize("u", [0.03, 0.1, 0.3])
+def test_skin_layer_against_qawo(na_params, u):
+    # the skin layer, u = Omega omega_p x / v_F below ~0.46, where one
+    # half-period spans the structure region: the value must meet
+    # tol_rel, not only sit inside a wide error bar
+    p = na_params
+    phase = u / p.Omega
+    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
+    ref = _scipy_osc(p, phase, 0)
+    assert abs(res.value - ref) <= 1e-8 * abs(ref)
 
 
 def test_result_metadata(na_params):
@@ -182,11 +171,7 @@ def test_result_metadata(na_params):
     assert res.n_tail_terms > 0
 
 
-def test_oscillatory_integral_in_one_kernel_call(na_params, monkeypatch):
-    # without refinement and with a tail that stops after one chunk, the
-    # mesh and the first 64 half-periods of the tail share one kernel call
-    p = na_params
-    phase = p.omega_p * 1e-5 / p.v_F
+def _assert_one_kernel_call(monkeypatch, p, phase, n_tail):
     calls = []
     orig = k.panel_batch
 
@@ -198,10 +183,24 @@ def test_oscillatory_integral_in_one_kernel_call(na_params, monkeypatch):
     monkeypatch.setattr(k, "panel_batch", recorded)
     res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == "oscillatory"
-    assert res.n_tail_terms == 64
+    assert res.n_tail_terms == n_tail
     assert len(calls) == 1
     assert calls[0][0] == res.s_max
     assert res.n_evals == calls[0][1] == 15 * res.n_panels
+
+
+def test_oscillatory_integral_in_one_kernel_call(na_params, monkeypatch):
+    # without refinement and with a tail that stops after one chunk, the
+    # mesh and the first 64 half-periods of the tail share one kernel call
+    p = na_params
+    _assert_one_kernel_call(monkeypatch, p, p.omega_p * 1e-5 / p.v_F, 64)
+
+
+def test_graded_integral_in_one_kernel_call(na_params, monkeypatch):
+    # where one half-period spans the structure region (phase 10 at Na:
+    # pi / 10 against q_smooth = 0.043) the mesh's call carries 16 tail
+    # half-periods, enough for the tail to stop there
+    _assert_one_kernel_call(monkeypatch, na_params, 10.0, 16)
 
 
 @pytest.mark.parametrize("phase", [1.0, 3.0, 5.0])
@@ -258,45 +257,6 @@ def test_parameter_validation(na_params):
         oscillatory_halfline(1.0, 0, p.Omega, -1e-4, p.b, 1.0)
 
 
-def test_envelope_tail_budget_raises(monkeypatch):
-    # tolerances no panel can meet: the geometric tail must stop at its
-    # 400-panel cap with an error, not return an unconverged value, and
-    # its last kernel call must not carry the sum past the cap
-    calls = []
-    orig = k.panel_batch
-
-    def recorded(lo, hi, *args):
-        calls.append((np.asarray(lo).copy(), np.asarray(hi).copy()))
-        return orig(lo, hi, *args)
-
-    monkeypatch.setattr(k, "panel_batch", recorded)
-    with pytest.raises(QuadratureError, match="tail budget 400 geometric panels"):
-        oscillatory_halfline(
-            1e-4, 0, 1e-2, 1e-4, 7.9, 1.0, tol_rel=1e-300, tol_abs=1e-300
-        )
-    s0 = calls[0][1][-1]  # the structure panels end where the tail starts
-    assert sum(int((lo >= s0).sum()) for lo, _ in calls) == 400
-
-
-def _one_panel_tail(panels, s0, min_end, value_a, batch, tol_rel, tol_abs):
-    # reference for quadrature._envelope_tail: the same geometric panels
-    # and stop rule, one kernel call per panel; each panel value is
-    # appended to `panels`
-    tail_val, tail_err, s_end, n_evals = 0.0 + 0.0j, 0.0, s0, 0
-    for n_tail in range(1, 401):
-        nxt = s_end * 1.6
-        c, c_err, ev = batch(np.array([s_end]), np.array([nxt]))
-        n_evals += ev
-        tail_val += c[0]
-        tail_err += c_err[0]
-        s_end = nxt
-        panels.append(c[0])
-        target = max(tol_rel * abs(value_a + tail_val), tol_abs)
-        if abs(c[0]) <= 0.25 * target and s_end >= min_end:
-            return tail_val, tail_err, s_end, n_tail, n_evals
-    raise QuadratureError("tail budget 400 geometric panels exhausted")
-
-
 _TAIL_CASES = list(itertools.product(
     range(4), ("na", "au", "al"), (1e-4, 0.0), (0.0, 0.3, 2.0, 10.0), (1e-8, 1e-10)
 ))
@@ -304,49 +264,67 @@ _TAIL_CASES = list(itertools.product(
 
 @functools.lru_cache(maxsize=None)
 def _chunked_and_reference(kernel_id, material, eps, phase, tol_rel):
+    # the reference sums the tail one half-period per kernel call after the
+    # first chunk, which rides in the mesh's call, and so checks the stop
+    # rule after every half-period from there on
     p = params_for(get_material(material), 1e-2, eps)
     args = (phase, kernel_id, p.Omega, p.eps, p.b, 1.0)
     res = oscillatory_halfline(*args, tol_rel=tol_rel)
-    panels = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quadrature, "_envelope_tail", functools.partial(_one_panel_tail, panels))
+        mp.setattr(quadrature, "_OSC_CHUNK", 1)
         ref = oscillatory_halfline(*args, tol_rel=tol_rel)
-    return res, ref, sum(abs(c) for c in panels)
+    return res, ref
 
 
 @pytest.mark.parametrize("kernel_id,material,eps,phase,tol_rel", _TAIL_CASES)
 def test_chunked_tail_stops_where_one_panel_loop_stops(kernel_id, material, eps, phase,
                                                        tol_rel):
-    res, ref, panel_sum = _chunked_and_reference(kernel_id, material, eps, phase, tol_rel)
-    assert res.branch == ref.branch == "envelope"
-    assert res.n_tail_terms == ref.n_tail_terms
-    assert res.s_max == ref.s_max
-    # the panel sums round differently with the batch size; a tail that
-    # cancels (kernel 1 integrates to ~0 at phase 0) makes that rounding
-    # large next to the value itself, so it is measured against the
-    # panel magnitudes
-    scale = max(abs(ref.value), panel_sum)
-    assert abs(res.value - ref.value) <= 1e-13 * scale
-    assert abs(res.error - ref.error) <= 1e-13 * max(ref.error, panel_sum)
-    assert 0 <= res.n_evals - ref.n_evals <= 45  # at most 3 discarded panels
+    res, ref = _chunked_and_reference(kernel_id, material, eps, phase, tol_rel)
+    if phase == 0.0:
+        # the phase-0 path has no tail to chunk
+        assert res.branch == ref.branch == "envelope"
+        assert res.n_tail_terms == 0
+        assert res == ref
+        return
+    assert res.branch == ref.branch == "oscillatory"
+    # the chunked tail checks its stop rule once per kernel call: it ends
+    # with the chunk in which the one-panel loop stops, 16 half-periods in
+    # the mesh's call (one half-period spans the structure region at every
+    # phase here) and then 64 per call
+    n_first = quadrature._OSC_FIRST_GRADED
+    assert ref.n_tail_terms >= n_first
+    n_chunks = math.ceil((ref.n_tail_terms - n_first) / quadrature._OSC_CHUNK)
+    assert res.n_tail_terms == n_first + quadrature._OSC_CHUNK * n_chunks
+    assert res.s_max >= ref.s_max
+    assert res.n_evals - ref.n_evals == 15 * (res.n_tail_terms - ref.n_tail_terms)
+    if res.n_tail_terms == ref.n_tail_terms:
+        # both stop with the mesh's call: the same evaluations throughout
+        assert res == ref
+    else:
+        # the chunk's extra half-periods move the averaged limit within
+        # the two error bars
+        assert abs(res.value - ref.value) <= res.error + ref.error
 
 
 def test_chunked_tail_grid_stops_at_every_chunk_position():
-    # 0, 1, 2 or 3 discarded panels: the stop falls on each of the four
-    # positions of a chunk somewhere in the grid above
-    wasted = set()
+    # the grid reaches every place a tail can end: nowhere (phase 0), at
+    # the end of the mesh's call, and at the end of a follow-on chunk in
+    # which the one-panel loop stops part-way through
+    stops, wasted = set(), set()
     for case in _TAIL_CASES:
-        res, ref, _ = _chunked_and_reference(*case)
-        wasted.add(res.n_evals - ref.n_evals)
-    assert wasted == {0, 15, 30, 45}
+        res, ref = _chunked_and_reference(*case)
+        stops.add(res.n_tail_terms)
+        wasted.add(res.n_tail_terms - ref.n_tail_terms)
+    assert stops == {0, 16, 80}
+    assert 0 in wasted and 0 < max(wasted) < quadrature._OSC_CHUNK
 
 
 @pytest.mark.parametrize("phase", [None, 2.0])
 def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
-    # speculative tail panels that are discarded are still counted
+    # refinement and tail evaluations are all counted; 2.0 is a phase
+    # whose one half-period spans the structure region
     p = na_params
-    oscillating = phase is None
-    if oscillating:
+    if phase is None:
         phase = p.omega_p * 1e-5 / p.v_F
     total = [0]
     orig = k.panel_batch
@@ -358,5 +336,4 @@ def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
 
     monkeypatch.setattr(k, "panel_batch", counted)
     res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
-    assert res.branch == ("oscillatory" if oscillating else "envelope")
     assert res.n_evals == total[0]
