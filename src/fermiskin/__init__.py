@@ -28,7 +28,6 @@ from .field import (
     amplitude_B,
     asymptotic_coefficients,
     asymptotic_field,
-    dispersion_denominator,
     f_of_Omega,
     f_of_Omega_dimensional,
     field_ratio_direct,
@@ -87,7 +86,6 @@ __all__ = [
     "d2_eps_dq2",
     "d2_eps_near_singularity",
     "d_eps_dq",
-    "dispersion_denominator",
     "envelope_fit",
     "eps_tr",
     "f_of_Omega",

@@ -264,13 +264,16 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
-# figure recipes: ranges fixed to the source plots
+# figure recipes, ranges fixed to the source plots: x range, points,
+# comment line, and one (column, material, Omega) per closed-form curve
 _FIG_PROFILE = {
-    2: dict(Omega=1e-4, x_lo=2e-5, x_hi=2e-3, n=400, materials=("na", "au", "al")),
-    3: dict(Omega=1e-3, x_lo=9e-5, x_hi=3e-3, n=2000, materials=("na", "au", "al")),
+    2: (2e-5, 2e-3, 400, "Omega = 0.0001",
+        [(f"E_ratio_{m}_cm", m, 1e-4) for m in ("na", "au", "al")]),
+    3: (9e-5, 3e-3, 2000, "Omega = 0.001",
+        [(f"E_ratio_{m}_cm", m, 1e-3) for m in ("na", "au", "al")]),
+    4: (1.5e-3, 1.8e-3, 2000, "material = al",
+        [(f"E_ratio_Omega_{om:g}_cm", "al", om) for om in (1e-4, 1e-3, 1e-2)]),
 }
-_FIG4 = dict(material="al", x_lo=1.5e-3, x_hi=1.8e-3, n=2000,
-             Omegas=(1e-4, 1e-3, 1e-2))
 _FIG_CROSSOVER = {5: 1e-2, 6: 1e-1}
 
 
@@ -297,30 +300,16 @@ def _cmd_figures(args) -> int:
         comments.insert(0, f"eps = {args.eps:g}")
         rows = list(zip(*data))
         _emit_csv(out, cols, rows, comments)
-    elif fig in (2, 3):
-        r = _FIG_PROFILE[fig]
-        xs = np.linspace(r["x_lo"], r["x_hi"], r["n"])
+    elif fig in _FIG_PROFILE:
+        x_lo, x_hi, n, comment, curves = _FIG_PROFILE[fig]
+        xs = np.linspace(x_lo, x_hi, n)
         cols = ["x_cm"]
         data = [xs]
-        for name in r["materials"]:
+        for col, name, Om in curves:
             mat = get_material(name, args.config)
-            vals = field.asymptotic_field(xs, r["Omega"], mat)
-            cols.append(f"E_ratio_{name}_cm")
-            data.append(vals)
-        rows = list(zip(*data))
-        _emit_csv(out, cols, rows, [f"Omega = {r['Omega']:g}"])
-    elif fig == 4:
-        r = _FIG4
-        mat = get_material(r["material"], args.config)
-        xs = np.linspace(r["x_lo"], r["x_hi"], r["n"])
-        cols = ["x_cm"]
-        data = [xs]
-        for Om in r["Omegas"]:
-            vals = field.asymptotic_field(xs, Om, mat)
-            cols.append(f"E_ratio_Omega_{Om:g}_cm")
-            data.append(vals)
-        rows = list(zip(*data))
-        _emit_csv(out, cols, rows, [f"material = {mat.name}"])
+            cols.append(col)
+            data.append(field.asymptotic_field(xs, Om, mat))
+        _emit_csv(out, cols, list(zip(*data)), [comment])
     else:
         Om = _FIG_CROSSOVER[fig]
         mat = _material(args)

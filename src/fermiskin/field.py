@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, permittivity
 from ._kernels import (
     KERNEL_IBP_EXACT,
     KERNEL_IBP_KOHN,
@@ -49,47 +48,27 @@ _IBP_KERNELS = {
 
 PROFILE_METHODS = ("direct", "rescaled", "ibp")
 
-# absolute error floor of a field value, in the units of E(x)/E'(0) (cm)
-_TOL_ABS = 1e-30
-# nodes of the real-axis root scan over the collisionless window
-_ROOT_SCAN_NODES = 512
-
-
-def dispersion_denominator(q, Omega: float, eps: float, b: float):
-    """eps_tr(q, Omega, eps) - b q^2, the transform's denominator.
-
-    b is passed explicitly rather than through PlasmaParams so the
-    denominator can be probed at fictitious stiffness values; for field
-    work pass params.b.
-    """
-    if b <= 0:
-        raise ValueError(f"b must be > 0, got {b}")
-    e = permittivity.eps_tr(q, Omega, eps)
-    return e - b * np.asarray(q, dtype=np.float64) ** 2
-
-
 def check_dispersion_roots(params: PlasmaParams) -> None:
     """Raise DispersionRootError if the denominator has a real-axis zero.
 
-    Only the collisionless window 0 < q < Omega can host one: there the
-    permittivity is purely real, so a sign change of the real part is a
-    genuine pole of the integrand. Beyond the edge the collisionless
-    damping step keeps the denominator complex, and any eps > 0 moves
-    the zero off the axis entirely. The window is scanned on
-    _ROOT_SCAN_NODES interior nodes.
+    Only the collisionless window 0 <= q < Omega can host one: there the
+    permittivity is real, so a zero of D(q) = eps_tr(q) - b q^2 is a pole
+    of the integrand. Beyond the edge the collisionless damping step
+    keeps D complex, and eps > 0 moves the zero off the axis (unchecked).
+    In the window the small-q series of _kernels converges,
+
+        eps_tr(q) = 1 - (3/Omega^2) sum_m (q/Omega)^(2m) / ((2m+1)(2m+3)),
+
+    so D falls strictly from D(0) = 1 - 1/Omega^2 to D(Omega-) =
+    1 - 3/(2 Omega^2) - b Omega^2 (the sum telescopes to 1/2), and has a
+    zero there exactly when D(0) >= 0 > D(Omega-). Material enforces
+    v_F < c, so b Omega^2 = (c/v_F)^2 > 1 and D(Omega-) < 0: the test is
+    Omega >= 1.
     """
-    if params.eps != 0.0:
-        return
-    Om = params.Omega
-    n = _ROOT_SCAN_NODES
-    qs = np.linspace(Om / n, Om * (1.0 - 1.0 / n), n)
-    d = dispersion_denominator(qs, Om, 0.0, params.b)
-    re = np.real(d)
-    if np.any(re[:-1] * re[1:] < 0.0) or np.any(re == 0.0):
-        i = int(np.argmin(np.abs(re)))
+    if params.eps == 0.0 and params.Omega >= 1.0:
         raise DispersionRootError(
-            f"dispersion root on contour near q = {qs[i]:.6g}: the "
-            f"collisionless denominator changes sign inside 0 < q < {Om:g}"
+            f"dispersion root on contour at Omega = {params.Omega:g}: at eps = 0 "
+            "the denominator has a real zero for every Omega >= 1"
         )
 
 
@@ -143,8 +122,6 @@ def _field_point(
         if params.eps == 0.0:
             raise ValueError("integrated-by-parts kernels need eps > 0")
     check_dispersion_roots(params)
-    # the engine works in its own integrand units; translate the absolute
-    # floor, which is stated in field units
     quad = oscillatory_halfline(
         phase,
         kernel_id,
@@ -153,7 +130,6 @@ def _field_point(
         bcoef,
         kappa,
         tol_rel=tol_rel,
-        tol_abs=_TOL_ABS / (2.0 * pref),
     )
     scale = 2.0 * pref
     if kernel_id == KERNEL_IBP_EXACT:

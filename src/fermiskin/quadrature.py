@@ -11,13 +11,18 @@ faster for the IBP kernels), and the phase can range from 0 to ~1e6.
 
 Strategy: one algorithm for every depth. Split [0, S0] at every
 half-period pi/phase and at the known structure points, refine with
-batched Gauss-Kronrod 15(7) panels until three rounds in a row fail to
-halve the best error (the rounding floor), then sum the tail half-period
+batched Gauss-Kronrod 15(7) panels, then sum the tail half-period
 by half-period and accelerate the alternating partial sums by repeated
 averaging (two binomially weighted sums of the last 48). The mesh's
 kernel call also evaluates the first 64 tail half-periods, or 16 where
 one half-period spans the whole structure region and is graded into
 geometric panels [s, 1.6 s]; there the tail stops after 4-16.
+
+Refinement splits every panel above its share of the target in rounds.
+It returns at the target tol_rel |sum|, at the rounding floor (64
+machine epsilon times the summed panel magnitudes), or after three
+rounds in a row that fail to halve the best error; past _PANEL_BUDGET
+panels it raises.
 
 A phase below 0.1 tol_rel / s_peak, x = 0 included, takes the "envelope"
 path: a mesh graded out to a depth S, closed by -1/(bcoef S), the
@@ -47,7 +52,6 @@ from ._kernels import KERNEL_RECIPROCAL
 
 TAIL_TOL = 1e-6
 
-_MAX_REFINE_ROUNDS = 60
 # mesh panels and oscillatory-tail half-periods allowed before failing
 _PANEL_BUDGET = 20000
 _TAIL_HALF_PERIODS = 8000
@@ -121,16 +125,17 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     return arr[keep]
 
 
-def _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs):
-    """Split worst panels in rounds until the summed error estimate meets
-    the target; batch(lo, hi) integrates panels. Returns updated arrays
-    plus the evaluation count."""
+def _refine(lo, hi, vals, errs, batch, tol_rel):
+    """Split worst panels in rounds; batch(lo, hi) integrates panels.
+    Returns the updated arrays plus the evaluation count once the summed
+    error meets tol_rel |sum|, reaches the rounding floor or stalls for
+    three rounds; raises QuadratureError past the panel budget. Every
+    other round splits a panel, so the loop needs no round cap."""
     n_evals = 0
     best = math.inf
     stall = 0
-    for _ in range(_MAX_REFINE_ROUNDS):
-        total = vals.sum()
-        target = max(tol_rel * abs(total), tol_abs)
+    while True:
+        target = tol_rel * abs(vals.sum())
         tot_err = errs.sum()
         if tot_err <= 0.5 * target:
             break
@@ -148,24 +153,21 @@ def _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs):
             stall += 1
             if stall >= 3:
                 break
-        allow = 0.5 * target / max(lo.size, 1)
-        mask = errs > allow
-        if not mask.any():
-            mask = errs >= errs.max()
+        # errs sums past 0.5 target, so some panel exceeds this share
+        mask = errs > 0.5 * target / lo.size
         if lo.size + int(mask.sum()) > _PANEL_BUDGET:
             raise QuadratureError(
                 f"panel budget {_PANEL_BUDGET} exhausted at error {tot_err:.3e}"
             )
         mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate((lo[~mask], lo[mask], mid))
-        new_hi = np.concatenate((hi[~mask], mid, hi[mask]))
-        child_lo = new_lo[lo.size - int(mask.sum()):]
-        child_hi = new_hi[lo.size - int(mask.sum()):]
+        child_lo = np.concatenate((lo[mask], mid))
+        child_hi = np.concatenate((mid, hi[mask]))
         cvals, cerrs, ev = batch(child_lo, child_hi)
         n_evals += ev
         vals = np.concatenate((vals[~mask], cvals))
         errs = np.concatenate((errs[~mask], cerrs))
-        lo, hi = new_lo, new_hi
+        lo = np.concatenate((lo[~mask], child_lo))
+        hi = np.concatenate((hi[~mask], child_hi))
     return lo, hi, vals, errs, n_evals
 
 
@@ -189,7 +191,6 @@ def oscillatory_halfline(
     kappa: float,
     *,
     tol_rel: float = 1e-8,
-    tol_abs: float = 1e-300,
 ) -> QuadratureResult:
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
@@ -260,7 +261,7 @@ def oscillatory_halfline(
     vals, errs, n_evals = batch(lo, hi)
     cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
     lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
-    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel, tol_abs)
+    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel)
     n_evals += ev
     value = vals.sum()
     err = errs.sum()
@@ -273,7 +274,7 @@ def oscillatory_halfline(
             terms.extend(cvals.tolist())
             psums = np.cumsum(np.asarray(terms, dtype=np.complex128))
             tail_est, acc_err = _euler_limit(psums)
-            target = max(tol_rel * abs(value + tail_est), tol_abs)
+            target = tol_rel * abs(value + tail_est)
             if acc_err <= 0.3 * target and s_end >= s_floor:
                 break
             if len(terms) >= _TAIL_HALF_PERIODS:

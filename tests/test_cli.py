@@ -287,6 +287,10 @@ class TestExitCodes:
              "unknown material"),
             (["crossover", "--Omega", "1e-2", "--E0", "1e5"],
              "no crossover: Friedel tail dominates everywhere"),
+            (["field", "--Omega", "1", "--grid", "1e-6:2e-6:2"],
+             "dispersion root on contour"),
+            (["field", "--Omega", "1.02", "--grid", "1e-6:2e-6:2"],
+             "dispersion root on contour"),
         ],
     )
     def test_module_errors_exit_1_verbatim(self, capsys, argv, fragment):

@@ -15,7 +15,6 @@ from fermiskin.field import (
     asymptotic_coefficients,
     asymptotic_field,
     check_dispersion_roots,
-    dispersion_denominator,
     f_of_Omega,
     f_of_Omega_dimensional,
     field_ratio_direct,
@@ -74,32 +73,47 @@ def far_zone(na):
 
 
 class TestDispersionDenominator:
-    def test_identity(self, p_1em4):
-        q = np.array([0.003, 0.009, 0.02, 0.3])
-        d = dispersion_denominator(q, p_1em4.Omega, p_1em4.eps, p_1em4.b)
-        ref = eps_tr(q, p_1em4.Omega, p_1em4.eps) - p_1em4.b * q**2
-        np.testing.assert_allclose(d, ref, rtol=1e-14)
-
-    def test_b_validation(self):
-        with pytest.raises(ValueError, match="b must be"):
-            dispersion_denominator(0.01, 1e-2, 0.0, 0.0)
-
     def test_collisionless_margin_inside_window(self, na):
         # the physical denominator stays far from zero over the whole
         # window that could host a contour root
         p = params_for(na, 1e-2, 0.0)
         qs = np.linspace(p.Omega / 1e4, p.Omega * (1 - 1e-4), 10000)
-        d = dispersion_denominator(qs, p.Omega, 0.0, p.b)
+        d = eps_tr(qs, p.Omega, 0.0) - p.b * qs**2
         assert np.all(d.imag == 0.0)
         assert np.abs(d.real).min() > 1.0
 
-    def test_root_check_passes_for_builtins(self, na):
-        check_dispersion_roots(params_for(na, 1e-2, 0.0))
-        check_dispersion_roots(params_for(na, 1e-1, 0.0))
+    @pytest.mark.parametrize("name", ["na", "au", "al"])
+    @pytest.mark.parametrize("Omega", [1e-2, 1e-1, 0.5, 0.99])
+    def test_root_check_passes_for_builtins(self, name, Omega):
+        # D(0) = 1 - 1/Omega^2 < 0 and D falls across the window
+        check_dispersion_roots(params_for(get_material(name), Omega, 0.0))
+
+    @pytest.mark.parametrize("name", ["na", "au", "al"])
+    @pytest.mark.parametrize("Omega", [0.99, 1.01, 1.04])
+    def test_root_check_matches_the_denominator(self, name, Omega):
+        # a dense evaluation of D over the window: D falls strictly, ends
+        # below zero, and changes sign exactly where the check raises
+        p = params_for(get_material(name), Omega, 0.0)
+        qs = np.linspace(Omega / 1e4, Omega * (1 - 1e-4), 10000)
+        d = (eps_tr(qs, Omega, 0.0) - p.b * qs**2).real
+        assert np.all(np.diff(d) < 0.0) and d[-1] < 0.0
+        if d[0] > 0.0:
+            with pytest.raises(DispersionRootError):
+                check_dispersion_roots(p)
+        else:
+            check_dispersion_roots(p)
+
+    @pytest.mark.parametrize("name", ["na", "au", "al"])
+    @pytest.mark.parametrize("Omega", [1.0, 1.01, 1.04])
+    def test_root_from_omega_one_is_named(self, name, Omega):
+        # D(0) = 1 - 1/Omega^2 >= 0 while D(Omega-) < 0 for every v_F < c
+        p = params_for(get_material(name), Omega, 0.0)
+        with pytest.raises(DispersionRootError, match="dispersion root on contour"):
+            field_ratio_rescaled(1e-6, p)
 
     def test_root_check_trips_on_soft_stiffness(self):
-        # a deliberately fictitious material with v_F near c makes the
-        # quadratic term weak enough for an on-contour crossing
+        # a fictitious material with v_F near c; the crossing comes from
+        # Omega >= 1, where D(0) = 1 - 1/Omega^2 is no longer negative
         fict = Material("fict", 1e22, 1.4e15, 0.9 * SPEED_OF_LIGHT, check=False)
         p = params_for(fict, 2.0, 0.0)
         with pytest.raises(DispersionRootError, match="dispersion root on contour"):
