@@ -37,8 +37,6 @@ def jit_enabled():
 # Kernel selector for the oscillatory integrand envelope.
 KERNEL_RECIPROCAL = 0  # 1/D
 KERNEL_IBP_EXACT = 1  # (2 D'^2 - D'' D)/D^3, i.e. (1/D)''
-KERNEL_IBP_SECOND = 2  # eps''/D^2, curvature-only approximation
-KERNEL_IBP_KOHN = 3  # near-singular approximation of eps'' over D^2
 
 SERIES_SWITCH = 0.1
 N_SERIES_TERMS = 24
@@ -177,8 +175,6 @@ def _family_members(q, members, Om, zi):
 _KERNEL_MEMBERS = {
     KERNEL_RECIPROCAL: (0,),
     KERNEL_IBP_EXACT: (0, 1, 2),
-    KERNEL_IBP_SECOND: (0, 2),
-    KERNEL_IBP_KOHN: (0, 3),
 }
 
 
@@ -205,8 +201,6 @@ def envelope_grid(s, kernel_id, Om, zi, bcoef, kappa):
     D = e - bcoef * s * s
     if kernel_id == KERNEL_RECIPROCAL:
         return 1.0 / D
-    if kernel_id != KERNEL_IBP_EXACT:
-        return kappa * kappa * derivs[0] / (D * D)
     e1, e2 = derivs
     Dp = kappa * e1 - 2.0 * bcoef * s
     Dpp = kappa * kappa * e2 - 2.0 * bcoef

@@ -195,8 +195,7 @@ def _cmd_field(args) -> int:
     params = params_for(mat, args.Omega, args.eps)
     lo, hi, n = _parse_grid(args.grid)
     xs = np.linspace(lo, hi, n)
-    prof = field.profile(xs, params, args.method, kernel=args.kernel,
-                         tol_rel=args.tol_rel)
+    prof = field.profile(xs, params, args.method, tol_rel=args.tol_rel)
     meta = _meta_params(params)
     meta["method"] = args.method
     rows = [
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="x grid in cm as min:max:n")
     p.add_argument("--method", choices=field.PROFILE_METHODS, default="rescaled")
-    p.add_argument("--kernel", default="exact",
-                   help="ibp kernel: exact, second-derivative, kohn-pole")
     p.add_argument("--tol-rel", type=float, default=1e-8)
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_field)

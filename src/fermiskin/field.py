@@ -3,9 +3,9 @@
 The normalized field E(x)/E'(0) is a half-line cosine transform of the
 reciprocal dispersion denominator. Two parametrizations of the same
 integral are provided (the mean-free-path "direct" axis and the
-plasma-scaled "rescaled" axis), plus integrated-by-parts variants, and
-the closed-form far-field oscillation with its amplitude coefficients
-(asymptotic_field, the one closed-form path).
+plasma-scaled "rescaled" axis), plus the rescaled one integrated by
+parts, and the closed-form far-field oscillation with its amplitude
+coefficients (asymptotic_field, the one closed-form path).
 
 Time enters as exp(-i omega t), as in permittivity; np.conj of a field
 value gives the mirror convention exp(+i omega t).
@@ -21,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    KERNEL_IBP_EXACT,
-    KERNEL_IBP_KOHN,
-    KERNEL_IBP_SECOND,
-    KERNEL_RECIPROCAL,
-)
+from ._kernels import KERNEL_IBP_EXACT, KERNEL_RECIPROCAL
 from .constants import SPEED_OF_LIGHT
-from .materials import Material, PlasmaParams, params_for
+from .materials import Material, PlasmaParams
 from .quadrature import QuadratureError, QuadratureResult, oscillatory_halfline
 
 
@@ -39,12 +34,6 @@ class DispersionRootError(RuntimeError):
 class ProfileEvaluationError(RuntimeError):
     """No point of a requested profile could be evaluated."""
 
-
-_IBP_KERNELS = {
-    "exact": KERNEL_IBP_EXACT,
-    "second-derivative": KERNEL_IBP_SECOND,
-    "kohn-pole": KERNEL_IBP_KOHN,
-}
 
 PROFILE_METHODS = ("direct", "rescaled", "ibp")
 
@@ -87,7 +76,6 @@ def _field_point(
     x_cm: float,
     params: PlasmaParams,
     route: str,
-    kernel_name: str,
     kernel_id: int,
     tol_rel: float,
 ) -> FieldPointInfo:
@@ -134,8 +122,6 @@ def _field_point(
     scale = 2.0 * pref
     if kernel_id == KERNEL_IBP_EXACT:
         scale = -2.0 * pref / phase**2
-    elif kernel_id in (KERNEL_IBP_SECOND, KERNEL_IBP_KOHN):
-        scale = 2.0 * pref / phase**2
     value = scale * quad.value
     abs_err = abs(scale) * (quad.error + quad.tail_bound)
     return FieldPointInfo(
@@ -144,7 +130,7 @@ def _field_point(
         pref=pref,
         phase=phase,
         route=route,
-        kernel=kernel_name,
+        kernel="reciprocal" if kernel_id == KERNEL_RECIPROCAL else "exact",
         quad=quad,
     )
 
@@ -157,9 +143,7 @@ def field_ratio_rescaled(
     full_output: bool = False,
 ):
     """E(x)/E'(0) in cm via the plasma-scaled axis. Works at eps = 0."""
-    info = _field_point(
-        x_cm, params, "rescaled", "reciprocal", KERNEL_RECIPROCAL, tol_rel
-    )
+    info = _field_point(x_cm, params, "rescaled", KERNEL_RECIPROCAL, tol_rel)
     return (info.value, info) if full_output else info.value
 
 
@@ -176,9 +160,7 @@ def field_ratio_direct(
     the two must agree to quadrature accuracy. Kept separate as a
     cross-check, not merged.
     """
-    info = _field_point(
-        x_cm, params, "direct", "reciprocal", KERNEL_RECIPROCAL, tol_rel
-    )
+    info = _field_point(x_cm, params, "direct", KERNEL_RECIPROCAL, tol_rel)
     return (info.value, info) if full_output else info.value
 
 
@@ -186,30 +168,17 @@ def field_ratio_ibp(
     x_cm: float,
     params: PlasmaParams,
     *,
-    kernel: str = "exact",
     tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
     """E(x)/E'(0) after integrating the transform by parts twice.
 
-    Needs x > 0 (the 1/x^2 prefactor) and eps > 0. kernel selects what
-    stands under the transform:
-      * "exact": the full second derivative of the reciprocal
-        denominator; agrees with the plain routes to quadrature accuracy
-        since the boundary terms vanish.
-      * "second-derivative": permittivity curvature alone over the
-        squared denominator, dropping the smooth remainder terms; keeps
-        the oscillation but not the amplitude. For study, not for
-        agreement checks.
-      * "kohn-pole": same with only the pole pair of the curvature.
+    Needs x > 0 (the 1/x^2 prefactor) and eps > 0. The kernel under the
+    transform is the second derivative of the reciprocal denominator;
+    the boundary terms vanish, so the value agrees with the plain routes
+    to quadrature accuracy.
     """
-    try:
-        kid = _IBP_KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown ibp kernel {kernel!r}; choose from {sorted(_IBP_KERNELS)}"
-        ) from None
-    info = _field_point(x_cm, params, "rescaled", kernel, kid, tol_rel)
+    info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT, tol_rel)
     return (info.value, info) if full_output else info.value
 
 
@@ -241,22 +210,22 @@ def profile(
     params,
     method: str = "rescaled",
     *,
-    kernel: str = "exact",
     tol_rel: float = 1e-8,
 ) -> FieldProfile:
     """Evaluate the field ratio on an array of depths.
 
-    params is a PlasmaParams or a bare (Omega, material) pair, which
-    means the collisionless state. method is one of PROFILE_METHODS
-    (direct / rescaled / ibp); kernel only matters for ibp. The closed
-    form is asymptotic_field. Depths must be strictly increasing.
+    params is a PlasmaParams (see params_for). method is one of
+    PROFILE_METHODS (direct / rescaled / ibp). The closed form is
+    asymptotic_field. Depths must be strictly increasing.
     Per-point quadrature failures are collected in .errors with NaN left
     in .values; only a profile with no successful point at all raises
     ProfileEvaluationError.
     """
     if not isinstance(params, PlasmaParams):
-        Om, mat = params
-        params = params_for(mat, float(Om))
+        raise TypeError(
+            f"params must be a PlasmaParams, got {type(params).__name__}; "
+            "build one with params_for(material, Omega, eps)"
+        )
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if x.size == 0:
         raise ValueError("empty depth grid")
@@ -272,14 +241,13 @@ def profile(
         "rescaled": field_ratio_rescaled,
         "ibp": field_ratio_ibp,
     }[method]
-    opts = {"kernel": kernel} if method == "ibp" else {}
     vals = np.full(x.shape, np.nan + 0j, dtype=np.complex128)
     errs = np.full(x.shape, np.nan)
     diags: list = [None] * x.size
     failures: list = []
     for i, xi in enumerate(x):
         try:
-            _, info = route(float(xi), params, tol_rel=tol_rel, full_output=True, **opts)
+            _, info = route(float(xi), params, tol_rel=tol_rel, full_output=True)
         except QuadratureError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue

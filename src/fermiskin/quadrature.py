@@ -5,9 +5,9 @@ The target integrals have the shape
     I(phase) = int_0^inf cos(phase * s) K(s) ds
 
 where K is one of the envelope kernels of _kernels (reciprocal
-denominator or an integrated-by-parts variant). K is smooth except for
+denominator or its second derivative). K is smooth except for
 a logarithmic structure at s = Om/kappa, decays like 1/(bcoef s^2) (or
-faster for the IBP kernels), and the phase can range from 0 to ~1e6.
+faster for the IBP kernel), and the phase can range from 0 to ~1e6.
 
 Strategy: one algorithm for every depth. Split [0, S0] at every
 half-period pi/phase and at the known structure points, refine with
@@ -29,14 +29,14 @@ path: a mesh graded out to a depth S, closed by -1/(bcoef S), the
 integral of the asymptotic envelope -1/(bcoef s^2) past it.
 
 Truncation honesty: QuadratureResult.tail_bound bounds what lies past
-the last evaluated point s_end, which is never below the physical-axis
-floor 20 kappa / (bcoef * TAIL_TOL); that keeps the bound at or under a
-tenth of the 1e-6 working target on the unscaled wavevector axis. On the
-envelope path S is pushed out until the remainder bound is below 1e-4
-tol_rel of the Lorentzian core's integral pi / (2 bcoef s_peak), and a
-phase adds phase pi / (2 bcoef) for the cos(phase s) it ignores. The
-integrated-by-parts kernels cancel below what the Gauss-Kronrod estimate
-sees, so their error carries a floor of 3e-13 times the summed panel and
+the last evaluated point s_end: the last half-period integral on the
+reciprocal kernel's tail (proved in oscillatory_halfline), 8 / (bcoef
+s_end^3) for the integrated-by-parts kernel. On the envelope path S is
+pushed out until the remainder bound is below 1e-4 tol_rel of the
+Lorentzian core's integral pi / (2 bcoef s_peak), and a phase adds
+phase pi / (2 bcoef) for the cos(phase s) it ignores. The
+integrated-by-parts kernel cancels below what the Gauss-Kronrod estimate
+sees, so its error carries a floor of 3e-13 times the summed panel and
 tail-term magnitudes.
 """
 
@@ -49,8 +49,6 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import KERNEL_RECIPROCAL
-
-TAIL_TOL = 1e-6
 
 # mesh panels and oscillatory-tail half-periods allowed before failing
 _PANEL_BUDGET = 20000
@@ -200,8 +198,27 @@ def oscillatory_halfline(
     smaller one, 0 included, integrates a graded mesh to a depth S and
     closes it analytically (branch "envelope"). The mesh may hold
     _PANEL_BUDGET panels and the tail may sum _TAIL_HALF_PERIODS
-    half-periods; past either the integral raises QuadratureError. The
-    tail never stops before 20 kappa / (bcoef * TAIL_TOL).
+    half-periods; past either the integral raises QuadratureError.
+
+    The tail stops once the Euler error meets 0.3 tol_rel of the value.
+    For the reciprocal kernel tail_bound is |Re t_n| + |Im t_n|, t_n the
+    last half-period integral, which ends at s_end. Proof: the tail grid
+    starts at s0 = m h, h = pi / phase, so with a_k the start of
+    half-period k, the part of t_k from f = Re K or Im K is
+
+        t_k = +-int_0^(h/2) cos(phase t) [f(a_k + t) - f(a_k + h - t)] dt,
+
+    the sign flipping with k and cos(phase t) >= 0. If f is monotone and
+    |f'| non-increasing past s0, the bracket keeps one sign and its size
+    is the integral of |f'| over [a_k + t, a_k + h - t], which does not
+    grow as a_k moves on: the t_k alternate and fall to 0, so what lies
+    past s_end is at most |t_(n+1)| <= |t_n|; error already holds the
+    Gauss-Kronrod error of the computed t_n. The condition holds past
+    s0 >= q_smooth = max(4 Om / kappa, 12 s_peak), where bcoef s^2
+    exceeds |eps_tr| 144-fold (149 at least for Na, Au, Al, Omega 1e-4
+    to 0.99, eps 0 to 1e-2): Re K is -(1 + O(1/144)) / (bcoef s^2), and
+    Im K = -Im eps_tr |K|^2, Im eps_tr ~ 3 pi / (4 Om kappa s), falls as
+    s^-5. tests/test_quadrature.py samples the condition.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
@@ -211,7 +228,6 @@ def oscillatory_halfline(
     e0 = abs(1.0 - 1.0 / (Om * z))
     s_peak = math.sqrt(e0 / bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
-    s_floor = 20.0 * kappa / (bcoef * TAIL_TOL)
 
     # the integrand, bound once; panel_batch is looked up on each call so
     # that a wrapper installed on the module sees every evaluation
@@ -244,7 +260,7 @@ def oscillatory_halfline(
         s_end = float(tail_edges[-1])
     else:
         branch = "envelope"
-        s_end = max(s_floor, 38.0 * s_peak, 2.0 * q_smooth)
+        s_end = max(38.0 * s_peak, 2.0 * q_smooth)
         # the Lorentzian core carries pi / (2 bcoef s_peak)
         core = math.pi / (2.0 * bcoef * s_peak)
         while remainder_bound(s_end) > 1e-4 * tol_rel * core:
@@ -275,7 +291,7 @@ def oscillatory_halfline(
             psums = np.cumsum(np.asarray(terms, dtype=np.complex128))
             tail_est, acc_err = _euler_limit(psums)
             target = tol_rel * abs(value + tail_est)
-            if acc_err <= 0.3 * target and s_end >= s_floor:
+            if acc_err <= 0.3 * target:
                 break
             if len(terms) >= _TAIL_HALF_PERIODS:
                 raise QuadratureError(
@@ -296,7 +312,7 @@ def oscillatory_halfline(
         tail_bound = 8.0 / (bcoef * s_end**3)
         err += _IBP_FLOOR * (np.abs(vals).sum() + np.abs(terms).sum())
     elif branch == "oscillatory":
-        tail_bound = 2.0 / (bcoef * s_end)
+        tail_bound = abs(terms[-1].real) + abs(terms[-1].imag)
     else:
         tail_bound = remainder_bound(s_end) + phase * math.pi / (2.0 * bcoef)
 

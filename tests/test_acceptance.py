@@ -126,7 +126,7 @@ def test_4_route_agreement(na):
             x = u * L
             r = field_ratio_rescaled(x, p)
             d = field_ratio_direct(x, p)
-            i = field_ratio_ibp(x, p, kernel="exact")
+            i = field_ratio_ibp(x, p)
             worst_direct = max(worst_direct, abs(d - r) / abs(r))
             worst_ibp = max(worst_ibp, abs(i - r) / abs(r))
     _verdict(4, "independent routes agree (direct 1e-6, parts-integrated 1e-4)",

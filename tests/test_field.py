@@ -152,7 +152,7 @@ class TestRoutesAgainstFrozenReferences:
 
     def test_ibp_exact_equals_rescaled(self, p_1em4):
         for x in QAWO_REFS:
-            i = field_ratio_ibp(x, p_1em4, kernel="exact")
+            i = field_ratio_ibp(x, p_1em4)
             r = field_ratio_rescaled(x, p_1em4)
             assert abs(i - r) <= 1e-4 * max(abs(i), abs(r))
 
@@ -164,24 +164,9 @@ class TestRoutesAgainstFrozenReferences:
         # half-period of the transform spans the whole structure region
         p = params_for(get_material(material), 1e-2, eps)
         x = u * p.material.v_F / (p.Omega * p.material.omega_p)
-        i = field_ratio_ibp(x, p, kernel="exact")
+        i = field_ratio_ibp(x, p)
         r = field_ratio_rescaled(x, p)
         assert abs(i - r) <= 1e-8 * abs(r)
-
-    @pytest.mark.parametrize("kernel", ["second-derivative", "kohn-pole"])
-    def test_truncated_kernels_are_not_the_field(self, p_1em4, kernel):
-        # the study kernels keep the oscillation but drop smooth terms;
-        # they must NOT quietly agree, or the exact kernel is redundant
-        x = 1e-4
-        r = field_ratio_rescaled(x, p_1em4)
-        exact_dev = abs(field_ratio_ibp(x, p_1em4, kernel="exact") - r) / abs(r)
-        trunc_dev = abs(field_ratio_ibp(x, p_1em4, kernel=kernel) - r) / abs(r)
-        assert trunc_dev > 100.0 * exact_dev
-        assert trunc_dev > 0.01
-
-    def test_unknown_kernel_rejected(self, p_1em4):
-        with pytest.raises(ValueError, match="unknown ibp kernel"):
-            field_ratio_ibp(1e-5, p_1em4, kernel="bogus")
 
 
 class TestRouteDomains:
@@ -422,10 +407,9 @@ class TestProfile:
         assert prof.method == "rescaled"
         assert not prof.errors
 
-    def test_pair_shorthand_means_collisionless(self, na):
-        prof = profile([1e-5, 2e-5], (1e-2, na), "rescaled")
-        assert prof.params.eps == 0.0
-        assert prof.params.material is na
+    def test_params_must_be_plasma_params(self, na):
+        with pytest.raises(TypeError, match="params_for"):
+            profile([1e-5, 2e-5], (1e-2, na), "rescaled")
 
     def test_grid_validation(self, p_1em4):
         with pytest.raises(ValueError, match="empty"):

@@ -63,7 +63,7 @@ def test_family_against_mpmath(family_oracle, which, zi):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("kernel_id", [0, 3])
+@pytest.mark.parametrize("kernel_id", [0])
 def test_panel_batch_against_quad(kernel_id):
     na = get_material("na")
     p = params_for(na, 1e-2, 1e-4)
@@ -91,7 +91,7 @@ def test_panel_batch_against_quad(kernel_id):
         assert abs(v - panel_quad(a, b)) <= err + 1e-13 * abs(v), (a, b)
 
 
-@pytest.mark.parametrize("kernel_id", [0, 1, 2, 3])
+@pytest.mark.parametrize("kernel_id", [0, 1])
 @pytest.mark.parametrize("zi", [0.0, 1e-4])
 def test_envelope_bit_identical_to_family_members(kernel_id, zi):
     # QGRID crosses both the series switch (|q| = 0.1 |z|) and |q| = Om
@@ -106,10 +106,6 @@ def test_envelope_bit_identical_to_family_members(kernel_id, zi):
     D = e - bcoef * s * s
     if kernel_id == k.KERNEL_RECIPROCAL:
         want = 1.0 / D
-    elif kernel_id == k.KERNEL_IBP_SECOND:
-        want = kappa * kappa * member(2) / (D * D)
-    elif kernel_id == k.KERNEL_IBP_KOHN:
-        want = kappa * kappa * member(3) / (D * D)
     else:
         Dp = kappa * member(1) - 2.0 * bcoef * s
         Dpp = kappa * kappa * member(2) - 2.0 * bcoef
