@@ -138,12 +138,14 @@ def _scipy_remainder(p, phase, start, upper):
     return complex(part(True), part(False)) + wing
 
 
+@pytest.mark.parametrize("material", ["na", "au", "al"])
+@pytest.mark.parametrize("eps", [1e-4, 0.0])
 @pytest.mark.parametrize("phase", [None, 1.0, 10.0])
-def test_tail_bound_honesty(na_params, phase):
+def test_tail_bound_honesty(material, eps, phase):
     # the last half-period integral bounds everything past s_max; None is
     # x = 1e-5 cm, 1 and 10 are phases whose one half-period spans the
     # structure region
-    p = na_params
+    p = params_for(get_material(material), 1e-2, eps)
     if phase is None:
         phase = p.omega_p * 1e-5 / p.v_F
     res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
@@ -156,7 +158,10 @@ def test_tail_bound_honesty(na_params, phase):
 _CONDITION_CASES = [
     (m, Om, eps, axis)
     for m, Om, eps, axis in itertools.product(
-        ("na", "au", "al"), (1e-4, 1e-2, 0.5, 0.99), (0.0, 1e-4, 1e-2), ("rescaled", "direct")
+        ("na", "au", "al"),
+        (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99),
+        (0.0, 1e-4, 1e-2),
+        ("rescaled", "direct"),
     )
     if not (axis == "direct" and eps == 0.0)
 ]
@@ -177,15 +182,19 @@ def test_tail_bound_condition_past_q_smooth(material, Omega, eps, axis):
         slope = np.diff(f) / np.diff(s)
         assert np.all(slope > 0) or np.all(slope < 0)
         assert np.all(np.diff(np.abs(slope)) <= 0)
+    # Re K is -(1 + O(1/144)) / (bcoef s^2) there: bcoef s^2 exceeds
+    # |eps_tr| 144-fold
+    eps_tr = k.family_grid(kappa * s, 0, Omega, eps)
+    assert np.all(bcoef * s * s >= 144.0 * np.abs(eps_tr))
 
 
-@pytest.mark.parametrize(
-    "material,Omega", [("au", 0.99), ("al", 0.5), ("al", 0.99), ("na", 0.99)]
-)
+@pytest.mark.parametrize("material", ["na", "au", "al"])
+@pytest.mark.parametrize("Omega", [0.5, 0.99])
 def test_tail_stops_on_accuracy_near_omega_one(material, Omega):
     # at eps = 0 and x = 1e-6 cm the tail stops on its accuracy test; a
-    # floor on its end once made Au and Al run out of half-periods with
-    # the Euler error near 1e-24, and Na take 102,900 evaluations
+    # floor on its end once made Au at 0.99 and Al run out of half-periods
+    # with the Euler error near 1e-24, Na at 0.99 take 102,900 evaluations
+    # and Au at 0.5 51,210
     p = params_for(get_material(material), Omega, 0.0)
     _, info = field_ratio_rescaled(1e-6, p, full_output=True)
     res = info.quad
