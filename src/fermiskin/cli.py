@@ -59,13 +59,19 @@ def _emit_csv(path, columns, rows, comments=()):
             write(fh)
 
 
+def _json_number(v):
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def _emit_json(path, subcommand, meta, columns, rows):
     doc = {
         "generated": _timestamp(),
         "subcommand": subcommand,
         "meta": meta,
         "columns": list(columns),
-        "rows": [[(v if isinstance(v, str) else float(v)) for v in row] for row in rows],
+        # a failed point's NaN has no JSON spelling; it goes out as null
+        "rows": [[v if isinstance(v, str) else _json_number(v) for v in row] for row in rows],
     }
     if path is None:
         json.dump(doc, sys.stdout, indent=2)

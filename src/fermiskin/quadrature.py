@@ -19,25 +19,26 @@ one half-period spans the whole structure region and is graded into
 geometric panels [s, 1.6 s]; there the tail stops after 4-16.
 
 Refinement splits every panel above its share of the target in rounds.
-It returns at the target tol_rel |sum|, at the rounding floor (64
-machine epsilon times the summed panel magnitudes), or after three
-rounds in a row that fail to halve the best error; past _PANEL_BUDGET
-panels it raises.
+It returns at the target tol_rel |sum| or at the kernel's rounding
+floor times the summed panel magnitudes: 64 machine epsilon for the
+reciprocal kernel, 3e-13 for the integrated-by-parts one. Past
+_PANEL_BUDGET panels it raises.
 
 A phase below 0.1 tol_rel / s_peak, x = 0 included, takes the "envelope"
 path: a mesh graded out to a depth S, closed by -1/(bcoef S), the
-integral of the asymptotic envelope -1/(bcoef s^2) past it.
+integral of the asymptotic envelope -1/(bcoef s^2) past it. Only the
+reciprocal kernel takes it: the integrated-by-parts kernel raises
+ValueError there, and at zi = 0, where (1/D)'' has a pole.
 
 Truncation honesty: QuadratureResult.tail_bound bounds what lies past
-the last evaluated point s_end: the last half-period integral on the
-reciprocal kernel's tail (proved in oscillatory_halfline), 8 / (bcoef
-s_end^3) for the integrated-by-parts kernel. On the envelope path S is
-pushed out until the remainder bound is below 1e-4 tol_rel of the
-Lorentzian core's integral pi / (2 bcoef s_peak), and a phase adds
-phase pi / (2 bcoef) for the cos(phase s) it ignores. The
-integrated-by-parts kernel cancels below what the Gauss-Kronrod estimate
-sees, so its error carries a floor of 3e-13 times the summed panel and
-tail-term magnitudes.
+the last evaluated point s_end: on the half-period tail, for either
+kernel, the last half-period integral (proved in oscillatory_halfline).
+On the envelope path S is pushed out until the remainder bound is below
+1e-4 tol_rel of the Lorentzian core's integral pi / (2 bcoef s_peak),
+and a phase adds phase pi / (2 bcoef) for the cos(phase s) it ignores.
+The integrated-by-parts kernel cancels below what the Gauss-Kronrod
+estimate sees, so its error carries its rounding floor, 3e-13 times the
+summed panel and tail-term magnitudes.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ _OSC_CHUNK = 64
 _OSC_FIRST_GRADED = 16
 # growth ratio of geometrically graded panels
 _GRADE = 1.6
-# rounding floor of the integrated-by-parts kernels per unit of summed
-# panel and tail-term magnitude
+# rounding floor of the integrated-by-parts kernel per unit of summed
+# panel and tail-term magnitude: its refinement stops there, and its
+# error carries it
 _IBP_FLOOR = 3e-13
 
 
@@ -123,34 +125,21 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     return arr[keep]
 
 
-def _refine(lo, hi, vals, errs, batch, tol_rel):
+def _refine(lo, hi, vals, errs, batch, tol_rel, floor):
     """Split worst panels in rounds; batch(lo, hi) integrates panels.
     Returns the updated arrays plus the evaluation count once the summed
-    error meets tol_rel |sum|, reaches the rounding floor or stalls for
-    three rounds; raises QuadratureError past the panel budget. Every
-    other round splits a panel, so the loop needs no round cap."""
+    error meets tol_rel |sum| or the kernel's rounding floor, floor times
+    the summed panel magnitudes; raises QuadratureError past the panel
+    budget. Every round splits a panel, so the loop needs no round cap."""
     n_evals = 0
-    best = math.inf
-    stall = 0
     while True:
         target = tol_rel * abs(vals.sum())
         tot_err = errs.sum()
-        if tot_err <= 0.5 * target:
-            break
         # a strongly cancelling sum cannot be refined below the rounding
         # noise of its own panel magnitudes; splitting past this point
         # adds panels, not digits
-        if tot_err <= 64.0 * _MACH_EPS * np.abs(vals).sum():
+        if tot_err <= 0.5 * target or tot_err <= floor * np.abs(vals).sum():
             break
-        # a round that does not halve the best error so far is a stall;
-        # three in a row mean the rounding floor, whose error is reported
-        if tot_err < 0.5 * best:
-            best = tot_err
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
-                break
         # errs sums past 0.5 target, so some panel exceeds this share
         mask = errs > 0.5 * target / lo.size
         if lo.size + int(mask.sum()) > _PANEL_BUDGET:
@@ -196,12 +185,13 @@ def oscillatory_halfline(
     Every phase of at least 0.1 tol_rel / s_peak runs the half-period
     mesh and the averaged half-period tail (branch "oscillatory"); a
     smaller one, 0 included, integrates a graded mesh to a depth S and
-    closes it analytically (branch "envelope"). The mesh may hold
+    closes it analytically (branch "envelope"); the integrated-by-parts
+    kernel (1) raises ValueError there and at zi = 0. The mesh may hold
     _PANEL_BUDGET panels and the tail may sum _TAIL_HALF_PERIODS
     half-periods; past either the integral raises QuadratureError.
 
     The tail stops once the Euler error meets 0.3 tol_rel of the value.
-    For the reciprocal kernel tail_bound is |Re t_n| + |Im t_n|, t_n the
+    For either kernel tail_bound is |Re t_n| + |Im t_n|, t_n the
     last half-period integral, which ends at s_end. Proof: the tail grid
     starts at s0 = m h, h = pi / phase, so with a_k the start of
     half-period k, the part of t_k from f = Re K or Im K is
@@ -218,7 +208,9 @@ def oscillatory_halfline(
     exceeds |eps_tr| 144-fold (149 at least for Na, Au, Al, Omega 1e-4
     to 0.99, eps 0 to 1e-2): Re K is -(1 + O(1/144)) / (bcoef s^2), and
     Im K = -Im eps_tr |K|^2, Im eps_tr ~ 3 pi / (4 Om kappa s), falls as
-    s^-5. tests/test_quadrature.py samples the condition.
+    s^-5. Kernel 1 is K'': there its real part is -6 (1 + O(1/100)) /
+    (bcoef s^4) and its imaginary part falls as s^-6 to s^-7.
+    tests/test_quadrature.py samples the condition for both kernels.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
@@ -228,6 +220,16 @@ def oscillatory_halfline(
     e0 = abs(1.0 - 1.0 / (Om * z))
     s_peak = math.sqrt(e0 / bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
+    if kernel_id != KERNEL_RECIPROCAL and (zi == 0.0 or phase * s_peak < 0.1 * tol_rel):
+        # (1/D)'' has a pole at s = kohn when zi = 0; below the envelope
+        # threshold its integral, -phase^2 times the reciprocal kernel's,
+        # sinks under its own rounding floor
+        raise ValueError(
+            f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase "
+            f"of at least 0.1 tol_rel / s_peak = {0.1 * tol_rel / s_peak:.3g} "
+            f"(phase = {phase:g}; x = 0 has phase 0)"
+        )
+    floor = 64.0 * _MACH_EPS if kernel_id == KERNEL_RECIPROCAL else _IBP_FLOOR
 
     # the integrand, bound once; panel_batch is looked up on each call so
     # that a wrapper installed on the module sees every evaluation
@@ -277,7 +279,7 @@ def oscillatory_halfline(
     vals, errs, n_evals = batch(lo, hi)
     cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
     lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
-    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel)
+    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel, floor)
     n_evals += ev
     value = vals.sum()
     err = errs.sum()
@@ -304,17 +306,13 @@ def oscillatory_halfline(
             s_end = float(e[-1])
         value += tail_est
         err += acc_err + gk_err
-    elif kernel_id == KERNEL_RECIPROCAL:
-        # int_S^inf -1/(bcoef s^2) ds, with cos(phase s) taken as 1
-        value += -1.0 / (bcoef * s_end)
-
-    if kernel_id != KERNEL_RECIPROCAL:
-        tail_bound = 8.0 / (bcoef * s_end**3)
-        err += _IBP_FLOOR * (np.abs(vals).sum() + np.abs(terms).sum())
-    elif branch == "oscillatory":
         tail_bound = abs(terms[-1].real) + abs(terms[-1].imag)
     else:
+        # int_S^inf -1/(bcoef s^2) ds, with cos(phase s) taken as 1
+        value += -1.0 / (bcoef * s_end)
         tail_bound = remainder_bound(s_end) + phase * math.pi / (2.0 * bcoef)
+    if kernel_id != KERNEL_RECIPROCAL:
+        err += _IBP_FLOOR * (np.abs(vals).sum() + np.abs(terms).sum())
 
     return QuadratureResult(
         value=complex(value),

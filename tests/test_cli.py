@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fermiskin import cli
+from fermiskin import cli, quadrature
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -166,6 +166,28 @@ class TestBehavior:
         assert set(rows) == {"al", "au", "cs", "na"}
         assert rows["cs"][1] == 0.91e22
         assert rows["na"][1] == 2.60e22
+
+    def test_failed_point_reads_nan_in_every_column(self, capsys, monkeypatch):
+        # a 30-panel budget fails the point at 3e-5 cm and keeps the one at
+        # 1e-6 cm: the CSV prints nan in all three value columns, and the
+        # JSON, which has no NaN, null
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 30)
+        argv = ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-6:3e-5:2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert "point 1 (x = 3e-05 cm) failed: QuadratureError: panel budget 30" in err
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert rows[1].count("nan") == 0
+        assert rows[2] == "3e-05,nan,nan,nan"
+
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        ok, failed = json.loads(out, parse_constant=no_constants)["rows"]
+        assert None not in ok
+        assert failed == [3e-5, None, None, None]
 
     def test_output_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "eps.csv"

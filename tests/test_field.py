@@ -182,6 +182,12 @@ class TestRouteDomains:
         with pytest.raises(ValueError, match="need eps > 0"):
             field_ratio_ibp(1e-5, params_for(na, 1e-2, 0.0))
 
+    def test_ibp_needs_a_depth_above_the_envelope_threshold(self, p_1em4):
+        # at 1e-16 cm the phase is far below 0.1 tol_rel / s_peak; the
+        # 1/x^2 prefactor once turned a -3.2e-6 cm field into -2.5e5 +- 1e6
+        with pytest.raises(ValueError, match="phase of at least"):
+            field_ratio_ibp(1e-16, p_1em4)
+
     def test_negative_depth_rejected(self, p_1em4):
         with pytest.raises(ValueError, match="x must be >= 0"):
             field_ratio_rescaled(-1e-5, p_1em4)

@@ -120,12 +120,19 @@ def test_envelope_branch_against_qags(na_params):
     assert abs(res.value - ref) <= 1e-7 * abs(ref)
 
 
-def _scipy_remainder(p, phase, start, upper):
-    # int_start^inf cos(phase s) K(s) ds for the reciprocal kernel: QAWO on
-    # [start, upper] plus the 1/(b s^2) wing past upper, as in _scipy_osc
+def _scipy_remainder(p, phase, kernel_id, start):
+    # int_start^inf cos(phase s) K(s) ds by QAWO on [start, upper]. For the
+    # reciprocal kernel the 1/(b s^2) wing past upper is added, as in
+    # _scipy_osc; the IBP kernel's -6/(b s^4) wing past its farther upper
+    # is below 1e-3 of the remainder at every case here
+    if kernel_id == 0:
+        upper = max(40.0, 4.0 * start)
+    else:
+        upper = max(400.0, 40.0 * start)
+
     def part(re):
         def f(s):
-            v = k.envelope_grid(np.array([s]), 0, p.Omega, p.eps, p.b, 1.0)[0]
+            v = k.envelope_grid(np.array([s]), kernel_id, p.Omega, p.eps, p.b, 1.0)[0]
             return v.real if re else v.imag
 
         with warnings.catch_warnings():
@@ -133,42 +140,54 @@ def _scipy_remainder(p, phase, start, upper):
             return quad(f, start, upper, weight="cos", wvar=phase, limit=4000,
                         epsabs=1e-22, epsrel=1e-13)[0]
 
-    si, _ = sici(phase * upper)
-    wing = -(1.0 / p.b) * (math.cos(phase * upper) / upper - phase * (0.5 * math.pi - si))
-    return complex(part(True), part(False)) + wing
+    out = complex(part(True), part(False))
+    if kernel_id == 0:
+        si, _ = sici(phase * upper)
+        out += -(1.0 / p.b) * (math.cos(phase * upper) / upper - phase * (0.5 * math.pi - si))
+    return out
 
 
-@pytest.mark.parametrize("material", ["na", "au", "al"])
-@pytest.mark.parametrize("eps", [1e-4, 0.0])
-@pytest.mark.parametrize("phase", [None, 1.0, 10.0])
-def test_tail_bound_honesty(material, eps, phase):
+# (phase, eps, material, kernel_id); the IBP kernel needs eps > 0
+_HONESTY_CASES = [
+    (phase, eps, m, kernel_id)
+    for kernel_id, m, eps, phase in itertools.product(
+        (0, 1), ("na", "au", "al"), (1e-4, 0.0), (None, 1.0, 10.0)
+    )
+    if not (kernel_id == 1 and eps == 0.0)
+]
+
+
+@pytest.mark.parametrize("phase,eps,material,kernel_id", _HONESTY_CASES)
+def test_tail_bound_honesty(phase, eps, material, kernel_id):
     # the last half-period integral bounds everything past s_max; None is
     # x = 1e-5 cm, 1 and 10 are phases whose one half-period spans the
     # structure region
     p = params_for(get_material(material), 1e-2, eps)
     if phase is None:
         phase = p.omega_p * 1e-5 / p.v_F
-    res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
+    res = oscillatory_halfline(phase, kernel_id, p.Omega, p.eps, p.b, 1.0)
     assert res.branch == "oscillatory"
-    rest = _scipy_remainder(p, phase, res.s_max, max(40.0, 4.0 * res.s_max))
+    rest = _scipy_remainder(p, phase, kernel_id, res.s_max)
     # a slowly varying alternating remainder is about half its first term
     assert abs(rest) <= res.tail_bound <= 4.0 * abs(rest)
 
 
+# the direct axis and the IBP kernel need eps > 0
 _CONDITION_CASES = [
-    (m, Om, eps, axis)
-    for m, Om, eps, axis in itertools.product(
+    (m, Om, eps, axis, kernel_id)
+    for kernel_id, m, Om, eps, axis in itertools.product(
+        (0, 1),
         ("na", "au", "al"),
         (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99),
         (0.0, 1e-4, 1e-2),
         ("rescaled", "direct"),
     )
-    if not (axis == "direct" and eps == 0.0)
+    if eps > 0.0 or (axis == "rescaled" and kernel_id == 0)
 ]
 
 
-@pytest.mark.parametrize("material,Omega,eps,axis", _CONDITION_CASES)
-def test_tail_bound_condition_past_q_smooth(material, Omega, eps, axis):
+@pytest.mark.parametrize("material,Omega,eps,axis,kernel_id", _CONDITION_CASES)
+def test_tail_bound_condition_past_q_smooth(material, Omega, eps, axis, kernel_id):
     # the tail bound's proof needs Re K and Im K monotone with |K'|
     # non-increasing past the tail's start s0 >= q_smooth; sample
     # [q_smooth, 1e4 q_smooth] on both axes of the field
@@ -177,7 +196,7 @@ def test_tail_bound_condition_past_q_smooth(material, Omega, eps, axis):
     e0 = abs(1.0 - 1.0 / (Omega * complex(Omega, eps)))
     q_smooth = max(4.0 * Omega / kappa, 12.0 * math.sqrt(e0 / bcoef))
     s = np.geomspace(q_smooth, 1e4 * q_smooth, 4001)
-    K = k.envelope_grid(s, 0, Omega, eps, bcoef, kappa)
+    K = k.envelope_grid(s, kernel_id, Omega, eps, bcoef, kappa)
     for f in (K.real, K.imag):
         slope = np.diff(f) / np.diff(s)
         assert np.all(slope > 0) or np.all(slope < 0)
@@ -275,9 +294,9 @@ def test_graded_integral_in_one_kernel_call(na_params, monkeypatch):
 @pytest.mark.parametrize("phase", [1.0, 3.0, 5.0])
 def test_refine_stops_at_rounding_floor(phase):
     # at tol_rel 1e-10 the target lies below the IBP kernel's rounding
-    # floor (the summed error swings between 4e-15 and 7e-15): refinement
-    # must stop there with the error it reached, not exhaust the panel
-    # budget, and that error must cover the gap to the 1e-8 result
+    # floor, 3e-13 times the summed panel magnitudes: refinement must stop
+    # at that floor, not exhaust the panel budget, and the error, which
+    # carries the floor, must cover the gap to the 1e-8 result
     p = params_for(get_material("al"), 1e-2, 1e-4)
     args = (phase, 1, p.Omega, p.eps, p.b, 1.0)
     tight = oscillatory_halfline(*args, tol_rel=1e-10)
@@ -326,9 +345,24 @@ def test_parameter_validation(na_params):
         oscillatory_halfline(1.0, 0, p.Omega, -1e-4, p.b, 1.0)
 
 
-_TAIL_CASES = list(itertools.product(
-    range(2), ("na", "au", "al"), (1e-4, 0.0), (0.0, 0.3, 2.0, 10.0), (1e-8, 1e-10)
-))
+@pytest.mark.parametrize("phase,zi", [(2.0, 0.0), (0.0, 1e-4)])
+def test_ibp_kernel_domain(phase, zi):
+    # (1/D)'' has a pole at the Kohn point when zi = 0, and below the
+    # envelope threshold (phase 0 here) its integral, -phase^2 times the
+    # reciprocal kernel's, is lost under its own rounding floor
+    p = params_for(get_material("na"), 1e-2, zi)
+    with pytest.raises(ValueError, match="need eps > 0 .* x = 0"):
+        oscillatory_halfline(phase, 1, p.Omega, zi, p.b, 1.0)
+
+
+# the IBP kernel needs eps > 0 and a phase above 0
+_TAIL_CASES = [
+    case
+    for case in itertools.product(
+        range(2), ("na", "au", "al"), (1e-4, 0.0), (0.0, 0.3, 2.0, 10.0), (1e-8, 1e-10)
+    )
+    if case[0] == 0 or (case[2] > 0.0 and case[3] > 0.0)
+]
 
 
 @functools.lru_cache(maxsize=None)
