@@ -1,5 +1,5 @@
 """Shared numerical kernels: the transverse permittivity family and batched
-Gauss-Kronrod panel evaluation.
+Legendre fits of the integrand envelope on panels.
 
 One vectorized numpy path. The series/closed-form split is taken once per
 call and the logarithm branch of eps_tr at |q| = Om is chosen in one place,
@@ -9,7 +9,7 @@ modulus as log1p and the argument as arctan2, which is the principal
 branch of the complex logarithm without its complex division, and at
 zi = 0 its limit from Im z > 0.
 tests/test_kernels.py checks the branch and the family against independent
-mpmath oracles and the panels against adaptive quadrature.
+mpmath oracles and the panel fits against adaptive quadrature.
 
 Conventions used throughout:
   * q is the wavevector scaled by omega_p/v_F, Om = omega/omega_p.
@@ -23,6 +23,8 @@ Conventions used throughout:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -49,55 +51,44 @@ _M1 = _M + 1.0
 D1_COEF = 2.0 * _M1 / ((2.0 * _M1 + 1.0) * (2.0 * _M1 + 3.0))
 D2_COEF = 2.0 * _M1 * (2.0 * _M1 - 1.0) / ((2.0 * _M1 + 1.0) * (2.0 * _M1 + 3.0))
 
-# 15-point Kronrod extension of 7-point Gauss, QUADPACK values.
-_XGK_HALF = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-        0.0,
-    ]
-)
-_WGK_HALF = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084728184803383587039425,
-    ]
-)
-_WG_HALF = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ]
-)
+N_LEGENDRE = 24
 
-# Full 15-node arrays in ascending order; the embedded Gauss nodes sit at
-# the odd positions 1, 3, ..., 13.
-XGK15 = np.concatenate((-_XGK_HALF[:-1], _XGK_HALF[::-1]))
-WGK15 = np.concatenate((_WGK_HALF[:-1], _WGK_HALF[::-1]))
-WG7 = np.array(
-    [
-        _WG_HALF[0],
-        _WG_HALF[1],
-        _WG_HALF[2],
-        _WG_HALF[3],
-        _WG_HALF[2],
-        _WG_HALF[1],
-        _WG_HALF[0],
-    ]
-)
+
+def _legendre(t):
+    """P_0..P_24 at the points t, one row each, by the three-term recurrence."""
+    p = np.ones((N_LEGENDRE + 1, t.size))
+    p[1] = t
+    for k in range(1, N_LEGENDRE):
+        p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
+    return p
+
+
+@functools.cache
+def _legendre_fit():
+    """The 24 Gauss-Legendre nodes, ascending, and the matrix that takes
+    values at them to the Legendre coefficients of their degree-23
+    interpolant; built on first use, which keeps it out of the import.
+
+    The nodes come from Newton's method on P_24 from Tricomi's estimates
+    (four steps reach rounding), the weights from 2 / ((1 - t^2)
+    P_24'(t)^2). The matrix is the inverse of V = P_k(t_i): the Gauss sums
+    c_k = (k + 1/2) sum_i w_i P_k(t_i) f_i and one Newton-Schulz step
+    M (2 - V M), which takes the residual |1 - V M| from 6e-15 to 3e-16.
+    At 6e-15 the noise in c_21..c_23 can keep a panel from meeting the
+    mesh test of quadrature. Products here and in panel_batch use einsum,
+    not matmul, whose BLAS buffers would add 0.3 MB to the process.
+    """
+    t = -np.cos(np.pi * (np.arange(N_LEGENDRE) + 0.75) / (N_LEGENDRE + 0.5))
+    for _ in range(6):
+        p = _legendre(t)
+        dp = N_LEGENDRE * (t * p[-1] - p[-2]) / (t * t - 1.0)
+        t = t - p[-1] / dp
+    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    v = _legendre(t)[:-1]
+    m = (v * w * (np.arange(N_LEGENDRE) + 0.5)[:, None]).T
+    m += np.einsum("ij,jk->ik", m, np.eye(N_LEGENDRE) - np.einsum("ij,jk->ik", v, m))
+    t.flags.writeable = m.flags.writeable = False
+    return t, m
 
 
 def _log_branch(q, Om, zi):
@@ -207,24 +198,23 @@ def envelope_grid(s, kernel_id, Om, zi, bcoef, kappa):
     return (2.0 * Dp * Dp - Dpp * D) / (D * D * D)
 
 
-def panel_batch(lo, hi, phase, kernel_id, Om, zi, bcoef, kappa):
-    """Gauss-Kronrod 15(7) over a batch of panels of cos(phase*s)*K(s).
+def panel_batch(lo, hi, kernel_id, Om, zi, bcoef, kappa):
+    """Legendre fit of the envelope K over a batch of panels [lo, hi].
 
-    Returns (values, error_estimates, n_evaluations). The error estimate
-    per panel is the plain |K15 - G7| difference, which is conservative
-    for the smooth envelopes used here. The weighted sums are one matrix
-    product over the batch, so a panel's value can change at rounding
-    level with the batch size (measured: up to 7e-14 relative per
-    geometric panel, 1.1e-14 on skin-zone field values).
+    K is evaluated at the 24 Gauss-Legendre nodes of each panel. Returns
+    (coefficients, truncation, n_evaluations): row i of coefficients holds
+    the Legendre coefficients c_0..c_23 of K on panel i in its local
+    variable t in [-1, 1], so its integral is 2 h c_0 (h the half-width);
+    truncation[i] = 2 h (|c_21| + |c_22| + |c_23|) stands in for what the
+    coefficients past c_23 carry, and bounds the integral of the neglected
+    part against any weight of modulus at most 1, cos(phase s) included.
     """
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
-    c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    nodes = c[:, None] + h[:, None] * XGK15[None, :]
-    f = np.cos(float(phase) * nodes) * envelope_grid(
-        nodes.ravel(), kernel_id, Om, zi, bcoef, kappa
-    ).reshape(nodes.shape)
-    kron = h * (f @ WGK15)
-    gauss = h * (f[:, 1::2] @ WG7)
-    return kron, np.abs(kron - gauss), 15 * lo.shape[0]
+    t, to_legendre = _legendre_fit()
+    nodes = (lo + h)[:, None] + h[:, None] * t[None, :]
+    f = envelope_grid(nodes.ravel(), kernel_id, Om, zi, bcoef, kappa).reshape(nodes.shape)
+    coef = np.einsum("ij,jk->ik", f, to_legendre)
+    trunc = 2.0 * h * np.abs(coef[:, -3:]).sum(axis=1)
+    return coef, trunc, f.size

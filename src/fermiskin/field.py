@@ -80,8 +80,6 @@ def _field_point(
         raise ValueError(f"x must be finite, got {x_cm}")
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
-    if not 0.0 < tol_rel < 1.0:
-        raise ValueError(f"tol_rel must be finite and in (0, 1), got {tol_rel}")
     mat = params.material
     x_scaled = mat.omega_p * x_cm / mat.v_F
     if route == "rescaled":
@@ -167,9 +165,9 @@ def field_ratio_ibp(
     agrees with the plain routes to quadrature accuracy. Needs eps > 0,
     where the second derivative has no pole on the axis, and a depth
     whose phase is at least 0.1 tol_rel / s_peak (x = 0 and depths too
-    small for the 1/x^2 prefactor raise ValueError). The error bar holds
-    the same last-half-period tail bound as the plain routes plus a
-    rounding floor of 3e-13 times the summed panel and tail magnitudes.
+    small for the 1/x^2 prefactor raise ValueError). Its error bar has the
+    parts of the plain routes' (see quadrature), with a rounding floor of
+    1e-13 in place of 1e-14 of the summed Legendre-term magnitudes.
     """
     info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT, tol_rel)
     return (info.value, info) if full_output else info.value

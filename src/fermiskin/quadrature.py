@@ -1,4 +1,4 @@
-"""Adaptive quadrature for the half-line cosine integrals of the field.
+"""Filon-Legendre quadrature for the half-line cosine integrals of the field.
 
 The target integrals have the shape
 
@@ -7,71 +7,66 @@ The target integrals have the shape
 where K is one of the envelope kernels of _kernels (reciprocal
 denominator or its second derivative). K is smooth except for
 a logarithmic structure at s = Om/kappa, decays like 1/(bcoef s^2) (or
-faster for the IBP kernel), and the phase can range from 0 to ~1e6.
+faster for the integrated-by-parts kernel), and the phase can range from
+0 to ~1e6. K does not depend on the depth; only cos(phase s) does. So one
+mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
+38, 1928; error and stability theory in Iserles & Norsett, Proc. R. Soc. A
+461, 1383, 2005):
 
-Strategy: one algorithm for every depth. Split [0, S0] at every
-half-period pi/phase and at the known structure points, refine with
-batched Gauss-Kronrod 15(7) panels, then sum the tail half-period
-by half-period and accelerate the alternating partial sums by repeated
-averaging (two binomially weighted sums of the last 48). The mesh's
-kernel call also evaluates the first 64 tail half-periods, or 16 where
-one half-period spans the whole structure region and is graded into
-geometric panels [s, 1.6 s]; there the tail stops after 4-16.
+* The mesh. Panels at the structure points (_structure_edges) up to
+  q_smooth, then 20 geometric panels [s, 1.585 s] out to S = 1e4 q_smooth.
+  _kernels.panel_batch fits K on each panel by its Legendre interpolant
+  c_0..c_23 at 24 Gauss-Legendre nodes. A panel is bisected until its truncation 2h (|c_21| + |c_22| +
+  |c_23|) (h the half-width) is at most mesh_tol times the largest panel
+  integral |2 h c_0|, with mesh_tol = max(_FLOOR, 1e-6 tol_rel). _FLOOR is
+  the kernel's rounding level, 1e-14 for 1/D and 1e-13 for (1/D)'': the
+  noise in c_21..c_23 keeps bisection from doing better. Past
+  _PANEL_BUDGET panels the mesh raises QuadratureError. Meshes are cached
+  per (kernel, Om, zi, bcoef, kappa, tol_rel), _MESH_CACHE of them.
+* Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
+  j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
+  panel of midpoint c contributes
+  h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). The spherical Bessel
+  functions come from one table per call (_sph_bessel).
+* Past S, K is replaced by its asymptote -1/(bcoef s^2) (or -6/(bcoef s^4)
+  for (1/D)''), whose cosine integral is closed form in the sine integral.
 
-Refinement splits every panel above its share of the target in rounds.
-It returns at the target tol_rel |sum| or at the kernel's rounding
-floor times the summed panel magnitudes: 64 machine epsilon for the
-reciprocal kernel, 3e-13 for the integrated-by-parts one. Past
-_PANEL_BUDGET panels it raises.
+The error bar, QuadratureResult.error plus tail_bound, has three parts:
 
-A phase below 0.1 tol_rel / s_peak, x = 0 included, takes the "envelope"
-path: a mesh graded out to a depth S, closed by -1/(bcoef S), the
-integral of the asymptotic envelope -1/(bcoef s^2) past it. Only the
-reciprocal kernel takes it: the integrated-by-parts kernel raises
-ValueError there, and at zi = 0, where (1/D)'' has a pole.
-
-Truncation honesty: QuadratureResult.tail_bound bounds what lies past
-the last evaluated point s_end: on the half-period tail, for either
-kernel, the last half-period integral (proved in oscillatory_halfline).
-On the envelope path S is pushed out until the remainder bound is below
-1e-4 tol_rel of the Lorentzian core's integral pi / (2 bcoef s_peak),
-and a phase adds phase pi / (2 bcoef) for the cos(phase s) it ignores.
-The integrated-by-parts kernel cancels below what the Gauss-Kronrod
-estimate sees, so its error carries its rounding floor, 3e-13 times the
-summed panel and tail-term magnitudes.
+* Legendre truncation: the panels' truncations summed, which bound the
+  neglected part of each fit against cos(phase s) at any phase;
+* rounding: _FLOOR times the summed magnitudes of the panel terms
+  h |c_k| |2 j_k| and of the closed-form tail's terms;
+* tail_bound: the integral of |K - asymptote| past S, from
+  K - asymptote = O(|eps_tr| / (bcoef^2 s^4)) for 1/D (its second
+  derivative for (1/D)'').
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import KERNEL_RECIPROCAL
+from ._kernels import KERNEL_RECIPROCAL, N_LEGENDRE
 
-# mesh panels and oscillatory-tail half-periods allowed before failing
+# mesh panels allowed before failing
 _PANEL_BUDGET = 20000
-_TAIL_HALF_PERIODS = 8000
-_EULER_WINDOW = 48
-# row m - 1 holds C(m - 1, k) / 2^(m - 1), k < m: the weights that m - 1
-# rounds of pairwise averaging give the m points of a window
-_EULER_WEIGHTS = [
-    np.array([math.comb(m - 1, k) for k in range(m)], dtype=np.float64) / 2.0 ** (m - 1)
-    for m in range(1, _EULER_WINDOW + 1)
-]
+# the mesh ends at S = _S_END q_smooth, reached by _N_GRADED geometric
+# panels [s, 1.585 s]
+_S_END = 1e4
+_N_GRADED = 20
+# each kernel's rounding level per unit of panel magnitude: the mesh is
+# refined down to it, and the error carries it
+_FLOOR = {KERNEL_RECIPROCAL: 1e-14, _kernels.KERNEL_IBP_EXACT: 1e-13}
+_MESH_CACHE = 32
 _MACH_EPS = float(np.finfo(np.float64).eps)
-# tail half-periods per kernel call; in the mesh's call where one
-# half-period spans the structure region
-_OSC_CHUNK = 64
-_OSC_FIRST_GRADED = 16
-# growth ratio of geometrically graded panels
-_GRADE = 1.6
-# rounding floor of the integrated-by-parts kernel per unit of summed
-# panel and tail-term magnitude: its refinement stops there, and its
-# error carries it
-_IBP_FLOOR = 3e-13
+# the sign of cos(x + k pi/2) against cos(x) for even k, sin(x) for odd k
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0] * (N_LEGENDRE // 4))
 
 
 class QuadratureError(RuntimeError):
@@ -81,27 +76,82 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureResult:
     value: complex
-    error: float
-    tail_bound: float
+    error: float  # Legendre truncation plus rounding
+    tail_bound: float  # |K - asymptote| integrated past s_max
     s_max: float
     q_max: float
     n_panels: int
-    n_evals: int  # every kernel evaluation, refinement and tail included
-    n_tail_terms: int
-    branch: str
+    n_evals: int  # kernel evaluations of the mesh, made once per cached mesh
+    n_tail_terms: int  # 0: the tail past s_max is closed form
+    branch: str  # "filon"
 
 
-def _euler_limit(psums: np.ndarray) -> tuple[complex, float]:
-    # repeated averaging of the trailing partial sums, m - 1 rounds over a
-    # window of m, in closed form; for an alternating tail each round
-    # roughly halves the remainder, and the last round's change is the error
-    v = psums[-_EULER_WINDOW:]
-    m = v.size
-    if m == 1:
-        return v[0], 0.0
-    corner = _EULER_WEIGHTS[m - 1] @ v
-    prev = _EULER_WEIGHTS[m - 2] @ v[1:]
-    return corner, abs(corner - prev)
+def _si_complement(x: float) -> float:
+    """pi/2 - Si(x) for x >= 0, where Si is the sine integral.
+
+    A power series below x = 4 and, above it, the continued fraction for
+    E1(ix) = -Ci(x) - i (pi/2 - Si(x)) (Numerical Recipes cisi; A&S 5.2),
+    evaluated by the modified Lentz method. The complement is formed
+    directly, so it keeps its accuracy where Si(x) is close to pi/2.
+    """
+    if x < 4.0:
+        # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
+        x2 = x * x
+        term = x
+        si = x
+        for n in range(3, 41, 2):
+            term *= -x2 / ((n - 1) * n)
+            si += term / n
+        return 0.5 * math.pi - si
+    b = complex(1.0, x)
+    c = 1e300  # Lentz start: 1/tiny stands in for the empty numerator
+    d = h = 1.0 / b
+    for i in range(1, 200):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 2.0 * _MACH_EPS:
+            break
+    # E1(ix) = exp(-ix) h
+    return math.sin(x) * h.real - math.cos(x) * h.imag
+
+
+def _sph_bessel(w: np.ndarray) -> np.ndarray:
+    """j_k(w), k < N_LEGENDRE, for ascending w >= 0: row k of the result.
+
+    Forward recurrence j_(k+1) = (2k + 1)/w j_k - j_(k-1), stable where
+    w >= N_LEGENDRE exceeds every k. Below, the ratios r_k = j_k / j_(k-1)
+    by the backward recurrence r_k = w / (2k + 1 - w r_(k+1)) from
+    r = 0 at k = N_LEGENDRE + 8 + w (measured: 1e-15 relative at every k),
+    scaled to the closed forms of j_0 and j_1 by least squares, which
+    never both vanish.
+    """
+    n = N_LEGENDRE
+    out = np.empty((n, w.size))
+    m = int(np.searchsorted(w, float(n)))
+    if m < w.size:
+        x, t = w[m:], out[:, m:]
+        t[0] = np.sin(x) / x
+        t[1] = (t[0] - np.cos(x)) / x
+        for k in range(1, n - 1):
+            t[k + 1] = (2 * k + 1) / x * t[k] - t[k - 1]
+    if m:
+        x, g = w[:m], out[:, :m]
+        r = np.zeros(m)
+        for k in range(n + 8 + int(x[-1]), 0, -1):
+            r = x / (2 * k + 1 - x * r)
+            if k < n:
+                g[k] = r
+        g[0] = 1.0
+        np.cumprod(g, axis=0, out=g)  # j_k / j_0
+        j0 = np.sinc(x / math.pi)
+        xs = np.maximum(x, 1e-4)
+        j1 = np.where(x < 1e-4, x / 3.0 * (1.0 - 0.1 * x * x), (j0 - np.cos(x)) / xs)
+        g *= (j0 + j1 * g[1]) / (1.0 + g[1] * g[1])
+    return out
 
 
 def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end: float):
@@ -111,6 +161,9 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     pts.append(0.5 * kohn)
     pts.append(kohn)
     pts.append(2.0 * kohn)
+    # the permittivity switches from its series to its closed form here,
+    # with a jump of up to 1e-13 that a panel's fit must not straddle
+    pts.append(_kernels.SERIES_SWITCH * abs(complex(kohn * kappa, zi)) / kappa)
     # resolve the collision-broadened layer around the singular wavevector
     w = max(zi, 1e-9) / kappa
     for f in (1.0, 3.0, 10.0, 30.0, 100.0):
@@ -125,48 +178,106 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     return arr[keep]
 
 
-def _refine(lo, hi, vals, errs, batch, tol_rel, floor):
-    """Split worst panels in rounds; batch(lo, hi) integrates panels.
-    Returns the updated arrays plus the evaluation count once the summed
-    error meets tol_rel |sum| or the kernel's rounding floor, floor times
-    the summed panel magnitudes; raises QuadratureError past the panel
-    budget. Every round splits a panel, so the loop needs no round cap."""
-    n_evals = 0
+def _s_peak(Om: float, zi: float, bcoef: float) -> float:
+    return math.sqrt(abs(1.0 - 1.0 / (Om * complex(Om, zi))) / bcoef)
+
+
+class _Mesh(NamedTuple):
+    """A Legendre mesh of one kernel, panels in ascending half-width h.
+
+    weights holds 2 h c_k times the sign of cos(phase c + k pi/2) against
+    cos(phase c) (k even) or sin(phase c) (k odd), c the panel midpoint, and
+    mag its modulus: row k of a (N_LEGENDRE, panels) array, flattened.
+    Every array is read-only."""
+
+    c: np.ndarray
+    h: np.ndarray
+    weights: np.ndarray
+    mag: np.ndarray
+    trunc: float
+    s_end: float
+    remainder: float
+    n_evals: int
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=_MESH_CACHE)
+def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float,
+          tol_rel: float) -> _Mesh:
+    kohn = Om / kappa
+    s_peak = _s_peak(Om, zi, bcoef)
+    q_smooth = max(4.0 * kohn, 12.0 * s_peak)
+    s_end = _S_END * q_smooth
+    edges = np.union1d(
+        _structure_edges(kohn, s_peak, zi, kappa, q_smooth),
+        np.geomspace(q_smooth, s_end, _N_GRADED + 1),
+    )
+    lo, hi = edges[:-1], edges[1:]
+    args = (kernel_id, Om, zi, bcoef, kappa)
+    # panel_batch is looked up on each call so that a wrapper installed on
+    # the module sees every evaluation
+    coef, trunc, n_evals = _kernels.panel_batch(lo, hi, *args)
+    mesh_tol = max(_FLOOR[kernel_id], 1e-6 * tol_rel)
     while True:
-        target = tol_rel * abs(vals.sum())
-        tot_err = errs.sum()
-        # a strongly cancelling sum cannot be refined below the rounding
-        # noise of its own panel magnitudes; splitting past this point
-        # adds panels, not digits
-        if tot_err <= 0.5 * target or tot_err <= floor * np.abs(vals).sum():
+        split = trunc > mesh_tol * np.abs((hi - lo) * coef[:, 0]).max()
+        if not split.any():
             break
-        # errs sums past 0.5 target, so some panel exceeds this share
-        mask = errs > 0.5 * target / lo.size
-        if lo.size + int(mask.sum()) > _PANEL_BUDGET:
+        if lo.size + int(split.sum()) > _PANEL_BUDGET:
             raise QuadratureError(
-                f"panel budget {_PANEL_BUDGET} exhausted at error {tot_err:.3e}"
+                f"panel budget {_PANEL_BUDGET} exhausted at error {trunc.sum():.3e}"
             )
-        mid = 0.5 * (lo[mask] + hi[mask])
-        child_lo = np.concatenate((lo[mask], mid))
-        child_hi = np.concatenate((mid, hi[mask]))
-        cvals, cerrs, ev = batch(child_lo, child_hi)
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo = np.concatenate((lo[split], mid))
+        child_hi = np.concatenate((mid, hi[split]))
+        ccoef, ctrunc, ev = _kernels.panel_batch(child_lo, child_hi, *args)
         n_evals += ev
-        vals = np.concatenate((vals[~mask], cvals))
-        errs = np.concatenate((errs[~mask], cerrs))
-        lo = np.concatenate((lo[~mask], child_lo))
-        hi = np.concatenate((hi[~mask], child_hi))
-    return lo, hi, vals, errs, n_evals
+        lo = np.concatenate((lo[~split], child_lo))
+        hi = np.concatenate((hi[~split], child_hi))
+        coef = np.concatenate((coef[~split], ccoef))
+        trunc = np.concatenate((trunc[~split], ctrunc))
+    h = 0.5 * (hi - lo)
+    order = np.argsort(h, kind="stable")
+    h, c = h[order], (lo + h)[order]
+    weights = (coef[order] * (2.0 * h)[:, None] * _SIGNS).T.ravel()
+    # past s_end, where bcoef s^2 exceeds |eps_tr| 1e8-fold, K - asymptote
+    # is -eps_tr / (bcoef^2 s^4) for 1/D and about -20 eps_tr / (bcoef^2
+    # s^6) for (1/D)''; |eps_tr| -> 1 falls past s_end, and the bound
+    # exceeds both integrals 7- to 12-fold (measured against mpmath)
+    eps_end = abs(_kernels.family_grid(np.array([kappa * s_end]), 0, Om, zi)[0])
+    remainder = 3.0 * max(eps_end, 1.5) / (bcoef * bcoef * s_end**3)
+    if kernel_id != KERNEL_RECIPROCAL:
+        remainder *= 12.0 / (s_end * s_end)
+    return _Mesh(
+        c=_frozen(c),
+        h=_frozen(h),
+        weights=_frozen(weights),
+        mag=_frozen(np.abs(weights)),
+        trunc=float(trunc.sum()),
+        s_end=s_end,
+        remainder=remainder,
+        n_evals=int(n_evals),
+    )
 
 
-def _graded(start: float, end: float) -> list[float]:
-    # geometric edges start * _GRADE^k below end / _GRADE, so that the
-    # panel closing at end is no shorter than the others
-    pts = []
-    s = start
-    while s < end / _GRADE:
-        pts.append(s)
-        s *= _GRADE
-    return pts
+def _asymptote_tail(phase: float, s_end: float, bcoef: float, kernel_id: int):
+    """int_S^inf cos(phase s) A(s) ds for the asymptote A = -1/(bcoef s^2)
+    (kernel 0) or -6/(bcoef s^4) (kernel 1), as the list of terms that sum
+    to it; their magnitudes enter the rounding estimate."""
+    x = phase * s_end
+    cos_x = math.cos(x)
+    # C2 = int_S^inf cos(phase s) / s^2 ds, by parts down to pi/2 - Si
+    c2 = (cos_x / s_end, -phase * _si_complement(x))
+    if kernel_id == KERNEL_RECIPROCAL:
+        return [-t / bcoef for t in c2]
+    # C4 = cos(x) / (3 S^3) - phase sin(x) / (6 S^2) - phase^2 C2 / 6
+    c4 = (cos_x / (3.0 * s_end**3), -phase * math.sin(x) / (6.0 * s_end**2),
+          *(-phase * phase * t / 6.0 for t in c2))
+    return [-6.0 * t / bcoef for t in c4]
 
 
 def oscillatory_halfline(
@@ -182,146 +293,45 @@ def oscillatory_halfline(
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
-    Every phase of at least 0.1 tol_rel / s_peak runs the half-period
-    mesh and the averaged half-period tail (branch "oscillatory"); a
-    smaller one, 0 included, integrates a graded mesh to a depth S and
-    closes it analytically (branch "envelope"); the integrated-by-parts
-    kernel (1) raises ValueError there and at zi = 0. The mesh may hold
-    _PANEL_BUDGET panels and the tail may sum _TAIL_HALF_PERIODS
-    half-periods; past either the integral raises QuadratureError.
-
-    The tail stops once the Euler error meets 0.3 tol_rel of the value.
-    For either kernel tail_bound is |Re t_n| + |Im t_n|, t_n the
-    last half-period integral, which ends at s_end. Proof: the tail grid
-    starts at s0 = m h, h = pi / phase, so with a_k the start of
-    half-period k, the part of t_k from f = Re K or Im K is
-
-        t_k = +-int_0^(h/2) cos(phase t) [f(a_k + t) - f(a_k + h - t)] dt,
-
-    the sign flipping with k and cos(phase t) >= 0. If f is monotone and
-    |f'| non-increasing past s0, the bracket keeps one sign and its size
-    is the integral of |f'| over [a_k + t, a_k + h - t], which does not
-    grow as a_k moves on: the t_k alternate and fall to 0, so what lies
-    past s_end is at most |t_(n+1)| <= |t_n|; error already holds the
-    Gauss-Kronrod error of the computed t_n. The condition holds past
-    s0 >= q_smooth = max(4 Om / kappa, 12 s_peak), where bcoef s^2
-    exceeds |eps_tr| 144-fold (149 at least for Na, Au, Al, Omega 1e-4
-    to 0.99, eps 0 to 1e-2): Re K is -(1 + O(1/144)) / (bcoef s^2), and
-    Im K = -Im eps_tr |K|^2, Im eps_tr ~ 3 pi / (4 Om kappa s), falls as
-    s^-5. Kernel 1 is K'': there its real part is -6 (1 + O(1/100)) /
-    (bcoef s^4) and its imaginary part falls as s^-6 to s^-7.
-    tests/test_quadrature.py samples the condition for both kernels.
+    Every phase, 0 included, is summed on the kernel's cached mesh (see the
+    module docstring); only the first call for a mesh evaluates K. The
+    integrated-by-parts kernel (1) raises ValueError at zi = 0 and below a
+    phase of 0.1 tol_rel / s_peak. A mesh that needs more than
+    _PANEL_BUDGET panels raises QuadratureError.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
+    if not 0.0 < tol_rel < 1.0:
+        raise ValueError(f"tol_rel must be finite and in (0, 1), got {tol_rel}")
     phase = abs(float(phase))
-    z = complex(Om, zi)
-    kohn = Om / kappa
-    e0 = abs(1.0 - 1.0 / (Om * z))
-    s_peak = math.sqrt(e0 / bcoef)
-    q_smooth = max(4.0 * kohn, 12.0 * s_peak)
-    if kernel_id != KERNEL_RECIPROCAL and (zi == 0.0 or phase * s_peak < 0.1 * tol_rel):
-        # (1/D)'' has a pole at s = kohn when zi = 0; below the envelope
-        # threshold its integral, -phase^2 times the reciprocal kernel's,
-        # sinks under its own rounding floor
-        raise ValueError(
-            f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase "
-            f"of at least 0.1 tol_rel / s_peak = {0.1 * tol_rel / s_peak:.3g} "
-            f"(phase = {phase:g}; x = 0 has phase 0)"
-        )
-    floor = 64.0 * _MACH_EPS if kernel_id == KERNEL_RECIPROCAL else _IBP_FLOOR
-
-    # the integrand, bound once; panel_batch is looked up on each call so
-    # that a wrapper installed on the module sees every evaluation
-    def batch(lo, hi):
-        return _kernels.panel_batch(
-            lo, hi, phase, kernel_id, Om, zi, bcoef, kappa
-        )
-
-    def remainder_bound(s):
-        # |int_s^inf (1/D + 1/(bcoef t^2)) dt| for the reciprocal kernel
-        eps_s = abs(_kernels.family_grid(np.array([kappa * s]), 0, Om, zi)[0])
-        return 3.0 * max(eps_s, 1.5) / (bcoef * bcoef * s**3)
-
-    if phase * s_peak >= 0.1 * tol_rel:
-        branch = "oscillatory"
-        halfw = math.pi / phase
-        n_half = int(math.ceil(q_smooth / halfw))
-        s0 = n_half * halfw
-        grid = halfw * np.arange(n_half + 1, dtype=np.float64)
-        n_first = _OSC_CHUNK
-        if n_half == 1:
-            grid = np.append(grid, _graded(q_smooth, s0))
-            n_first = _OSC_FIRST_GRADED
-        edges = np.union1d(_structure_edges(kohn, s_peak, zi, kappa, s0), grid)
-        keep = np.concatenate(([True], np.diff(edges) > 1e-15 * s0))
-        edges = edges[keep]
-        # the tail always starts with these half-periods: evaluate them in
-        # the mesh's call
-        tail_edges = s0 + halfw * np.arange(n_first + 1, dtype=np.float64)
-        s_end = float(tail_edges[-1])
-    else:
-        branch = "envelope"
-        s_end = max(38.0 * s_peak, 2.0 * q_smooth)
-        # the Lorentzian core carries pi / (2 bcoef s_peak)
-        core = math.pi / (2.0 * bcoef * s_peak)
-        while remainder_bound(s_end) > 1e-4 * tol_rel * core:
-            s_end *= _GRADE
-        edges = np.union1d(
-            _structure_edges(kohn, s_peak, zi, kappa, q_smooth),
-            _graded(q_smooth, s_end) + [s_end],
-        )
-        tail_edges = np.empty(0)
-
-    lo = np.concatenate((edges[:-1], tail_edges[:-1]))
-    hi = np.concatenate((edges[1:], tail_edges[1:]))
-    n_mesh = edges.size - 1
-    vals, errs, n_evals = batch(lo, hi)
-    cvals, cerrs = vals[n_mesh:], errs[n_mesh:]
-    lo, hi, vals, errs = lo[:n_mesh], hi[:n_mesh], vals[:n_mesh], errs[:n_mesh]
-    lo, hi, vals, errs, ev = _refine(lo, hi, vals, errs, batch, tol_rel, floor)
-    n_evals += ev
-    value = vals.sum()
-    err = errs.sum()
-
-    terms: list[complex] = []
-    if branch == "oscillatory":
-        gk_err = 0.0
-        while True:
-            gk_err += cerrs.sum()
-            terms.extend(cvals.tolist())
-            psums = np.cumsum(np.asarray(terms, dtype=np.complex128))
-            tail_est, acc_err = _euler_limit(psums)
-            target = tol_rel * abs(value + tail_est)
-            if acc_err <= 0.3 * target:
-                break
-            if len(terms) >= _TAIL_HALF_PERIODS:
-                raise QuadratureError(
-                    f"tail budget {_TAIL_HALF_PERIODS} half-periods exhausted at "
-                    f"error {acc_err:.3e}"
-                )
-            e = s_end + halfw * np.arange(_OSC_CHUNK + 1, dtype=np.float64)
-            cvals, cerrs, ev = batch(e[:-1], e[1:])
-            n_evals += ev
-            s_end = float(e[-1])
-        value += tail_est
-        err += acc_err + gk_err
-        tail_bound = abs(terms[-1].real) + abs(terms[-1].imag)
-    else:
-        # int_S^inf -1/(bcoef s^2) ds, with cos(phase s) taken as 1
-        value += -1.0 / (bcoef * s_end)
-        tail_bound = remainder_bound(s_end) + phase * math.pi / (2.0 * bcoef)
     if kernel_id != KERNEL_RECIPROCAL:
-        err += _IBP_FLOOR * (np.abs(vals).sum() + np.abs(terms).sum())
-
+        s_peak = _s_peak(Om, zi, bcoef)
+        if zi == 0.0 or phase * s_peak < 0.1 * tol_rel:
+            # (1/D)'' has a pole at s = kohn when zi = 0; below the threshold
+            # its integral, -phase^2 times the reciprocal kernel's, sinks
+            # under its own rounding floor
+            raise ValueError(
+                f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase "
+                f"of at least 0.1 tol_rel / s_peak = {0.1 * tol_rel / s_peak:.3g} "
+                f"(phase = {phase:g}; x = 0 has phase 0)"
+            )
+    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa),
+                 float(tol_rel))
+    n = mesh.h.size
+    bessel = _sph_bessel(phase * mesh.h)
+    pc = phase * mesh.c
+    terms = (bessel.reshape(-1, 2, n) * np.stack((np.cos(pc), np.sin(pc)))).ravel()
+    tail = _asymptote_tail(phase, mesh.s_end, bcoef, kernel_id)
+    value = complex(mesh.weights @ terms) + sum(tail)
+    magnitude = mesh.mag @ np.abs(bessel).ravel() + sum(abs(t) for t in tail)
     return QuadratureResult(
-        value=complex(value),
-        error=float(err),
-        tail_bound=float(tail_bound),
-        s_max=float(s_end),
-        q_max=float(kappa * s_end),
-        n_panels=int(lo.size + len(terms)),
-        n_evals=int(n_evals),
-        n_tail_terms=len(terms),
-        branch=branch,
+        value=value,
+        error=float(mesh.trunc + _FLOOR[kernel_id] * magnitude),
+        tail_bound=float(mesh.remainder),
+        s_max=float(mesh.s_end),
+        q_max=float(kappa * mesh.s_end),
+        n_panels=int(n),
+        n_evals=mesh.n_evals,
+        n_tail_terms=0,
+        branch="filon",
     )

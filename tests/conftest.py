@@ -99,3 +99,14 @@ def eps_tr_oracle():
 @pytest.fixture(scope="session")
 def family_oracle():
     return mp_family
+
+
+@pytest.fixture(autouse=True)
+def _cold_mesh_cache():
+    """Every test starts without cached kernel meshes, so that budgets and
+    evaluation counts it patches or counts do not depend on test order."""
+    from fermiskin import quadrature
+
+    quadrature._mesh.cache_clear()
+    yield
+    quadrature._mesh.cache_clear()

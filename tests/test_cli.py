@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fermiskin import cli, quadrature
+from fermiskin import cli, field, quadrature
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -168,14 +168,22 @@ class TestBehavior:
         assert rows["na"][1] == 2.60e22
 
     def test_failed_point_reads_nan_in_every_column(self, capsys, monkeypatch):
-        # a 30-panel budget fails the point at 3e-5 cm and keeps the one at
-        # 1e-6 cm: the CSV prints nan in all three value columns, and the
-        # JSON, which has no NaN, null
-        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 30)
+        # the transform fails at 3e-5 cm (phase 2580) and returns at 1e-6 cm
+        # (phase 86): one mesh serves both depths, so the failure is made in
+        # the per-depth step. The CSV prints nan in all three value columns,
+        # and the JSON, which has no NaN, null
+        real = field.oscillatory_halfline
+
+        def flaky(phase, *args, **kwargs):
+            if phase > 1e3:
+                raise quadrature.QuadratureError("panel budget 20000 exhausted at error 1e-9")
+            return real(phase, *args, **kwargs)
+
+        monkeypatch.setattr(field, "oscillatory_halfline", flaky)
         argv = ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-6:3e-5:2"]
         code, out, err = run_cli(capsys, argv)
         assert code == 0
-        assert "point 1 (x = 3e-05 cm) failed: QuadratureError: panel budget 30" in err
+        assert "point 1 (x = 3e-05 cm) failed: QuadratureError: panel budget 20000" in err
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert rows[1].count("nan") == 0
         assert rows[2] == "3e-05,nan,nan,nan"
@@ -234,8 +242,9 @@ class TestBehavior:
 
     def test_runtime_imports_no_scipy(self):
         # numpy is the only runtime dependency: importing the package,
-        # running a command and taking a skin-layer field point must not
-        # load scipy
+        # running a command and taking a skin-layer field point, an ibp
+        # point and a far-zone point at eps = 0 (the Bessel table and the
+        # sine integral among them) must not load scipy
         script = (
             "import contextlib, io, json, sys\n"
             "import fermiskin\n"
@@ -247,6 +256,9 @@ class TestBehavior:
             "p = fermiskin.params_for(na, 1e-2, 1e-4)\n"
             "x = 0.05 * na.v_F / (1e-2 * na.omega_p)\n"
             "_, info = fermiskin.field_ratio_rescaled(x, p, full_output=True)\n"
+            "fermiskin.field_ratio_ibp(x, p)\n"
+            "al = fermiskin.params_for(fermiskin.get_material('al'), 1e-2, 0.0)\n"
+            "fermiskin.field_ratio_rescaled(1.6e-3, al)\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
             "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
         )

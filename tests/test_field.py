@@ -169,6 +169,25 @@ class TestRoutesAgainstFrozenReferences:
         assert abs(i - r) <= 1e-8 * abs(r)
 
 
+# the near-surface probe of the ibp bars, where the 1/x^2 prefactor undoes
+# the ibp integrand's cancellation: every point's gap to rescaled must lie
+# inside the two summed bars
+_IBP_PROBE = [
+    pytest.param(m, eps, x, id=f"{m}-{eps:g}-{x:g}")
+    for m in ("na", "au", "al")
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5)
+    for x in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9)
+]
+
+
+@pytest.mark.parametrize("material,eps,x", _IBP_PROBE)
+def test_ibp_bars_cover_the_gap_near_the_surface(material, eps, x):
+    p = params_for(get_material(material), 1e-2, eps)
+    vi, ii = field_ratio_ibp(x, p, full_output=True)
+    vr, ir = field_ratio_rescaled(x, p, full_output=True)
+    assert abs(vi - vr) <= ii.abs_err_est + ir.abs_err_est
+
+
 class TestRouteDomains:
     def test_direct_needs_collisions(self, na):
         with pytest.raises(ValueError, match="direct route needs eps > 0"):
@@ -212,12 +231,15 @@ class TestNearSurface:
     @pytest.mark.parametrize("x", [1e-310, 1e-200, 1e-30, 1e-16])
     def test_tiny_depths_match_the_surface(self, p_1em5, x):
         # depths whose phase is too small to oscillate over the structure
-        # region: no overflow, no lost structure edges, the surface value
+        # region: no overflow, no lost structure edges, and the surface
+        # value plus the slope the normalization fixes, E(x)/E'(0) =
+        # E(0)/E'(0) + x + O(x^2 / delta); the slope comes from the
+        # 1/(b s^2) wing, whose cosine transform has a kink pi |p| / (2 b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v0, i0 = field_ratio_rescaled(0.0, p_1em5, full_output=True)
             v, info = field_ratio_rescaled(x, p_1em5, full_output=True)
-        assert abs(v - v0) <= info.abs_err_est + i0.abs_err_est
+        assert abs(v - v0 - x) <= info.abs_err_est + i0.abs_err_est
 
     def test_surface_value_is_minus_skin_depth(self, p_1em5):
         # E(0)/E'(0) = -c/omega_p to within the ten-percent contract

@@ -1,4 +1,4 @@
-"""The permittivity family and the Gauss-Kronrod panels against
+"""The permittivity family and the Legendre panel fits against
 independent references.
 
 The logarithm branch is checked against mpmath's principal logarithm. The
@@ -63,16 +63,29 @@ def test_family_against_mpmath(family_oracle, which, zi):
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("kernel_id", [0])
+def test_legendre_fit_is_exact_for_degree_23():
+    # the 24 nodes are the roots of P_24, and the fit returns the Legendre
+    # coefficients of any polynomial of degree below 24
+    nodes, to_legendre = k._legendre_fit()
+    assert np.abs(np.polynomial.legendre.legval(nodes, [0] * 24 + [1])).max() < 1e-13
+    coef = np.random.default_rng(3).standard_normal((5, k.N_LEGENDRE))
+    values = np.polynomial.legendre.legval(nodes, coef.T)
+    np.testing.assert_allclose(values @ to_legendre, coef, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kernel_id", [0, 1])
 def test_panel_batch_against_quad(kernel_id):
-    na = get_material("na")
-    p = params_for(na, 1e-2, 1e-4)
+    # the fit's c_0 integrates K over each panel, and its Legendre series
+    # reproduces K inside the panel, both within the panel's truncation
+    # plus rounding, which reaches 2e-12 of (1/D)'' just past the series
+    # switch; some panels straddle the Kohn point s = 0.01
+    p = params_for(get_material("na"), 1e-2, 1e-4)
     edges = np.geomspace(1e-3, 1.0, 41)
     lo, hi = edges[:-1], edges[1:]
-    phase = 30.0
     args = (kernel_id, p.Omega, p.eps, p.b, 1.0)
-    vals, errs, n = k.panel_batch(lo, hi, phase, *args)
-    assert n == 15 * lo.size
+    coef, trunc, n = k.panel_batch(lo, hi, *args)
+    assert coef.shape == (lo.size, k.N_LEGENDRE)
+    assert n == k.N_LEGENDRE * lo.size
 
     def panel_quad(a, b):
         def part(f):
@@ -81,14 +94,19 @@ def test_panel_batch_against_quad(kernel_id):
                 return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
         def f(s):
-            return np.cos(phase * s) * k.envelope_grid(np.array([s]), *args)[0]
+            return k.envelope_grid(np.array([s]), *args)[0]
 
         return complex(part(lambda s: f(s).real), part(lambda s: f(s).imag))
 
-    for a, b, v, err in zip(lo, hi, vals, errs):
-        # the 1e-13 relative slack covers rounding where |K15 - G7| is
-        # below it
-        assert abs(v - panel_quad(a, b)) <= err + 1e-13 * abs(v), (a, b)
+    t = np.linspace(-0.95, 0.95, 7)
+    rounding = 1e-12 if kernel_id == k.KERNEL_RECIPROCAL else 1e-11
+    for a, b, c, err in zip(lo, hi, coef, trunc):
+        h = 0.5 * (b - a)
+        integral = 2.0 * h * c[0]
+        assert abs(integral - panel_quad(a, b)) <= err + 1e-13 * abs(integral), (a, b)
+        K = k.envelope_grid(0.5 * (a + b) + h * t, *args)
+        series = np.polynomial.legendre.legval(t, c)
+        assert np.all(np.abs(series - K) <= err / (2.0 * h) + rounding * np.abs(K)), (a, b)
 
 
 @pytest.mark.parametrize("kernel_id", [0, 1])
