@@ -5,7 +5,7 @@ arbitrates: QAWO for the oscillatory weight, plain QAGS for phase 0,
 spherical_jn for the Bessel table and sici for the sine integral. The
 error bar is checked against a mesh refined to 1e-15 of its largest panel
 integral, and the remainder past the mesh against the mpmath permittivity
-of conftest.
+of conftest and, over the field's parameter grid, a float form of it.
 """
 
 import itertools
@@ -231,6 +231,66 @@ def test_tail_bound_covers_the_remainder_past_s_max(material, Omega, kernel_id):
     p = params_for(get_material(material), Omega, eps)
     res = oscillatory_halfline(1.0, kernel_id, Omega, eps, p.b, 1.0)
     rest = _mp_remainder(p, kernel_id, res.s_max)
+    assert rest <= res.tail_bound <= 100.0 * rest
+    # the float remainder of the premise test below, on its grid
+    assert _remainder_integral(res.s_max, kernel_id, Omega, eps, p.b, 1.0) == pytest.approx(
+        rest, rel=1e-4)
+
+
+def _remainder_grid(s, kernel_id, Om, eps, bcoef, kappa):
+    """K - asymptote on a grid, free of cancellation: 1/D + 1/(bcoef s^2)
+    is g = eps_tr / M with M = bcoef s^2 D, and (1/D)'' + 6/(bcoef s^4) is
+    g'' by the quotient rule (M, M' and M'' each keep one sign there)."""
+    q = kappa * s
+    e = k.family_grid(q, 0, Om, eps)
+    D = e - bcoef * s * s
+    M = bcoef * s * s * D
+    if kernel_id == 0:
+        return e / M
+    e1 = kappa * k.family_grid(q, 1, Om, eps)
+    e2 = kappa * kappa * k.family_grid(q, 2, Om, eps)
+    Dp = e1 - 2.0 * bcoef * s
+    Dpp = e2 - 2.0 * bcoef
+    Mp = 2.0 * bcoef * s * D + bcoef * s * s * Dp
+    Mpp = 2.0 * bcoef * D + 4.0 * bcoef * s * Dp + bcoef * s * s * Dpp
+    return e2 / M - 2.0 * e1 * Mp / M**2 + e * (2.0 * Mp * Mp / M - Mpp) / M**2
+
+
+# the direct axis and the integrated-by-parts kernel need eps > 0
+_PREMISE_CASES = [
+    (m, Om, eps, axis, kernel_id)
+    for kernel_id, m, Om, eps, axis in itertools.product(
+        (0, 1),
+        ("na", "au", "al"),
+        (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.99),
+        (0.0, 1e-4, 1e-2),
+        ("rescaled", "direct"),
+    )
+    if eps > 0.0 or (axis == "rescaled" and kernel_id == 0)
+]
+
+
+def _remainder_integral(s_end, kernel_id, Om, eps, bcoef, kappa):
+    # trapezoid in log s over [S, 1e4 S]; what lies past 1e4 S is 1e-12
+    # of it
+    s = np.geomspace(s_end, 1e4 * s_end, 4001)
+    f = s * np.abs(_remainder_grid(s, kernel_id, Om, eps, bcoef, kappa))
+    return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(np.log(s))))
+
+
+@pytest.mark.parametrize("material,Omega,eps,axis,kernel_id", _PREMISE_CASES)
+def test_tail_bound_premise_past_s_max(material, Omega, eps, axis, kernel_id):
+    # the tail bound takes bcoef s^2 >= 1e8 |eps_tr| and |eps_tr| <= E =
+    # max(|eps_tr(S)|, 1.5) past S; sample [S, 1e4 S] on both axes of the
+    # field, and check the bound against the integral of |K - asymptote|
+    p = params_for(get_material(material), Omega, eps)
+    kappa, bcoef = (1.0, p.b) if axis == "rescaled" else (eps, p.a)
+    res = oscillatory_halfline(1.0, kernel_id, Omega, eps, bcoef, kappa)
+    s = np.geomspace(res.s_max, 1e4 * res.s_max, 4001)
+    eps_tr = np.abs(k.family_grid(kappa * s, 0, Omega, eps))
+    assert np.all(bcoef * s * s >= 1e8 * eps_tr)
+    assert np.all(eps_tr <= max(eps_tr[0], 1.5))
+    rest = _remainder_integral(res.s_max, kernel_id, Omega, eps, bcoef, kappa)
     assert rest <= res.tail_bound <= 100.0 * rest
 
 
