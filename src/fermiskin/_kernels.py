@@ -55,7 +55,7 @@ N_LEGENDRE = 24
 
 
 def _legendre(t):
-    """P_0..P_24 at the points t, one row each, by the three-term recurrence."""
+    """P_0..P_24 at t by recurrence, as legvander without numpy.polynomial's 1 MB."""
     p = np.ones((N_LEGENDRE + 1, t.size))
     p[1] = t
     for k in range(1, N_LEGENDRE):

@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="x grid in cm as min:max:n")
     p.add_argument("--method", choices=field.PROFILE_METHODS, default="rescaled")
-    p.add_argument("--tol-rel", type=float, default=1e-8)
+    p.add_argument("--tol-rel", type=float, default=1e-8, help="mesh tolerance (see README)")
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_field)
 

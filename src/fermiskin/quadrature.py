@@ -16,13 +16,15 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
 * The mesh. Panels at the structure points (_structure_edges) up to
   q_smooth, then 20 geometric panels [s, 1.585 s] out to S = 1e4 q_smooth.
   _kernels.panel_batch fits K on each panel by its Legendre interpolant
-  c_0..c_23 at 24 Gauss-Legendre nodes. A panel is bisected until its truncation 2h (|c_21| + |c_22| +
-  |c_23|) (h the half-width) is at most mesh_tol times the largest panel
-  integral |2 h c_0|, with mesh_tol = max(_FLOOR, 1e-6 tol_rel). _FLOOR is
-  the kernel's rounding level, 1e-14 for 1/D and 1e-13 for (1/D)'': the
-  noise in c_21..c_23 keeps bisection from doing better. Past
-  _PANEL_BUDGET panels the mesh raises QuadratureError. Meshes are cached
-  per (kernel, Om, zi, bcoef, kappa, tol_rel), _MESH_CACHE of them.
+  c_0..c_23 at 24 Gauss-Legendre nodes. A panel is bisected until its
+  truncation 2h (|c_21| + |c_22| + |c_23|) (h the half-width) is at most
+  mesh_tol times the largest panel integral |2 h c_0|, with mesh_tol =
+  max(_FLOOR, 1e-6 tol_rel). _FLOOR is the kernel's rounding level, 1e-14
+  for 1/D and 1e-13 for (1/D)'', below which the noise in c_21..c_23 keeps
+  bisection from going: tol_rel sets the mesh, not the accuracy of a depth,
+  which is the error bar below. Past _PANEL_BUDGET panels the mesh raises
+  QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef, kappa,
+  mesh_tol), _MESH_CACHE of them.
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
@@ -208,7 +210,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_MESH_CACHE)
 def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float,
-          tol_rel: float) -> _Mesh:
+          mesh_tol: float) -> _Mesh:
     kohn = Om / kappa
     s_peak = _s_peak(Om, zi, bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
@@ -222,7 +224,6 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float,
     # panel_batch is looked up on each call so that a wrapper installed on
     # the module sees every evaluation
     coef, trunc, n_evals = _kernels.panel_batch(lo, hi, *args)
-    mesh_tol = max(_FLOOR[kernel_id], 1e-6 * tol_rel)
     while True:
         split = trunc > mesh_tol * np.abs((hi - lo) * coef[:, 0]).max()
         if not split.any():
@@ -294,10 +295,10 @@ def oscillatory_halfline(
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
     Every phase, 0 included, is summed on the kernel's cached mesh (see the
-    module docstring); only the first call for a mesh evaluates K. The
-    integrated-by-parts kernel (1) raises ValueError at zi = 0 and below a
-    phase of 0.1 tol_rel / s_peak. A mesh that needs more than
-    _PANEL_BUDGET panels raises QuadratureError.
+    module docstring), which tol_rel sets; only the first call for a mesh
+    evaluates K. The integrated-by-parts kernel (1) raises ValueError at zi
+    = 0 and below a phase of 0.1 tol_rel / s_peak. A mesh that needs more
+    than _PANEL_BUDGET panels raises QuadratureError.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
@@ -315,8 +316,8 @@ def oscillatory_halfline(
                 f"of at least 0.1 tol_rel / s_peak = {0.1 * tol_rel / s_peak:.3g} "
                 f"(phase = {phase:g}; x = 0 has phase 0)"
             )
-    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa),
-                 float(tol_rel))
+    mesh_tol = max(_FLOOR[kernel_id], 1e-6 * tol_rel)
+    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa), mesh_tol)
     n = mesh.h.size
     bessel = _sph_bessel(phase * mesh.h)
     pc = phase * mesh.c

@@ -50,7 +50,7 @@ def _qawo(p, phase, kernel_id, *, upper=40.0):
             return quad(f, a, b, **args)[0]
 
     kohn = p.Omega
-    pts = [1e-15, kohn * (1 - 1e-13), kohn * (1 + 1e-13), 2.0, upper]
+    pts = [0.0, kohn * (1 - 1e-13), kohn * (1 + 1e-13), 2.0, upper]
     out = sum(
         complex(part(True, a, b), part(False, a, b))
         for i, (a, b) in enumerate(zip(pts[:-1], pts[1:]))
@@ -67,7 +67,7 @@ def _scipy_env(p, kernel_id):
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            lo, _ = quad(f, 1e-15, 2.0, limit=2000, epsabs=1e-18, epsrel=1e-13,
+            lo, _ = quad(f, 0.0, 2.0, limit=2000, epsabs=1e-18, epsrel=1e-13,
                          points=[p.Omega, 2 * p.Omega])
             hi, _ = quad(f, 2.0, np.inf, limit=2000, epsabs=1e-18, epsrel=1e-13)
         return lo + hi
@@ -298,12 +298,15 @@ def test_tail_bound_premise_past_s_max(material, Omega, eps, axis, kernel_id):
 @pytest.mark.parametrize("Omega", [0.5, 0.99])
 def test_near_omega_one_against_qawo(material, Omega):
     # at eps = 0 and x = 1e-6 cm near Omega = 1, where the denominator's
-    # value at s = 0, 1 - 1/Omega^2, approaches zero
+    # value at s = 0, 1 - 1/Omega^2, approaches zero: K(0) = -49 at 0.99,
+    # so QAWO from s = 1e-15 instead of 0 once missed 4.9e-14, 60 times
+    # the bar
     p = params_for(get_material(material), Omega, 0.0)
     _, info = field_ratio_rescaled(1e-6, p, full_output=True)
     res = info.quad
     ref = _qawo(p, info.phase, 0)
     assert abs(res.value - ref) <= 1e-8 * abs(ref)
+    assert abs(res.value - ref) <= res.error + res.tail_bound
     assert res.n_evals < 10_000
 
 
@@ -349,7 +352,7 @@ def test_one_mesh_serves_every_depth(na_params, monkeypatch):
         res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
         assert res.n_evals == first.n_evals == sum(calls)
     assert len(calls) == n_first
-    mesh = quadrature._mesh(0, p.Omega, p.eps, p.b, 1.0, 1e-8)
+    mesh = quadrature._mesh(0, p.Omega, p.eps, p.b, 1.0, quadrature._FLOOR[0])
     with pytest.raises(ValueError):
         mesh.weights[0] = 0.0
     assert quadrature._mesh.cache_info().maxsize == quadrature._MESH_CACHE
@@ -365,6 +368,29 @@ def test_tol_rel_below_the_rounding_floor(phase):
     tight = oscillatory_halfline(*args, tol_rel=1e-10)
     loose = oscillatory_halfline(*args, tol_rel=1e-8)
     assert abs(tight.value - loose.value) <= tight.error + loose.error
+
+
+@pytest.mark.parametrize("kernel_id,floor_tol", [(0, 1e-8), (1, 1e-7)])
+def test_tol_rel_below_the_floor_shares_its_mesh(na_params, monkeypatch, kernel_id,
+                                                 floor_tol):
+    # below the floor's tol_rel every tol_rel gives the floor's mesh: one
+    # cache entry, built once, and the same value and bar
+    p = na_params
+    calls = []
+    orig = k.panel_batch
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(k, "panel_batch", counted)
+    args = (1e3, kernel_id, p.Omega, p.eps, p.b, 1.0)
+    at_floor = oscillatory_halfline(*args, tol_rel=floor_tol)
+    n_calls = len(calls)
+    for tol in (1e-10, 1e-14):
+        assert oscillatory_halfline(*args, tol_rel=tol) == at_floor
+    assert len(calls) == n_calls
+    assert quadrature._mesh.cache_info().currsize == 1
 
 
 def test_looser_tol_rel_builds_a_coarser_mesh(na_params):
