@@ -93,7 +93,12 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--grid must be min:max:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(
+            f"--grid must be min:max:n with numeric parts, got {text!r}"
+        ) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"--grid needs finite min and max, got {text!r}")
     if not (lo < hi):
@@ -201,7 +206,7 @@ def _cmd_field(args) -> int:
     params = params_for(mat, args.Omega, args.eps)
     lo, hi, n = _parse_grid(args.grid)
     xs = np.linspace(lo, hi, n)
-    prof = field.profile(xs, params, args.method, tol_rel=args.tol_rel)
+    prof = field.profile(xs, params, args.method)
     meta = _meta_params(params)
     meta["method"] = args.method
     rows = [
@@ -405,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="x grid in cm as min:max:n")
     p.add_argument("--method", choices=field.PROFILE_METHODS, default="rescaled")
-    p.add_argument("--tol-rel", type=float, default=1e-8, help="mesh tolerance (see README)")
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_field)
 

@@ -74,7 +74,6 @@ def _field_point(
     params: PlasmaParams,
     route: str,
     kernel_id: int,
-    tol_rel: float,
 ) -> FieldPointInfo:
     if not math.isfinite(x_cm):
         raise ValueError(f"x must be finite, got {x_cm}")
@@ -100,15 +99,11 @@ def _field_point(
     else:
         raise ValueError(f"unknown route {route!r}")
     check_dispersion_roots(params)
-    quad = oscillatory_halfline(
-        phase,
-        kernel_id,
-        params.Omega,
-        params.eps,
-        bcoef,
-        kappa,
-        tol_rel=tol_rel,
-    )
+    try:
+        quad = oscillatory_halfline(phase, kernel_id, params.Omega, params.eps, bcoef,
+                                    kappa)
+    except ValueError as exc:
+        raise ValueError(f"x = {x_cm:g} cm: {exc}") from None
     scale = 2.0 * pref
     if kernel_id == KERNEL_IBP_EXACT:
         scale = -2.0 * pref / phase**2
@@ -126,11 +121,10 @@ def field_ratio_rescaled(
     x_cm: float,
     params: PlasmaParams,
     *,
-    tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
     """E(x)/E'(0) in cm via the plasma-scaled axis. Works at eps = 0."""
-    info = _field_point(x_cm, params, "rescaled", KERNEL_RECIPROCAL, tol_rel)
+    info = _field_point(x_cm, params, "rescaled", KERNEL_RECIPROCAL)
     return (info.value, info) if full_output else info.value
 
 
@@ -138,7 +132,6 @@ def field_ratio_direct(
     x_cm: float,
     params: PlasmaParams,
     *,
-    tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
     """E(x)/E'(0) in cm via the mean-free-path axis; requires eps > 0.
@@ -147,7 +140,7 @@ def field_ratio_direct(
     the two must agree to quadrature accuracy. Kept separate as a
     cross-check, not merged.
     """
-    info = _field_point(x_cm, params, "direct", KERNEL_RECIPROCAL, tol_rel)
+    info = _field_point(x_cm, params, "direct", KERNEL_RECIPROCAL)
     return (info.value, info) if full_output else info.value
 
 
@@ -155,7 +148,6 @@ def field_ratio_ibp(
     x_cm: float,
     params: PlasmaParams,
     *,
-    tol_rel: float = 1e-8,
     full_output: bool = False,
 ):
     """E(x)/E'(0) after integrating the transform by parts twice.
@@ -164,12 +156,12 @@ def field_ratio_ibp(
     reciprocal denominator; the boundary terms vanish, so the value
     agrees with the plain routes to quadrature accuracy. Needs eps > 0,
     where the second derivative has no pole on the axis, and a depth
-    whose phase is at least 0.1 tol_rel / s_peak (x = 0 and depths too
+    whose phase is at least 1e-9 / s_peak (x = 0 and depths too
     small for the 1/x^2 prefactor raise ValueError). Its error bar has the
     parts of the plain routes' (see quadrature), with a rounding floor of
     1e-13 in place of 1e-14 of the summed Legendre-term magnitudes.
     """
-    info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT, tol_rel)
+    info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT)
     return (info.value, info) if full_output else info.value
 
 
@@ -200,8 +192,6 @@ def profile(
     xs,
     params,
     method: str = "rescaled",
-    *,
-    tol_rel: float = 1e-8,
 ) -> FieldProfile:
     """Evaluate the field ratio on an array of depths.
 
@@ -238,7 +228,7 @@ def profile(
     failures: list = []
     for i, xi in enumerate(x):
         try:
-            _, info = route(float(xi), params, tol_rel=tol_rel, full_output=True)
+            _, info = route(float(xi), params, full_output=True)
         except QuadratureError as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
             continue

@@ -18,13 +18,12 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
   _kernels.panel_batch fits K on each panel by its Legendre interpolant
   c_0..c_23 at 24 Gauss-Legendre nodes. A panel is bisected until its
   truncation 2h (|c_21| + |c_22| + |c_23|) (h the half-width) is at most
-  mesh_tol times the largest panel integral |2 h c_0|, with mesh_tol =
-  max(_FLOOR, 1e-6 tol_rel). _FLOOR is the kernel's rounding level, 1e-14
-  for 1/D and 1e-13 for (1/D)'', below which the noise in c_21..c_23 keeps
-  bisection from going: tol_rel sets the mesh, not the accuracy of a depth,
-  which is the error bar below. Past _PANEL_BUDGET panels the mesh raises
-  QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef, kappa,
-  mesh_tol), _MESH_CACHE of them.
+  _FLOOR times the largest panel integral |2 h c_0|. _FLOOR is the
+  kernel's rounding level, 1e-14 for 1/D and 1e-13 for (1/D)'', below
+  which the noise in c_21..c_23 keeps bisection from going; the accuracy
+  of a depth is the error bar below. Past _PANEL_BUDGET panels the mesh
+  raises QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef,
+  kappa), _MESH_CACHE of them.
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
@@ -209,8 +208,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_MESH_CACHE)
-def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float,
-          mesh_tol: float) -> _Mesh:
+def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _Mesh:
     kohn = Om / kappa
     s_peak = _s_peak(Om, zi, bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
@@ -225,7 +223,7 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float,
     # the module sees every evaluation
     coef, trunc, n_evals = _kernels.panel_batch(lo, hi, *args)
     while True:
-        split = trunc > mesh_tol * np.abs((hi - lo) * coef[:, 0]).max()
+        split = trunc > _FLOOR[kernel_id] * np.abs((hi - lo) * coef[:, 0]).max()
         if not split.any():
             break
         if lo.size + int(split.sum()) > _PANEL_BUDGET:
@@ -288,36 +286,36 @@ def oscillatory_halfline(
     zi: float,
     bcoef: float,
     kappa: float,
-    *,
-    tol_rel: float = 1e-8,
 ) -> QuadratureResult:
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
     Every phase, 0 included, is summed on the kernel's cached mesh (see the
-    module docstring), which tol_rel sets; only the first call for a mesh
-    evaluates K. The integrated-by-parts kernel (1) raises ValueError at zi
-    = 0 and below a phase of 0.1 tol_rel / s_peak. A mesh that needs more
-    than _PANEL_BUDGET panels raises QuadratureError.
+    module docstring); only the first call for a mesh evaluates K. The
+    integrated-by-parts kernel (1) raises ValueError at zi = 0 and below a
+    phase of 1e-9 / s_peak, and every kernel raises ValueError where phase
+    times the mesh end is not finite. A mesh that needs more than
+    _PANEL_BUDGET panels raises QuadratureError.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
-    if not 0.0 < tol_rel < 1.0:
-        raise ValueError(f"tol_rel must be finite and in (0, 1), got {tol_rel}")
     phase = abs(float(phase))
     if kernel_id != KERNEL_RECIPROCAL:
         s_peak = _s_peak(Om, zi, bcoef)
-        if zi == 0.0 or phase * s_peak < 0.1 * tol_rel:
+        if zi == 0.0 or phase * s_peak < 1e-9:
             # (1/D)'' has a pole at s = kohn when zi = 0; below the threshold
             # its integral, -phase^2 times the reciprocal kernel's, sinks
             # under its own rounding floor
             raise ValueError(
                 f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase "
-                f"of at least 0.1 tol_rel / s_peak = {0.1 * tol_rel / s_peak:.3g} "
+                f"of at least 1e-9 / s_peak = {1e-9 / s_peak:.3g} "
                 f"(phase = {phase:g}; x = 0 has phase 0)"
             )
-    mesh_tol = max(_FLOOR[kernel_id], 1e-6 * tol_rel)
-    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa), mesh_tol)
+    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa))
+    if not math.isfinite(phase * mesh.s_end):
+        raise ValueError(
+            f"phase {phase:g} times the mesh end S = {mesh.s_end:.3g} is not finite"
+        )
     n = mesh.h.size
     bessel = _sph_bessel(phase * mesh.h)
     pc = phase * mesh.c

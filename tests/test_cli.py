@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from fermiskin import cli, field, quadrature
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, argv):
@@ -41,6 +43,27 @@ def check_golden(name: str, text: str, regen: bool):
     if not path.exists():
         pytest.fail(f"golden file {name} missing; run pytest --regen-golden")
     assert text == path.read_text(encoding="utf-8")
+
+
+def readme_block(section: str, lang: str) -> list[str]:
+    """The lines inside the README's ```lang fences between `## section` and
+    the next `## ` heading: the rule of the runtime-only CI job's sed."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith(f"## {section}"))
+    out, inside = [], False
+    for line in lines[start + 1:]:
+        if line.startswith("## "):
+            break
+        if inside and line == "```":
+            inside = False
+        elif not inside and line == f"```{lang}":
+            inside = True
+        elif inside:
+            out.append(line)
+    return out
+
+
+README_COMMANDS = [l for l in readme_block("Command line", "sh") if l.startswith("fermiskin ")]
 
 
 # stdout-emitting invocations
@@ -285,6 +308,25 @@ class TestBehavior:
         assert "na" in proc.stdout
 
 
+class TestReadme:
+    def test_command_block_is_found(self):
+        assert README_COMMANDS
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_command_runs(self, capsys, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, shlex.split(line)[1:])
+        assert code == 0, err
+        assert err == ""
+
+    def test_python_api_block_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        source = "\n".join(readme_block("Python API", "python"))
+        assert "profile(" in source
+        exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+        capsys.readouterr()
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -299,6 +341,8 @@ class TestExitCodes:
             # the closed form is the asymptotic subcommand, not a method
             ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
              "--method", "asymptotic"],
+            # the mesh has one tolerance, the kernel's rounding floor
+            ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3", "--tol-rel", "1e-8"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -325,6 +369,10 @@ class TestExitCodes:
              "dispersion root on contour"),
             (["field", "--Omega", "1.02", "--grid", "1e-6:2e-6:2"],
              "dispersion root on contour"),
+            (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:x"],
+             "--grid must be min:max:n with numeric parts, got '1e-5:3e-5:x'"),
+            (["asymptotic", "--Omega", "0.01", "--grid", "a:3e-5:3"],
+             "--grid must be min:max:n with numeric parts, got 'a:3e-5:3'"),
         ],
     )
     def test_module_errors_exit_1_verbatim(self, capsys, argv, fragment):
@@ -345,12 +393,9 @@ class TestExitCodes:
              "Omega must be finite and > 0, got nan"),
             (["field", "--Omega", "0.01", "--grid", "1e-5:inf:3"],
              "--grid needs finite min and max"),
-            (["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:2",
-              "--tol-rel", "nan"],
-             "tol_rel must be finite and in (0, 1), got nan"),
-            (["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:2",
-              "--tol-rel", "-1"],
-             "tol_rel must be finite and in (0, 1), got -1.0"),
+            # finite depths whose phase overflows
+            (["field", "--Omega", "1e-2", "--grid", "1e299:1e300:2"],
+             "x = 1e+299 cm: phase inf times the mesh end S = "),
             (["crossover", "--Omega", "1e-2", "--E0", "nan"],
              "E0 must be finite and > 0, got nan"),
             (["epsilon", "--Omega", "0.1", "--q", "nan"],

@@ -202,7 +202,7 @@ class TestRouteDomains:
             field_ratio_ibp(1e-5, params_for(na, 1e-2, 0.0))
 
     def test_ibp_needs_a_depth_above_the_envelope_threshold(self, p_1em4):
-        # at 1e-16 cm the phase is far below 0.1 tol_rel / s_peak; the
+        # at 1e-16 cm the phase is far below 1e-9 / s_peak; the
         # 1/x^2 prefactor once turned a -3.2e-6 cm field into -2.5e5 +- 1e6
         with pytest.raises(ValueError, match="phase of at least"):
             field_ratio_ibp(1e-16, p_1em4)
@@ -211,10 +211,18 @@ class TestRouteDomains:
         with pytest.raises(ValueError, match="x must be >= 0"):
             field_ratio_rescaled(-1e-5, p_1em4)
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf")])
-    def test_non_finite_depth_rejected(self, p_1em4, x):
-        with pytest.raises(ValueError, match="x must be finite"):
-            field_ratio_rescaled(x, p_1em4)
+    @pytest.mark.parametrize(
+        "x,fragment",
+        [(float("nan"), "x must be finite, got nan"),
+         (float("inf"), "x must be finite, got inf"),
+         # finite, but its phase overflows
+         (1e293, r"x = 1e\+293 cm: phase inf times the mesh end S = .* is not finite")],
+    )
+    def test_non_finite_depth_rejected(self, p_1em4, x, fragment):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=fragment):
+                field_ratio_rescaled(x, p_1em4)
 
     def test_rescaled_works_collisionless(self, na):
         p = params_for(na, 1e-2, 0.0)

@@ -82,7 +82,7 @@ def _reference(args, floor):
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(quadrature._FLOOR, kernel_id, floor)
         quadrature._mesh.cache_clear()
-        ref = oscillatory_halfline(*args, tol_rel=1e-12)
+        ref = oscillatory_halfline(*args)
     quadrature._mesh.cache_clear()
     return ref
 
@@ -313,7 +313,7 @@ def test_near_omega_one_against_qawo(material, Omega):
 @pytest.mark.parametrize("u", [0.03, 0.1, 0.3])
 def test_skin_layer_against_qawo(na_params, u):
     # the skin layer, u = Omega omega_p x / v_F below ~0.46: the value must
-    # meet tol_rel, not only sit inside a wide error bar
+    # be within 1e-8 of QAWO, not only sit inside a wide error bar
     p = na_params
     phase = u / p.Omega
     res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
@@ -352,55 +352,10 @@ def test_one_mesh_serves_every_depth(na_params, monkeypatch):
         res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
         assert res.n_evals == first.n_evals == sum(calls)
     assert len(calls) == n_first
-    mesh = quadrature._mesh(0, p.Omega, p.eps, p.b, 1.0, quadrature._FLOOR[0])
+    mesh = quadrature._mesh(0, p.Omega, p.eps, p.b, 1.0)
     with pytest.raises(ValueError):
         mesh.weights[0] = 0.0
     assert quadrature._mesh.cache_info().maxsize == quadrature._MESH_CACHE
-
-
-@pytest.mark.parametrize("phase", [1.0, 3.0, 5.0])
-def test_tol_rel_below_the_rounding_floor(phase):
-    # at tol_rel 1e-10 the mesh target would lie below the IBP kernel's
-    # rounding floor: the mesh stops at that floor rather than exhaust the
-    # panel budget, and the errors cover the gap to the 1e-8 result
-    p = params_for(get_material("al"), 1e-2, 1e-4)
-    args = (phase, 1, p.Omega, p.eps, p.b, 1.0)
-    tight = oscillatory_halfline(*args, tol_rel=1e-10)
-    loose = oscillatory_halfline(*args, tol_rel=1e-8)
-    assert abs(tight.value - loose.value) <= tight.error + loose.error
-
-
-@pytest.mark.parametrize("kernel_id,floor_tol", [(0, 1e-8), (1, 1e-7)])
-def test_tol_rel_below_the_floor_shares_its_mesh(na_params, monkeypatch, kernel_id,
-                                                 floor_tol):
-    # below the floor's tol_rel every tol_rel gives the floor's mesh: one
-    # cache entry, built once, and the same value and bar
-    p = na_params
-    calls = []
-    orig = k.panel_batch
-
-    def counted(*args):
-        calls.append(1)
-        return orig(*args)
-
-    monkeypatch.setattr(k, "panel_batch", counted)
-    args = (1e3, kernel_id, p.Omega, p.eps, p.b, 1.0)
-    at_floor = oscillatory_halfline(*args, tol_rel=floor_tol)
-    n_calls = len(calls)
-    for tol in (1e-10, 1e-14):
-        assert oscillatory_halfline(*args, tol_rel=tol) == at_floor
-    assert len(calls) == n_calls
-    assert quadrature._mesh.cache_info().currsize == 1
-
-
-def test_looser_tol_rel_builds_a_coarser_mesh(na_params):
-    p = na_params
-    args = (1e3, 0, p.Omega, p.eps, p.b, 1.0)
-    loose = oscillatory_halfline(*args, tol_rel=1e-4)
-    tight = oscillatory_halfline(*args)
-    assert loose.n_panels < tight.n_panels
-    assert abs(loose.value - tight.value) <= loose.error + tight.error
-    assert abs(loose.value - tight.value) <= 1e-4 * abs(tight.value)
 
 
 def test_panel_budget_exhaustion_raises(na_params, monkeypatch):
@@ -421,9 +376,6 @@ def test_parameter_validation(na_params):
         oscillatory_halfline(1.0, 0, 0.0, p.eps, p.b, 1.0)
     with pytest.raises(ValueError, match="zi >= 0"):
         oscillatory_halfline(1.0, 0, p.Omega, -1e-4, p.b, 1.0)
-    for tol in (0.0, 1.0, math.nan):
-        with pytest.raises(ValueError, match="tol_rel"):
-            oscillatory_halfline(1.0, 0, p.Omega, p.eps, p.b, 1.0, tol_rel=tol)
 
 
 @pytest.mark.parametrize("phase,zi", [(2.0, 0.0), (0.0, 1e-4)])
