@@ -23,14 +23,12 @@ from .field import (
     AsymptoticCoefficients,
     DispersionRootError,
     FieldProfile,
-    ProfileEvaluationError,
     amplitude_A,
     amplitude_B,
     asymptotic_coefficients,
     asymptotic_field,
     f_of_Omega,
     f_of_Omega_dimensional,
-    field_ratio_direct,
     field_ratio_ibp,
     field_ratio_rescaled,
     profile,
@@ -72,7 +70,6 @@ __all__ = [
     "Material",
     "NoCrossoverError",
     "PlasmaParams",
-    "ProfileEvaluationError",
     "QuadratureError",
     "QuadratureResult",
     "SeriesValue",
@@ -91,7 +88,6 @@ __all__ = [
     "f_of_Omega",
     "f_of_Omega_dimensional",
     "fermi_velocity",
-    "field_ratio_direct",
     "field_ratio_ibp",
     "field_ratio_rescaled",
     "get_material",

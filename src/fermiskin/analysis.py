@@ -80,7 +80,7 @@ class CrossoverResult:
 
 
 def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a FieldProfile or an (xs, values) pair; drop failed points."""
+    """Accept a FieldProfile or an (xs, values) pair; drop non-finite points."""
     if isinstance(profile, FieldProfile):
         x = profile.xs
         y = profile.values

@@ -70,7 +70,8 @@ def _emit_json(path, subcommand, meta, columns, rows):
         "subcommand": subcommand,
         "meta": meta,
         "columns": list(columns),
-        # a failed point's NaN has no JSON spelling; it goes out as null
+        # a kohn-scan node on the collisionless singular point reads inf or
+        # NaN, which JSON cannot spell; it goes out as null
         "rows": [[v if isinstance(v, str) else _json_number(v) for v in row] for row in rows],
     }
     if path is None:
@@ -218,8 +219,6 @@ def _cmd_field(args) -> int:
         ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
         rows, _meta_comments(meta),
     )
-    for i, msg in prof.errors:
-        print(f"point {i} (x = {_G % prof.xs[i]} cm) failed: {msg}", file=sys.stderr)
     return 0
 
 

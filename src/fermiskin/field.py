@@ -1,11 +1,11 @@
 """Electric-field profile inside the metal half-space.
 
 The normalized field E(x)/E'(0) is a half-line cosine transform of the
-reciprocal dispersion denominator. Two parametrizations of the same
-integral are provided (the mean-free-path "direct" axis and the
-plasma-scaled "rescaled" axis), plus the rescaled one integrated by
-parts, and the closed-form far-field oscillation with its amplitude
-coefficients (asymptotic_field, the one closed-form path).
+reciprocal dispersion denominator. A profile takes it on the
+plasma-scaled "rescaled" axis or integrated by parts ("ibp");
+field_ratio_direct, the same integral on the mean-free-path axis, is a
+cross-check for the tests. The closed-form far-field oscillation with
+its amplitude coefficients is asymptotic_field, the one closed-form path.
 
 Time enters as exp(-i omega t), as in permittivity; np.conj of a field
 value gives the mirror convention exp(+i omega t).
@@ -24,18 +24,14 @@ import numpy as np
 from ._kernels import KERNEL_IBP_EXACT, KERNEL_RECIPROCAL
 from .constants import SPEED_OF_LIGHT
 from .materials import Material, PlasmaParams
-from .quadrature import QuadratureError, QuadratureResult, oscillatory_halfline
+from .quadrature import QuadratureResult, oscillatory_halfline
 
 
 class DispersionRootError(RuntimeError):
     """The dispersion denominator vanishes on the integration contour."""
 
 
-class ProfileEvaluationError(RuntimeError):
-    """No point of a requested profile could be evaluated."""
-
-
-PROFILE_METHODS = ("direct", "rescaled", "ibp")
+PROFILE_METHODS = ("rescaled", "ibp")
 
 def check_dispersion_roots(params: PlasmaParams) -> None:
     """Raise DispersionRootError if the denominator has a real-axis zero.
@@ -80,7 +76,8 @@ def _field_point(
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
     mat = params.material
-    x_scaled = mat.omega_p * x_cm / mat.v_F
+    # omega_p * x alone overflows from about 2e292 cm
+    x_scaled = x_cm * (mat.omega_p / mat.v_F)
     if route == "rescaled":
         kappa = 1.0
         bcoef = params.b
@@ -170,9 +167,7 @@ class FieldProfile:
     """Field ratio sampled on a strictly increasing depth grid.
 
     values is complex E(x)/E'(0) in cm; abs_err the per-point error
-    estimate; diagnostics the per-point quadrature records (None where
-    failed); errors the (index, message) list of failed points, which
-    keep NaN in values rather than being dropped.
+    estimate; diagnostics the per-point quadrature records.
     """
 
     xs: np.ndarray
@@ -181,11 +176,6 @@ class FieldProfile:
     params: PlasmaParams
     method: str
     diagnostics: list
-    errors: list
-
-    @property
-    def ok(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 def profile(
@@ -196,11 +186,11 @@ def profile(
     """Evaluate the field ratio on an array of depths.
 
     params is a PlasmaParams (see params_for). method is one of
-    PROFILE_METHODS (direct / rescaled / ibp). The closed form is
+    PROFILE_METHODS (rescaled / ibp). The closed form is
     asymptotic_field. Depths must be strictly increasing.
-    Per-point quadrature failures are collected in .errors with NaN left
-    in .values; only a profile with no successful point at all raises
-    ProfileEvaluationError.
+    Every depth is summed on the same cached mesh, so a profile returns
+    every depth or raises: QuadratureError if the mesh exceeds its panel
+    budget, ValueError naming the first depth outside the route's domain.
     """
     if not isinstance(params, PlasmaParams):
         raise TypeError(
@@ -217,36 +207,15 @@ def profile(
 
     # looked up here, not at import, so that a wrapper installed on the
     # module sees every point
-    route = {
-        "direct": field_ratio_direct,
-        "rescaled": field_ratio_rescaled,
-        "ibp": field_ratio_ibp,
-    }[method]
-    vals = np.full(x.shape, complex(np.nan, np.nan))
-    errs = np.full(x.shape, np.nan)
-    diags: list = [None] * x.size
-    failures: list = []
-    for i, xi in enumerate(x):
-        try:
-            _, info = route(float(xi), params, full_output=True)
-        except QuadratureError as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-            continue
-        vals[i] = info.value
-        errs[i] = info.abs_err_est
-        diags[i] = info.quad
-    if failures and len(failures) == x.size:
-        raise ProfileEvaluationError(
-            f"all {x.size} profile points failed; first: {failures[0][1]}"
-        )
+    route = {"rescaled": field_ratio_rescaled, "ibp": field_ratio_ibp}[method]
+    infos = [route(float(xi), params, full_output=True)[1] for xi in x]
     return FieldProfile(
         xs=x,
-        values=vals,
-        abs_err=errs,
+        values=np.array([info.value for info in infos]),
+        abs_err=np.array([info.abs_err_est for info in infos]),
         params=params,
         method=method,
-        diagnostics=diags,
-        errors=failures,
+        diagnostics=[info.quad for info in infos],
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
 
@@ -57,18 +57,15 @@ class Material:
 
     omega_p and v_F must stay consistent with n_e through the
     free-electron formulas; this is enforced on construction so a config
-    file cannot smuggle in a contradictory parameter set. Pass
-    check=False only to build deliberately fictitious materials (for
-    scaling studies); the flag is not stored.
+    file cannot smuggle in a contradictory parameter set.
     """
 
     name: str
     n_e: float
     omega_p: float
     v_F: float
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         for label, value in (("n_e", self.n_e), ("omega_p", self.omega_p),
                              ("v_F", self.v_F)):
             if not 0.0 < value < math.inf:
@@ -81,8 +78,6 @@ class Material:
                 f"material {self.name!r}: v_F = {self.v_F:g} cm/s is not "
                 "nonrelativistic (v_F < c required)"
             )
-        if not check:
-            return
         for label, stored, derived in (
             ("omega_p", self.omega_p, plasma_frequency(self.n_e)),
             ("v_F", self.v_F, fermi_velocity(self.n_e)),

@@ -106,38 +106,29 @@ class SeriesValue(NamedTuple):
     error_bound: float
 
 
-def small_q_series(
-    q: float,
-    Omega: float,
-    eps: float = 0.0,
-    n_terms: int = N_SERIES_TERMS,
-) -> SeriesValue:
+def small_q_series(q: float, Omega: float, eps: float = 0.0) -> SeriesValue:
     """Expansion of eps_tr in powers of (q/z)^2, with a truncation bound.
 
-    Valid for |q| < |z| (divergent outside, rejected); q = 0 is fine and
-    returns the leading term 1 - 1/(Omega z). The bound is the magnitude
-    of the last retained term: a true remainder bound once |q/z| < 1/2
-    and plain bookkeeping closer to the edge.
+    The N_SERIES_TERMS-term sum that eps_tr itself takes below its series
+    switch. Valid for |q| < |z| (divergent outside, rejected); q = 0 is
+    fine and returns the leading term 1 - 1/(Omega z). The bound is the
+    magnitude of the last retained term: a true remainder bound once
+    |q/z| < 1/2 and plain bookkeeping closer to the edge.
     """
     _validate(Omega, eps)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
     z = complex(Omega, eps)
     w = q / z
     if abs(w) >= 1.0:
         raise ValueError(
             f"series diverges for |q| >= |z|; got |q/z| = {abs(w):.3g}"
         )
-    w2 = w * w
-    pref = 3.0 / (Omega * z)
-    acc = 0.0 + 0.0j
-    for m in range(n_terms - 1, -1, -1):
-        acc = acc * w2 + 1.0 / ((2 * m + 1) * (2 * m + 3))
-    last = n_terms - 1
-    bound = abs(pref) * abs(w2) ** last / ((2 * last + 1) * (2 * last + 3))
-    return SeriesValue(1.0 - pref * acc, bound)
+    qs = np.array([float(q)])
+    value = complex(_kernels._series(0, qs, (qs / z) ** 2, Omega, z)[0])
+    bound = (abs(3.0 / (Omega * z)) * abs(w) ** (2 * N_SERIES_TERMS - 2)
+             * _kernels.SERIES_COEF[-1])
+    return SeriesValue(value, float(bound))
 
 
 @dataclass(frozen=True)

@@ -292,10 +292,11 @@ def oscillatory_halfline(
 
     Every phase, 0 included, is summed on the kernel's cached mesh (see the
     module docstring); only the first call for a mesh evaluates K. The
-    integrated-by-parts kernel (1) raises ValueError at zi = 0 and below a
-    phase of 1e-9 / s_peak, and every kernel raises ValueError where phase
-    times the mesh end is not finite. A mesh that needs more than
-    _PANEL_BUDGET panels raises QuadratureError.
+    integrated-by-parts kernel (1) raises ValueError at zi = 0, below a
+    phase of 1e-9 / s_peak and where the phase squared is not finite, and
+    every kernel raises ValueError where phase times the mesh end is not
+    finite. A mesh that needs more than _PANEL_BUDGET panels raises
+    QuadratureError.
     """
     if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
         raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
@@ -316,6 +317,9 @@ def oscillatory_halfline(
         raise ValueError(
             f"phase {phase:g} times the mesh end S = {mesh.s_end:.3g} is not finite"
         )
+    if kernel_id != KERNEL_RECIPROCAL and not math.isfinite(phase * phase):
+        # the asymptote's tail of (1/D)'' carries phase^2
+        raise ValueError(f"integrated-by-parts kernel: phase {phase:g} squared is not finite")
     n = mesh.h.size
     bessel = _sph_bessel(phase * mesh.h)
     pc = phase * mesh.c

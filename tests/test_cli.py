@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fermiskin import cli, field, quadrature
+from fermiskin import cli, quadrature
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -190,35 +190,32 @@ class TestBehavior:
         assert rows["cs"][1] == 0.91e22
         assert rows["na"][1] == 2.60e22
 
-    def test_failed_point_reads_nan_in_every_column(self, capsys, monkeypatch):
-        # the transform fails at 3e-5 cm (phase 2580) and returns at 1e-6 cm
-        # (phase 86): one mesh serves both depths, so the failure is made in
-        # the per-depth step. The CSV prints nan in all three value columns,
-        # and the JSON, which has no NaN, null
-        real = field.oscillatory_halfline
-
-        def flaky(phase, *args, **kwargs):
-            if phase > 1e3:
-                raise quadrature.QuadratureError("panel budget 20000 exhausted at error 1e-9")
-            return real(phase, *args, **kwargs)
-
-        monkeypatch.setattr(field, "oscillatory_halfline", flaky)
-        argv = ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-6:3e-5:2"]
-        code, out, err = run_cli(capsys, argv)
+    def test_non_finite_value_reads_null_in_json(self, capsys):
+        # q = Omega = 0.08 is a node of the final zoom at eps = 0, where
+        # |d eps/dq| is not finite: the CSV prints nan, and the JSON, which
+        # has no NaN, null
+        argv = ["kohn-scan", "--Omega", "0.08", "--eps", "0", "--grid", "0.06:0.1:11"]
+        code, out, _ = run_cli(capsys, argv)
         assert code == 0
-        assert "point 1 (x = 3e-05 cm) failed: QuadratureError: panel budget 20000" in err
-        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-        assert rows[1].count("nan") == 0
-        assert rows[2] == "3e-05,nan,nan,nan"
+        assert "0.08,nan" in out.splitlines()
 
         def no_constants(name):
             raise ValueError(f"{name} is not JSON")
 
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == 0
-        ok, failed = json.loads(out, parse_constant=no_constants)["rows"]
-        assert None not in ok
-        assert failed == [3e-5, None, None, None]
+        assert [0.08, None] in json.loads(out, parse_constant=no_constants)["rows"]
+
+    def test_mesh_failure_exits_1(self, capsys, monkeypatch):
+        # every depth shares one mesh: a mesh past its panel budget fails the
+        # whole profile with the quadrature's message, and no rows are written
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 10)
+        argv = ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-6:3e-5:2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("panel budget 10 exhausted at error ")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_output_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "eps.csv"
@@ -341,6 +338,9 @@ class TestExitCodes:
             # the closed form is the asymptotic subcommand, not a method
             ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
              "--method", "asymptotic"],
+            # the direct axis is a cross-check in the tests, not a method
+            ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:3",
+             "--method", "direct"],
             # the mesh has one tolerance, the kernel's rounding floor
             ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3", "--tol-rel", "1e-8"],
         ],
@@ -395,7 +395,7 @@ class TestExitCodes:
              "--grid needs finite min and max"),
             # finite depths whose phase overflows
             (["field", "--Omega", "1e-2", "--grid", "1e299:1e300:2"],
-             "x = 1e+299 cm: phase inf times the mesh end S = "),
+             "x = 1e+299 cm: phase 8.60079e+306 times the mesh end S = "),
             (["crossover", "--Omega", "1e-2", "--E0", "nan"],
              "E0 must be finite and > 0, got nan"),
             (["epsilon", "--Omega", "0.1", "--q", "nan"],

@@ -4,12 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-import fermiskin.field as field_mod
+from fermiskin import _kernels, quadrature
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import (
     DispersionRootError,
     FieldProfile,
-    ProfileEvaluationError,
     amplitude_A,
     amplitude_B,
     asymptotic_coefficients,
@@ -112,9 +111,10 @@ class TestDispersionDenominator:
             field_ratio_rescaled(1e-6, p)
 
     def test_root_check_trips_on_soft_stiffness(self):
-        # a fictitious material with v_F near c; the crossing comes from
+        # a fictitious density with v_F = 0.9 c; the crossing comes from
         # Omega >= 1, where D(0) = 1 - 1/Omega^2 is no longer negative
-        fict = Material("fict", 1e22, 1.4e15, 0.9 * SPEED_OF_LIGHT, check=False)
+        fict = Material.from_density("fict", 4.3e29)
+        assert fict.v_F == pytest.approx(0.9 * SPEED_OF_LIGHT, rel=1e-2)
         p = params_for(fict, 2.0, 0.0)
         with pytest.raises(DispersionRootError, match="dispersion root on contour"):
             check_dispersion_roots(p)
@@ -215,14 +215,34 @@ class TestRouteDomains:
         "x,fragment",
         [(float("nan"), "x must be finite, got nan"),
          (float("inf"), "x must be finite, got inf"),
-         # finite, but its phase overflows
-         (1e293, r"x = 1e\+293 cm: phase inf times the mesh end S = .* is not finite")],
+         # finite, but its phase times the mesh end overflows
+         (1e298, r"x = 1e\+298 cm: phase 8.6\d*e\+305 times the mesh end S = .* "
+                 "is not finite")],
     )
     def test_non_finite_depth_rejected(self, p_1em4, x, fragment):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=fragment):
                 field_ratio_rescaled(x, p_1em4)
+
+    @pytest.mark.parametrize("x", [1e150, 1e290])
+    def test_ibp_phase_squared_must_be_finite(self, p_1em4, x):
+        # the tail of (1/D)'' carries phase^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="phase .* squared is not finite") as exc:
+                field_ratio_ibp(x, p_1em4)
+        assert str(exc.value).startswith(f"x = {x:g} cm: integrated-by-parts kernel")
+
+    # the phase is x times omega_p / v_F, so it stays finite up to about
+    # 5e297 cm for Na, and its square for the ibp kernel up to about 1.6e146 cm
+    @pytest.mark.parametrize("route,x", [(field_ratio_rescaled, 1e297),
+                                         (field_ratio_ibp, 1e140)])
+    def test_huge_depths_below_the_overflow_return(self, p_1em4, route, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, info = route(x, p_1em4, full_output=True)
+        assert np.isfinite(v) and np.isfinite(info.abs_err_est)
 
     def test_rescaled_works_collisionless(self, na):
         p = params_for(na, 1e-2, 0.0)
@@ -437,11 +457,10 @@ class TestProfile:
         xs = np.array([1e-5, 2e-5, 3e-5])
         prof = profile(xs, p_1em4, "rescaled")
         assert isinstance(prof, FieldProfile)
-        for x, v in zip(xs, prof.values):
-            assert v == field_ratio_rescaled(float(x), p_1em4)
-        assert prof.ok.all()
+        for x, v, e, d in zip(xs, prof.values, prof.abs_err, prof.diagnostics):
+            value, info = field_ratio_rescaled(float(x), p_1em4, full_output=True)
+            assert (v, e, d) == (value, info.abs_err_est, info.quad)
         assert prof.method == "rescaled"
-        assert not prof.errors
 
     def test_params_must_be_plasma_params(self, na):
         with pytest.raises(TypeError, match="params_for"):
@@ -454,30 +473,25 @@ class TestProfile:
             profile([2e-5, 1e-5], p_1em4)
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "magic")
+        # the direct axis is a cross-check (field_ratio_direct), not a method
+        with pytest.raises(ValueError, match="unknown method"):
+            profile([1e-5], p_1em4, "direct")
         # the closed form is asymptotic_field, not a profile method
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "asymptotic")
 
-    def test_partial_failure_is_collected(self, p_1em4, monkeypatch):
-        real = field_ratio_rescaled
+    def test_mesh_failure_raises_once(self, p_1em4, monkeypatch):
+        # every depth shares one mesh, so a mesh past its panel budget fails
+        # the profile at its first depth, after one kernel batch
+        calls = []
+        real = _kernels.panel_batch
 
-        def flaky(x_cm, params, **kw):
-            if x_cm == 2e-5:
-                raise QuadratureError("synthetic failure")
-            return real(x_cm, params, **kw)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(field_mod, "field_ratio_rescaled", flaky)
-        prof = profile([1e-5, 2e-5, 3e-5], p_1em4, "rescaled")
-        assert len(prof.errors) == 1
-        assert prof.errors[0][0] == 1
-        assert "synthetic failure" in prof.errors[0][1]
-        assert np.isnan(prof.values[1])
-        assert prof.ok.tolist() == [True, False, True]
-
-    def test_total_failure_raises(self, p_1em4, monkeypatch):
-        def broken(x_cm, params, **kw):
-            raise QuadratureError("synthetic failure")
-
-        monkeypatch.setattr(field_mod, "field_ratio_rescaled", broken)
-        with pytest.raises(ProfileEvaluationError, match="all 2 profile points"):
-            profile([1e-5, 2e-5], p_1em4, "rescaled")
+        monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 10)
+        monkeypatch.setattr(_kernels, "panel_batch", counted)
+        with pytest.raises(QuadratureError, match="panel budget 10 exhausted"):
+            profile([1e-5, 2e-5, 3e-5, 4e-5], p_1em4, "rescaled")
+        assert len(calls) == 1
