@@ -63,6 +63,20 @@ def _legendre(t):
     return p
 
 
+def _gauss_legendre(t, n, steps):
+    """Nodes of the n-point Gauss-Legendre rule by Newton's method on P_n
+    from the estimates t, and their weights 2 / ((1 - t^2) P_n'(t)^2), with
+    P_n' taken at the last step's start: they need one step more than the
+    nodes."""
+    for _ in range(steps):
+        p0, p1 = 1.0, t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        dp = n * (t * p1 - p0) / (t * t - 1.0)
+        t = t - p1 / dp
+    return t, 2.0 / ((1.0 - t * t) * dp * dp)
+
+
 @functools.cache
 def _legendre_fit():
     """The 24 Gauss-Legendre nodes, ascending, and the matrix that takes
@@ -79,11 +93,7 @@ def _legendre_fit():
     not matmul, whose BLAS buffers would add 0.3 MB to the process.
     """
     t = -np.cos(np.pi * (np.arange(N_LEGENDRE) + 0.75) / (N_LEGENDRE + 0.5))
-    for _ in range(6):
-        p = _legendre(t)
-        dp = N_LEGENDRE * (t * p[-1] - p[-2]) / (t * t - 1.0)
-        t = t - p[-1] / dp
-    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    t, w = _gauss_legendre(t, N_LEGENDRE, 6)
     v = _legendre(t)[:-1]
     m = (v * w * (np.arange(N_LEGENDRE) + 0.5)[:, None]).T
     m += np.einsum("ij,jk->ik", m, np.eye(N_LEGENDRE) - np.einsum("ij,jk->ik", v, m))

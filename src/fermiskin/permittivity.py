@@ -7,10 +7,11 @@ meets the Fermi-surface edge; the seed of the spatial oscillations
 computed downstream).
 
 All evaluators accept scalars or array-likes in q and return matching
-shapes. Omega and eps are scalars by design: one frequency point per
-call keeps the branch bookkeeping trivial. Time enters as
-exp(-i omega t), so z = Omega + i eps; np.conj of any value gives the
-mirror convention exp(+i omega t).
+shapes. They raise ValueError for a q that is not finite, is zero, or
+lies past _q_max, where the closed forms would overflow. Omega and eps
+are scalars by design: one frequency point per call keeps the branch
+bookkeeping trivial. Time enters as exp(-i omega t), so z = Omega + i
+eps; np.conj of any value gives the mirror convention exp(+i omega t).
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ def _validate(Omega: float, eps: float) -> None:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
-def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
+def _q_max(which: int, Omega: float) -> float:
+    # the closed form of member `which` forms 4 Omega |q|^p (p = 3, 4, 5,
+    # and 3 for the pole pair) and its logarithm q^2, which overflow past this
+    p = (3, 4, 5, 3)[which]
+    return min(1e150, 10.0 ** ((300.0 - math.log10(4.0 * Omega)) / p))
+
+
+def _check_domain(arr: np.ndarray, Omega: float, eps: float, which: int) -> None:
     bad = arr[~np.isfinite(arr)]
     if bad.size:
         raise ValueError(f"q must be finite, got {bad.flat[0]}")
@@ -45,12 +53,18 @@ def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
         raise ValueError(
             f"|q| = Omega = {Omega:g} is the collisionless singular point"
         )
+    q_max = _q_max(which, Omega)
+    big = arr[np.abs(arr) > q_max]
+    if big.size:
+        raise ValueError(
+            f"q = {big.flat[0]:g} is past |q| = {q_max:.3g}, where the closed form overflows"
+        )
 
 
 def _eval(q, which: int, Omega: float, eps: float):
     _validate(Omega, eps)
     arr = np.asarray(q, dtype=np.float64)
-    _check_domain(arr, Omega, eps)
+    _check_domain(arr, Omega, eps, which)
     out = _kernels.family_grid(arr.ravel(), which, Omega, eps)
     if arr.ndim == 0:
         return complex(out[0])
@@ -171,6 +185,11 @@ def kohn_scan(
         raise ValueError(f"n_points must be >= 10, got {n_points}")
     if not (0.0 < q_min < q_max):
         raise ValueError("need 0 < q_min < q_max")
+    limit = _q_max(1, Omega)
+    if q_max > limit:
+        raise ValueError(
+            f"q_max = {q_max:g} is past |q| = {limit:.3g}, where the closed form overflows"
+        )
 
     grid = np.linspace(q_min, q_max, n_points)
     step = (q_max - q_min) / (n_points - 1)

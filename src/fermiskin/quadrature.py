@@ -28,7 +28,10 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
   h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). The spherical Bessel
-  functions come from one table per call (_sph_bessel).
+  functions of all panels come from one table per call (_sph_bessel), in
+  closed form: that integral by a 56-point Gauss-Legendre rule below
+  phase h = 40, the finite Hankel sum of j_k from there on, each one
+  matrix product over the panels, within 6e-16 of j_k.
 * Past S, K is replaced by its asymptote -1/(bcoef s^2) (or -6/(bcoef s^4)
   for (1/D)''), whose cosine integral is closed form in the sine integral.
 
@@ -68,6 +71,10 @@ _MESH_CACHE = 32
 _MACH_EPS = float(np.finfo(np.float64).eps)
 # the sign of cos(x + k pi/2) against cos(x) for even k, sin(x) for odd k
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0] * (N_LEGENDRE // 4))
+# _sph_bessel: a Gauss-Legendre sum below _HANKEL_FROM, the Hankel sum above
+_GAUSS_NODES = 56
+_HANKEL_FROM = 40.0
+_POWERS = np.arange(1, N_LEGENDRE + 1)[:, None]
 
 
 class QuadratureError(RuntimeError):
@@ -120,38 +127,50 @@ def _si_complement(x: float) -> float:
     return math.sin(x) * h.real - math.cos(x) * h.imag
 
 
-def _sph_bessel(w: np.ndarray) -> np.ndarray:
-    """j_k(w), k < N_LEGENDRE, for ascending w >= 0: row k of the result.
+@functools.cache
+def _bessel_constants():
+    """The fixed matrices of _sph_bessel, built on first use: the positive
+    nodes t_i of the _GAUSS_NODES-point Gauss-Legendre rule (Newton from
+    Tricomi's estimates; four steps take the weights to rounding), the rows
+    (-1)^(k//2) W_i P_k(t_i) for even and for odd k (W_i the weights), and
+    the coefficients of (1/w)^(m+1) cos(w) (rows k) and (1/w)^(m+1) sin(w)
+    (rows N_LEGENDRE + k) in the Hankel sum of j_k(w), column m."""
+    t = np.cos(np.pi * (np.arange(_GAUSS_NODES // 2) + 0.75) / (_GAUSS_NODES + 0.5))
+    t, w = _kernels._gauss_legendre(t, _GAUSS_NODES, 4)
+    # (-1)^(k//2) is i^-k for even k and i^(1-k) for odd k
+    sign = np.array([1.0, 1.0, -1.0, -1.0] * (N_LEGENDRE // 4))[:, None]
+    rows = _kernels._legendre(t)[:-1] * w * sign
+    k, m = np.ogrid[:N_LEGENDRE, :N_LEGENDRE]
+    # a_km = (k+m)! / (m! (k-m)! 2^m), zero past m = k
+    step = (k + m + 1) * (k - m) / (2.0 * (m + 1))
+    a = np.cumprod(np.hstack((np.ones((N_LEGENDRE, 1)), step[:, :-1])), axis=1)
+    # (-i)^(k+1) i^m e^(iw) has the real part cos(w + p pi/2), p = m - k - 1
+    p = (m - k - 1) % 4
+    hankel = np.vstack((np.where(p % 2, 0.0, (1 - p) * a), np.where(p % 2, (p - 2) * a, 0.0)))
+    return tuple(map(_frozen, (t, rows[0::2], rows[1::2], hankel)))
 
-    Forward recurrence j_(k+1) = (2k + 1)/w j_k - j_(k-1), stable where
-    w >= N_LEGENDRE exceeds every k. Below, the ratios r_k = j_k / j_(k-1)
-    by the backward recurrence r_k = w / (2k + 1 - w r_(k+1)) from
-    r = 0 at k = N_LEGENDRE + 8 + w (measured: 1e-15 relative at every k),
-    scaled to the closed forms of j_0 and j_1 by least squares, which
-    never both vanish.
+
+def _sph_bessel(w: np.ndarray) -> np.ndarray:
+    """j_k(w), k < N_LEGENDRE, for a 1-d array of w >= 0: row k of the result.
+
+    Below w = _HANKEL_FROM, the Gauss-Legendre sum of
+    2 i^k j_k(w) = int_{-1}^{1} P_k(t) e^(iwt) dt on the positive nodes:
+    cos(w t) for even k, sin(w t) for odd k. From there on, the finite
+    Hankel sum
+    j_k(w) = Re[(-i)^(k+1) e^(iw)/w sum_{m<=k} (k+m)!/(m!(k-m)!) (i/2w)^m]
+    in powers of 1/w. Each side is one matrix product over all its w.
+    Absolute error at most 6e-16 against mpmath on [0, 2e3]: the Gauss rule
+    loses digits above w = 40, the Hankel sum to cancellation below it.
     """
-    n = N_LEGENDRE
-    out = np.empty((n, w.size))
-    m = int(np.searchsorted(w, float(n)))
-    if m < w.size:
-        x, t = w[m:], out[:, m:]
-        t[0] = np.sin(x) / x
-        t[1] = (t[0] - np.cos(x)) / x
-        for k in range(1, n - 1):
-            t[k + 1] = (2 * k + 1) / x * t[k] - t[k - 1]
-    if m:
-        x, g = w[:m], out[:, :m]
-        r = np.zeros(m)
-        for k in range(n + 8 + int(x[-1]), 0, -1):
-            r = x / (2 * k + 1 - x * r)
-            if k < n:
-                g[k] = r
-        g[0] = 1.0
-        np.cumprod(g, axis=0, out=g)  # j_k / j_0
-        j0 = np.sinc(x / math.pi)
-        xs = np.maximum(x, 1e-4)
-        j1 = np.where(x < 1e-4, x / 3.0 * (1.0 - 0.1 * x * x), (j0 - np.cos(x)) / xs)
-        g *= (j0 + j1 * g[1]) / (1.0 + g[1] * g[1])
+    nodes, even, odd, hankel = _bessel_constants()
+    out = np.empty((N_LEGENDRE, w.size))
+    near = w < _HANKEL_FROM
+    x = np.multiply.outer(nodes, w[near])
+    out[0::2, near] = even @ np.cos(x)
+    out[1::2, near] = odd @ np.sin(x)
+    x = w[~near]
+    r = hankel @ (1.0 / x) ** _POWERS
+    out[:, ~near] = np.cos(x) * r[:N_LEGENDRE] + np.sin(x) * r[N_LEGENDRE:]
     return out
 
 
@@ -323,7 +342,7 @@ def oscillatory_halfline(
     n = mesh.h.size
     bessel = _sph_bessel(phase * mesh.h)
     pc = phase * mesh.c
-    terms = (bessel.reshape(-1, 2, n) * np.stack((np.cos(pc), np.sin(pc)))).ravel()
+    terms = (bessel.reshape(-1, 2, n) * np.array((np.cos(pc), np.sin(pc)))).ravel()
     tail = _asymptote_tail(phase, mesh.s_end, bcoef, kernel_id)
     value = complex(mesh.weights @ terms) + sum(tail)
     magnitude = mesh.mag @ np.abs(bessel).ravel() + sum(abs(t) for t in tail)

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,26 @@ class TestDomain:
             d_eps_dq(-0.1, 0.1, 0.0)
         # finite collisionality rounds it off
         assert np.isfinite(d_eps_dq(0.1, 0.1, 1e-3))
+
+    @pytest.mark.parametrize("call", [eps_tr, d_eps_dq, d2_eps_dq2, d2_eps_near_singularity])
+    @pytest.mark.parametrize("Omega,eps", [(0.1, 0.01), (1e-4, 0.0), (0.99, 1e-4), (10.0, 0.1)])
+    def test_overflowing_wavevector_rejected(self, call, Omega, eps):
+        # the closed forms overflow to NaN from |q| of about 8e102, 1.5e77 and
+        # 4.5e61 (eps_tr, d_eps_dq, d2_eps_dq2 at Omega = 0.1); up to the limit every
+        # value is finite without a numpy warning, past it q is named
+        which = (eps_tr, d_eps_dq, d2_eps_dq2, d2_eps_near_singularity).index(call)
+        q_max = permittivity._q_max(which, Omega)
+        assert 1e59 < q_max <= 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(call(np.array([q_max, -q_max]), Omega, eps)))
+            for q in (1.001 * q_max, -1e200, 1e300):
+                with pytest.raises(ValueError, match=re.escape(f"q = {q:g} is past |q| = ")):
+                    call(np.array([1.0, q]), Omega, eps)
+
+    def test_overflowing_scan_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("q_max = 1e+200 is past |q| = 1.26e+75")):
+            kohn_scan(0.1, 0.01, 0.05, 1e200, 50)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

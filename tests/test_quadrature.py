@@ -95,11 +95,42 @@ def _reference(args, floor):
     ids=["zero", "tiny", "grid"],
 )
 def test_bessel_table_against_scipy(w):
-    # forward recurrence at w >= 24, backward ratios below, and the zeros
-    # of j_0 and j_1, where scaling to a single closed form would fail
+    # the Gauss sum below w = 40 and the Hankel sum above, near zero and
+    # at the zeros of j_0 and j_1
     got = quadrature._sph_bessel(w)
     want = np.array([spherical_jn(n, w) for n in range(k.N_LEGENDRE)])
     assert np.all(np.abs(got - want) <= 4e-15 + 1e-12 * np.abs(want))
+
+
+def _mp_sph_bessel(w):
+    # j_k(w) = sqrt(pi / (2 w)) J_(k+1/2)(w), at 40 digits
+    if w == 0.0:
+        return [1.0] + [0.0] * (k.N_LEGENDRE - 1)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(w)
+        f = mpmath.sqrt(mpmath.pi / (2 * x))
+        return [float(f * mpmath.besselj(n + mpmath.mpf(0.5), x)) for n in range(k.N_LEGENDRE)]
+
+
+def test_bessel_table_against_mpmath():
+    # both sides of the split at w = 40, the zeros of j_0 (n pi) and of j_1
+    # (tan w = w) on either side of it, and w out to 2e3; in a shuffled
+    # order, since the table takes any 1-d array
+    with mpmath.workdps(40):
+        j1_zeros = [float(mpmath.findroot(lambda x: mpmath.tan(x) - x, (n + 0.5) * mpmath.pi
+                                          - 1 / ((n + 0.5) * mpmath.pi)))
+                    for n in (1, 2, 7, 12, 13, 600)]
+    w = np.concatenate((
+        [0.0, 1e-300, 1e-10, 1e-4],
+        np.geomspace(1e-3, 2e3, 120),
+        np.linspace(39.5, 40.5, 11), [np.nextafter(quadrature._HANKEL_FROM, 0.0)],
+        np.pi * np.array([1, 2, 12, 13, 600]), j1_zeros,
+    ))
+    w = np.random.default_rng(5).permutation(w)
+    got = quadrature._sph_bessel(w)
+    want = np.array([_mp_sph_bessel(x) for x in w]).T
+    err = np.abs(got - want)
+    assert err.max() <= 1e-15, (w[err.max(axis=0).argmax()], err.max())
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.9, 4.0, 4.1, 10.0, 1e3, 1e6])
