@@ -155,8 +155,8 @@ def field_ratio_ibp(
     where the second derivative has no pole on the axis, and a depth
     whose phase is at least 1e-9 / s_peak (x = 0 and depths too
     small for the 1/x^2 prefactor raise ValueError). Its error bar has the
-    parts of the plain routes' (see quadrature), with a rounding floor of
-    1e-13 in place of 1e-14 of the summed Legendre-term magnitudes.
+    parts of the plain routes' (see quadrature), with the same rounding
+    floor of 1e-14 of the summed Legendre-term magnitudes.
     """
     info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT)
     return (info.value, info) if full_output else info.value

@@ -18,12 +18,12 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
   _kernels.panel_batch fits K on each panel by its Legendre interpolant
   c_0..c_23 at 24 Gauss-Legendre nodes. A panel is bisected until its
   truncation 2h (|c_21| + |c_22| + |c_23|) (h the half-width) is at most
-  _FLOOR times the largest panel integral |2 h c_0|. _FLOOR is the
-  kernel's rounding level, 1e-14 for 1/D and 1e-13 for (1/D)'', below
-  which the noise in c_21..c_23 keeps bisection from going; the accuracy
-  of a depth is the error bar below. Past _PANEL_BUDGET panels the mesh
-  raises QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef,
-  kappa), _MESH_CACHE of them.
+  _FLOOR times the largest panel integral |2 h c_0|. _FLOOR = 1e-14 is
+  the rounding level of both kernels, below which the noise in
+  c_21..c_23 keeps bisection from going; the accuracy of a depth is the
+  error bar below. Past _PANEL_BUDGET panels the mesh raises
+  QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef, kappa),
+  _MESH_CACHE of them.
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
@@ -64,9 +64,9 @@ _PANEL_BUDGET = 20000
 # panels [s, 1.585 s]
 _S_END = 1e4
 _N_GRADED = 20
-# each kernel's rounding level per unit of panel magnitude: the mesh is
+# the kernels' rounding level per unit of panel magnitude: the mesh is
 # refined down to it, and the error carries it
-_FLOOR = {KERNEL_RECIPROCAL: 1e-14, _kernels.KERNEL_IBP_EXACT: 1e-13}
+_FLOOR = 1e-14
 _MESH_CACHE = 32
 _MACH_EPS = float(np.finfo(np.float64).eps)
 # the sign of cos(x + k pi/2) against cos(x) for even k, sin(x) for odd k
@@ -181,9 +181,6 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
     pts.append(0.5 * kohn)
     pts.append(kohn)
     pts.append(2.0 * kohn)
-    # the permittivity switches from its series to its closed form here,
-    # with a jump of up to 1e-13 that a panel's fit must not straddle
-    pts.append(_kernels.SERIES_SWITCH * abs(complex(kohn * kappa, zi)) / kappa)
     # resolve the collision-broadened layer around the singular wavevector
     w = max(zi, 1e-9) / kappa
     for f in (1.0, 3.0, 10.0, 30.0, 100.0):
@@ -242,7 +239,7 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     # the module sees every evaluation
     coef, trunc, n_evals = _kernels.panel_batch(lo, hi, *args)
     while True:
-        split = trunc > _FLOOR[kernel_id] * np.abs((hi - lo) * coef[:, 0]).max()
+        split = trunc > _FLOOR * np.abs((hi - lo) * coef[:, 0]).max()
         if not split.any():
             break
         if lo.size + int(split.sum()) > _PANEL_BUDGET:
@@ -348,7 +345,7 @@ def oscillatory_halfline(
     magnitude = mesh.mag @ np.abs(bessel).ravel() + sum(abs(t) for t in tail)
     return QuadratureResult(
         value=value,
-        error=float(mesh.trunc + _FLOOR[kernel_id] * magnitude),
+        error=float(mesh.trunc + _FLOOR * magnitude),
         tail_bound=float(mesh.remainder),
         s_max=float(mesh.s_end),
         q_max=float(kappa * mesh.s_end),

@@ -56,11 +56,24 @@ def test_log_branch_against_mpmath(zi):
 @pytest.mark.parametrize("zi", [1e-4, 0.0, -1e-4])
 def test_family_against_mpmath(family_oracle, which, zi):
     # the closed form's cancellation just above the series switch
-    # (|q| = 0.1 |z|) sets the worst case, about 2.4e-10 for d2
+    # (|q| = 0.4 |z|) sets the worst case, about 1e-13 for d2
     im_sign = 1 if zi >= 0 else -1
     got = k.family_grid(QGRID, which, 0.1, abs(zi), im_sign)
     want = np.array([family_oracle(q, which, 0.1, abs(zi), im_sign) for q in QGRID])
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("Om,zi", [(0.1, 0.01), (1e-2, 1e-4), (1e-4, 0.0)])
+def test_pole_pair_to_rounding(family_oracle, Om, zi):
+    # the pole pair has one exact form at every q, with no cancellation at
+    # either end: |q/z| from 1e-6 to 1e6, both signs, through the poles
+    z = abs(complex(Om, zi))
+    r = np.concatenate((np.geomspace(1e-6, 1e6, 61), [0.4, 0.99, 1.01]))
+    q = np.concatenate((-r[::-1], r)) * z
+    q = q[np.abs(q) != Om]
+    got = k.family_grid(q, 3, Om, zi)
+    want = np.array([family_oracle(x, 3, Om, zi) for x in q])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_legendre_fit_is_exact_for_degree_23():

@@ -78,9 +78,8 @@ def _scipy_env(p, kernel_id):
 def _reference(args, floor):
     """The same integral on a mesh refined to `floor` of its largest
     panel integral."""
-    kernel_id = args[1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(quadrature._FLOOR, kernel_id, floor)
+        mp.setattr(quadrature, "_FLOOR", floor)
         quadrature._mesh.cache_clear()
         ref = oscillatory_halfline(*args)
     quadrature._mesh.cache_clear()
@@ -212,9 +211,8 @@ def test_phase_zero_against_qags(na_params):
     assert abs(res.value - ref) <= 1e-7 * abs(ref)
 
 
-# the error bar against a 1e-15 mesh (1e-14 for the integrated-by-parts
-# kernel, whose rounding keeps finer meshes no better) over the skin, mid
-# and far zones
+# the error bar against a 1e-15 mesh, ten times finer than the production
+# floor, over the skin, mid and far zones
 _BAR_CASES = [
     (m, Om, eps, u, kid)
     for m, Om, eps, u, kid in itertools.product(
@@ -229,7 +227,7 @@ def test_error_bar_covers_a_finer_mesh(material, Omega, eps, u, kernel_id):
     p = params_for(get_material(material), Omega, eps)
     args = (u / Omega, kernel_id, Omega, eps, p.b, 1.0)
     res = oscillatory_halfline(*args)
-    ref = _reference(args, 1e-15 if kernel_id == 0 else 1e-14)
+    ref = _reference(args, 1e-15)
     assert abs(res.value - ref.value) <= res.error + res.tail_bound
 
 
