@@ -5,99 +5,46 @@ gas, the oscillatory integral giving the field profile below the metal
 surface, the closed-form inverse-square tail that follows from the
 permittivity-derivative singularity, and the depth where that tail
 overtakes the exponential skin law.
-"""
 
-from .analysis import (
-    AnalysisError,
-    CrossoverResult,
-    FitResult,
-    NoCrossoverError,
-    WavelengthEstimate,
-    crossover,
-    envelope_fit,
-    near_surface_fit,
-    wavelength_extract,
-)
-from .constants import SPEED_OF_LIGHT
-from .field import (
-    AsymptoticCoefficients,
-    DispersionRootError,
-    FieldProfile,
-    amplitude_A,
-    amplitude_B,
-    asymptotic_coefficients,
-    asymptotic_field,
-    f_of_Omega,
-    f_of_Omega_dimensional,
-    field_ratio_ibp,
-    field_ratio_rescaled,
-    profile,
-)
-from .materials import (
-    BUILTIN_MATERIALS,
-    Material,
-    PlasmaParams,
-    fermi_velocity,
-    get_material,
-    load_materials_file,
-    params_for,
-    plasma_frequency,
-    to_dimensionless,
-)
-from .permittivity import (
-    KohnScanResult,
-    SeriesValue,
-    d2_eps_dq2,
-    d2_eps_near_singularity,
-    d_eps_dq,
-    eps_tr,
-    kohn_scan,
-    small_q_series,
-)
-from .quadrature import QuadratureError, QuadratureResult
+Each export is imported from its submodule on first access (PEP 562), so
+a process that takes field points never loads the analysis, the
+permittivity evaluators or the command line.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "AsymptoticCoefficients",
-    "BUILTIN_MATERIALS",
-    "CrossoverResult",
-    "DispersionRootError",
-    "FieldProfile",
-    "FitResult",
-    "KohnScanResult",
-    "Material",
-    "NoCrossoverError",
-    "PlasmaParams",
-    "QuadratureError",
-    "QuadratureResult",
-    "SeriesValue",
-    "SPEED_OF_LIGHT",
-    "WavelengthEstimate",
-    "amplitude_A",
-    "amplitude_B",
-    "asymptotic_coefficients",
-    "asymptotic_field",
-    "crossover",
-    "d2_eps_dq2",
-    "d2_eps_near_singularity",
-    "d_eps_dq",
-    "envelope_fit",
-    "eps_tr",
-    "f_of_Omega",
-    "f_of_Omega_dimensional",
-    "fermi_velocity",
-    "field_ratio_ibp",
-    "field_ratio_rescaled",
-    "get_material",
-    "kohn_scan",
-    "load_materials_file",
-    "near_surface_fit",
-    "params_for",
-    "plasma_frequency",
-    "profile",
-    "small_q_series",
-    "to_dimensionless",
-    "wavelength_extract",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "analysis": ("AnalysisError", "CrossoverResult", "FitResult", "NoCrossoverError",
+                 "WavelengthEstimate", "crossover", "envelope_fit", "near_surface_fit",
+                 "wavelength_extract"),
+    "constants": ("SPEED_OF_LIGHT",),
+    "field": ("AsymptoticCoefficients", "DispersionRootError", "FieldProfile", "amplitude_A",
+              "amplitude_B", "asymptotic_coefficients", "asymptotic_field", "f_of_Omega",
+              "f_of_Omega_dimensional", "field_ratio_ibp", "field_ratio_rescaled", "profile"),
+    "materials": ("BUILTIN_MATERIALS", "Material", "PlasmaParams", "fermi_velocity",
+                  "get_material", "load_materials_file", "params_for", "plasma_frequency",
+                  "to_dimensionless"),
+    "permittivity": ("KohnScanResult", "SeriesValue", "d2_eps_dq2", "d2_eps_near_singularity",
+                     "d_eps_dq", "eps_tr", "kohn_scan", "small_q_series"),
+    "quadrature": ("QuadratureError", "QuadratureResult"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import binds the submodule here; __import__, unlike
+    # importlib.import_module, shows in -X importtime
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,7 +14,7 @@ profiles use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class NoCrossoverError(AnalysisError):
     """The oscillatory tail exceeds the exponential at every depth."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares line through extracted points.
 
     window is the depth interval (cm) actually used; n_points the
@@ -55,8 +54,7 @@ class FitResult:
     n_points: int
 
 
-@dataclass(frozen=True)
-class WavelengthEstimate:
+class WavelengthEstimate(NamedTuple):
     """Oscillation wavelength from zero-crossing spacing.
 
     wavelength is twice the mean crossing spacing; std is twice the
@@ -70,8 +68,7 @@ class WavelengthEstimate:
     crossings: np.ndarray
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(NamedTuple):
     x_star: float
     bracket: tuple[float, float]
     g_residual: float

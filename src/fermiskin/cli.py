@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -65,6 +64,8 @@ def _json_number(v):
 
 
 def _emit_json(path, subcommand, meta, columns, rows):
+    import json
+
     doc = {
         "generated": _timestamp(),
         "subcommand": subcommand,
@@ -350,6 +351,8 @@ def _cmd_figures(args) -> int:
             "g_residual": res.g_residual,
             "iterations": res.iterations,
         }
+        import json
+
         with open(_sidecar_path(out), "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")

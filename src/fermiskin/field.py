@@ -17,7 +17,7 @@ those values are in cm too, while E(x)/E(0) is dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def check_dispersion_roots(params: PlasmaParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FieldPointInfo:
+class FieldPointInfo(NamedTuple):
     value: complex
     abs_err_est: float
     phase: float
@@ -162,8 +161,7 @@ def field_ratio_ibp(
     return (info.value, info) if full_output else info.value
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(NamedTuple):
     """Field ratio sampled on a strictly increasing depth grid.
 
     values is complex E(x)/E'(0) in cm; abs_err the per-point error
@@ -282,8 +280,7 @@ def amplitude_B(Omega: float, material: Material, E0: float = 1.0) -> float:
     return material.omega_p / SPEED_OF_LIGHT * amplitude_A(Omega, material) * E0
 
 
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
+class AsymptoticCoefficients(NamedTuple):
     A: float
     B: float
     f_Omega: float

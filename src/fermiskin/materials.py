@@ -9,7 +9,6 @@ formulas. A regime is the material plus the dimensionless pair
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -118,6 +117,8 @@ def load_materials_file(path: str) -> dict[str, Material]:
     exist to pin serialized values, not to override the physics).
     Unknown keys are rejected.
     """
+    import json
+
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):

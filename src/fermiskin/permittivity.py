@@ -17,7 +17,6 @@ eps; np.conj of any value gives the mirror convention exp(+i omega t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -132,8 +131,7 @@ def small_q_series(q: float, Omega: float, eps: float = 0.0) -> SeriesValue:
     return SeriesValue(value, float(bound))
 
 
-@dataclass(frozen=True)
-class KohnScanResult:
+class KohnScanResult(NamedTuple):
     """Outcome of the derivative-singularity scan.
 
     q_star is the grid point of largest |d eps_tr/dq| after refinement,
@@ -163,7 +161,9 @@ def kohn_scan(
     A uniform scan over [q_min, q_max] is followed by _SCAN_ROUNDS = 3
     zoom stages, each shrinking the step by _SCAN_REFINE = 10 with
     2*_SCAN_REFINE + 1 nodes around the running argmax, which resolves
-    the peak to a thousandth of the initial spacing. Note that at finite
+    the peak to a thousandth of the initial spacing. A round whose largest
+    sample sits on an end node of its grid has not bracketed the peak, and
+    raises ValueError naming that node and the step. Note that at finite
     eps the peak of the broadened modulus sits a fraction of eps above
     Omega, so the resolution worth asking for is bounded by eps itself.
     """
@@ -186,6 +186,11 @@ def kohn_scan(
             raise ValueError("every sample hit the singularity; change the grid")
         masked = np.where(ok, vals, -np.inf)
         i = int(np.argmax(masked))
+        if i in (0, grid.size - 1):
+            raise ValueError(
+                f"|d eps_tr/dq| is largest at the end node q = {grid[i]:g} of a grid "
+                f"of step {step:g}: the peak is not bracketed; widen the grid"
+            )
         center = float(grid[i])
         best = float(vals[i])
         if r < _SCAN_ROUNDS:

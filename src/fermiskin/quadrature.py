@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +80,7 @@ class QuadratureError(RuntimeError):
     """The integral could not be brought within budget."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: complex
     error: float  # Legendre truncation plus rounding
     tail_bound: float  # |K - asymptote| integrated past s_max
@@ -151,9 +149,10 @@ def _bessel_constants():
 
 
 def _sph_bessel(w: np.ndarray) -> np.ndarray:
-    """j_k(w), k < N_LEGENDRE, for a 1-d array of w >= 0: row k of the result.
+    """j_k(w), k < N_LEGENDRE, for an ascending 1-d array of w >= 0: row k of
+    the result.
 
-    Below w = _HANKEL_FROM, the Gauss-Legendre sum of
+    Below w = _HANKEL_FROM, a prefix of w, the Gauss-Legendre sum of
     2 i^k j_k(w) = int_{-1}^{1} P_k(t) e^(iwt) dt on the positive nodes:
     cos(w t) for even k, sin(w t) for odd k. From there on, the finite
     Hankel sum
@@ -164,14 +163,23 @@ def _sph_bessel(w: np.ndarray) -> np.ndarray:
     """
     nodes, even, odd, hankel = _bessel_constants()
     out = np.empty((N_LEGENDRE, w.size))
-    near = w < _HANKEL_FROM
-    x = np.multiply.outer(nodes, w[near])
-    out[0::2, near] = even @ np.cos(x)
-    out[1::2, near] = odd @ np.sin(x)
-    x = w[~near]
-    r = hankel @ (1.0 / x) ** _POWERS
-    out[:, ~near] = np.cos(x) * r[:N_LEGENDRE] + np.sin(x) * r[N_LEGENDRE:]
+    m = int(np.searchsorted(w, _HANKEL_FROM))
+    if m:
+        x = np.multiply.outer(nodes, w[:m])
+        out[0::2, :m] = even @ np.cos(x)
+        out[1::2, :m] = odd @ np.sin(x)
+    if m < w.size:
+        x = w[m:]
+        r = hankel @ (1.0 / x) ** _POWERS
+        out[:, m:] = np.cos(x) * r[:N_LEGENDRE] + np.sin(x) * r[N_LEGENDRE:]
     return out
+
+
+def _ascending_distinct(a: np.ndarray, gap: float = 0.0) -> np.ndarray:
+    """a sorted, keeping each value that exceeds the one before it by more
+    than gap: np.unique at gap = 0, without the numpy.ma it loads."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], np.diff(a) > gap))]
 
 
 def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end: float):
@@ -190,9 +198,7 @@ def _structure_edges(kohn: float, s_peak: float, zi: float, kappa: float, a_end:
         pts.append(kohn * (1.0 - r))
         pts.append(kohn * (1.0 + r))
     arr = np.array([p for p in pts if 0.0 <= p <= a_end], dtype=np.float64)
-    arr = np.unique(arr)
-    keep = np.concatenate(([True], np.diff(arr) > 1e-15 * a_end))
-    return arr[keep]
+    return _ascending_distinct(arr, 1e-15 * a_end)
 
 
 def _s_peak(Om: float, zi: float, bcoef: float) -> float:
@@ -229,10 +235,10 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     s_peak = _s_peak(Om, zi, bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
     s_end = _S_END * q_smooth
-    edges = np.union1d(
+    edges = _ascending_distinct(np.concatenate((
         _structure_edges(kohn, s_peak, zi, kappa, q_smooth),
         np.geomspace(q_smooth, s_end, _N_GRADED + 1),
-    )
+    )))
     lo, hi = edges[:-1], edges[1:]
     args = (kernel_id, Om, zi, bcoef, kappa)
     # panel_batch is looked up on each call so that a wrapper installed on

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -305,6 +306,69 @@ class TestBehavior:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_start_up_footprint(self, tmp_path):
+        # a fresh process that takes a rescaled point loads neither numpy.ma
+        # (np.unique imports it on first call), json, nor the submodules the
+        # point does not run; a field command loads no numpy.ma either; every
+        # export resolves on first access, star import included
+        script = (
+            "import contextlib, io, sys\n"
+            "import fermiskin\n"
+            "p = fermiskin.params_for(fermiskin.get_material('na'), 1e-2, 1e-4)\n"
+            "fermiskin.field_ratio_rescaled(1e-5, p)\n"
+            "unwanted = ['numpy.ma', 'json', 'fermiskin.analysis', 'fermiskin.permittivity',\n"
+            "            'fermiskin.cli']\n"
+            "print(sorted(set(unwanted) & set(sys.modules)))\n"
+            "from fermiskin import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['field', '--Omega', '1e-2', '--eps', '1e-4',\n"
+            "                     '--grid', '1e-6:1e-5:4']) == 0\n"
+            "print(sorted({'numpy.ma'} & set(sys.modules)))\n"
+            "names = {}\n"
+            "exec('from fermiskin import *', names)\n"
+            "print(sorted(set(fermiskin.__all__) - set(names)))\n"
+            "print(sorted(set(fermiskin.__all__) - set(dir(fermiskin))))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]"] * 4
+
+    def test_exports(self):
+        import fermiskin
+
+        assert len(fermiskin.__all__) == 41
+        for name in fermiskin.__all__:
+            assert getattr(fermiskin, name) is not None, name
+        with pytest.raises(AttributeError, match="no attribute 'field_ratio_direct'"):
+            fermiskin.field_ratio_direct
+
+    # the field lists of the result records, as they were as dataclasses
+    RECORD_FIELDS = {
+        "quadrature.QuadratureResult": ["value", "error", "tail_bound", "s_max", "q_max",
+                                        "n_panels", "n_evals", "n_tail_terms", "branch"],
+        "field.FieldPointInfo": ["value", "abs_err_est", "phase", "quad"],
+        "field.FieldProfile": ["xs", "values", "abs_err", "params", "method", "diagnostics"],
+        "field.AsymptoticCoefficients": ["A", "B", "f_Omega", "wavenumber"],
+        "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
+        "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
+        "analysis.CrossoverResult": ["x_star", "bracket", "g_residual", "branch",
+                                     "iterations"],
+        "permittivity.KohnScanResult": ["q_star", "max_abs_derivative", "refined_step",
+                                        "grid", "values", "n_skipped"],
+    }
+
+    @pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
+    def test_record_fields(self, path):
+        module, name = path.split(".")
+        record = getattr(importlib.import_module(f"fermiskin.{module}"), name)
+        assert list(record._fields) == self.RECORD_FIELDS[path]
 
     @pytest.mark.skipif(
         shutil.which("fermiskin") is None,

@@ -289,11 +289,13 @@ class TestDomain:
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-305), (got, want)
 
     def test_scan_to_a_huge_q_max(self):
-        # the first grid steps by 2e198, so q_min is its only node near the
-        # peak and stays the argmax through every zoom; no sample overflows
-        res = kohn_scan(0.1, 0.01, 0.05, 1e200, 50)
-        assert res.q_star == 0.05
-        assert np.all(np.isfinite(res.values))
+        # the first grid steps by 2e198, so its largest sample is the end node
+        # q_min and the peak at 0.1 is never bracketed; no sample overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"end node q = 0\.05 of a grid of step "
+                                                 r"2\.04082e\+198: the peak is not bracketed"):
+                kohn_scan(0.1, 0.01, 0.05, 1e200, 50)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -346,6 +348,13 @@ class TestKohnScan:
         assert res.refined_step == pytest.approx(0.01 / 10**6, rel=1e-12)
         assert abs(res.q_star - 0.1) < 1e-5
         assert res.values.shape == res.grid.shape
+
+    @pytest.mark.parametrize("q_min,q_max,end", [(0.12, 0.4, "0.12"), (0.02, 0.09, "0.09")])
+    def test_unbracketed_peak_raises(self, q_min, q_max, end):
+        # the peak at Omega = 0.1 lies outside the grid, so the largest sample
+        # is the end node nearest to it
+        with pytest.raises(ValueError, match=f"end node q = {end} of a grid of step"):
+            kohn_scan(0.1, 1e-4, q_min, q_max, 50)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_points"):

@@ -113,8 +113,8 @@ def _mp_sph_bessel(w):
 
 def test_bessel_table_against_mpmath():
     # both sides of the split at w = 40, the zeros of j_0 (n pi) and of j_1
-    # (tan w = w) on either side of it, and w out to 2e3; in a shuffled
-    # order, since the table takes any 1-d array
+    # (tan w = w) on either side of it, and w out to 2e3, ascending as the
+    # table requires (the Gauss side is the prefix below w = 40)
     with mpmath.workdps(40):
         j1_zeros = [float(mpmath.findroot(lambda x: mpmath.tan(x) - x, (n + 0.5) * mpmath.pi
                                           - 1 / ((n + 0.5) * mpmath.pi)))
@@ -125,11 +125,50 @@ def test_bessel_table_against_mpmath():
         np.linspace(39.5, 40.5, 11), [np.nextafter(quadrature._HANKEL_FROM, 0.0)],
         np.pi * np.array([1, 2, 12, 13, 600]), j1_zeros,
     ))
-    w = np.random.default_rng(5).permutation(w)
+    w = np.sort(w)
     got = quadrature._sph_bessel(w)
     want = np.array([_mp_sph_bessel(x) for x in w]).T
     err = np.abs(got - want)
     assert err.max() <= 1e-15, (w[err.max(axis=0).argmax()], err.max())
+
+
+def _distinct_by_unique(a, gap=0.0):
+    # the edge removal as np.unique (np.union1d of two arrays is np.unique
+    # of their concatenation) followed by the gap mask
+    u = np.unique(a)
+    return u[np.concatenate(([True], np.diff(u) > gap))]
+
+
+@pytest.mark.parametrize("kernel_id", [k.KERNEL_RECIPROCAL, k.KERNEL_IBP_EXACT])
+def test_mesh_edges_match_union1d(monkeypatch, kernel_id):
+    # the mesh removes duplicate edges with a sort and one adjacent-difference
+    # mask, not np.unique or np.union1d (which load numpy.ma): over a grid of
+    # plasmas, the first edges and the whole mesh are bit-identical
+    def build(distinct, p):
+        first = []
+        batch = k.panel_batch
+
+        def recorded(lo, hi, *args):
+            if not first:
+                first.append(np.append(lo, hi[-1]))
+            return batch(lo, hi, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_ascending_distinct", distinct)
+            mp.setattr(k, "panel_batch", recorded)
+            mesh = quadrature._mesh.__wrapped__(kernel_id, p.Omega, p.eps, p.b, 1.0)
+        return first[0], mesh
+
+    for name, Omega, eps in itertools.product(("na", "au", "al"), (1e-4, 1e-2, 0.5),
+                                              (0.0, 1e-4, 1e-2)):
+        if kernel_id == k.KERNEL_IBP_EXACT and eps == 0.0:
+            continue
+        p = params_for(get_material(name), Omega, eps)
+        edges, mesh = build(quadrature._ascending_distinct, p)
+        want_edges, want = build(_distinct_by_unique, p)
+        assert np.array_equal(edges, want_edges), (name, Omega, eps)
+        for got_field, want_field in zip(mesh, want):
+            assert np.array_equal(got_field, want_field), (name, Omega, eps)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 3.9, 4.0, 4.1, 10.0, 1e3, 1e6])
