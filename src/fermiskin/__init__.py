@@ -8,7 +8,7 @@ overtakes the exponential skin law.
 
 Each export is imported from its submodule on first access (PEP 562), so
 a process that takes field points never loads the analysis, the
-permittivity evaluators or the command line.
+permittivity evaluators, the closed-form far field or the command line.
 """
 
 __version__ = "0.1.0"
@@ -18,10 +18,12 @@ _EXPORTS = {
     "analysis": ("AnalysisError", "CrossoverResult", "FitResult", "NoCrossoverError",
                  "WavelengthEstimate", "crossover", "envelope_fit", "near_surface_fit",
                  "wavelength_extract"),
+    "asymptotic": ("AsymptoticCoefficients", "amplitude_A", "amplitude_B",
+                   "asymptotic_coefficients", "asymptotic_field", "f_of_Omega",
+                   "f_of_Omega_dimensional"),
     "constants": ("SPEED_OF_LIGHT",),
-    "field": ("AsymptoticCoefficients", "DispersionRootError", "FieldProfile", "amplitude_A",
-              "amplitude_B", "asymptotic_coefficients", "asymptotic_field", "f_of_Omega",
-              "f_of_Omega_dimensional", "field_ratio_ibp", "field_ratio_rescaled", "profile"),
+    "field": ("DispersionRootError", "FieldProfile", "field_ratio_ibp", "field_ratio_rescaled",
+              "profile"),
     "materials": ("BUILTIN_MATERIALS", "Material", "PlasmaParams", "fermi_velocity",
                   "get_material", "load_materials_file", "params_for", "plasma_frequency",
                   "to_dimensionless"),

@@ -8,7 +8,8 @@ permanently overtakes the near-surface exponential.
 
 Extractors accept either a FieldProfile or a plain (xs, values) pair,
 so synthetic signals can be fed through the same code path the real
-profiles use.
+profiles use. A FieldProfile is told apart by its xs attribute, so the
+crossover solver runs without importing field and its quadrature.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .asymptotic import amplitude_B
 from .constants import SPEED_OF_LIGHT
-from .field import FieldProfile, amplitude_B
 from .materials import Material
 
 # fewest refined peaks, sign changes and near-surface samples a fit accepts
@@ -78,7 +79,7 @@ class CrossoverResult(NamedTuple):
 
 def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
     """Accept a FieldProfile or an (xs, values) pair; drop non-finite points."""
-    if isinstance(profile, FieldProfile):
+    if hasattr(profile, "xs"):
         x = profile.xs
         y = profile.values
     else:
@@ -213,7 +214,7 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
     """
     x, y = _coerce_profile(profile)
     if delta is None:
-        if isinstance(profile, FieldProfile):
+        if hasattr(profile, "xs"):
             delta = profile.params.delta
         else:
             raise ValueError("delta must be given for synthetic input")

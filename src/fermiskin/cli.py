@@ -4,6 +4,9 @@ Data payloads are deterministic for fixed inputs; the only run-specific
 item is an ISO-8601 timestamp carried in a leading comment line (CSV)
 or a "generated" field (JSON). Exit codes: 0 success, 2 usage errors,
 1 computation errors with the originating module's message verbatim.
+
+Each subcommand imports the modules it runs (numpy among them) in its
+body, so `materials` loads no numpy and `asymptotic` no quadrature.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import analysis, field, permittivity
 from .constants import SPEED_OF_LIGHT
 from .materials import (
     MATERIALS_ENV_VAR,
@@ -27,14 +27,6 @@ from .materials import (
 )
 
 _G = "%.12g"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _G % float(v)
 
 
 def _timestamp() -> str:
@@ -48,8 +40,8 @@ def _emit_csv(path, columns, rows, comments=()):
             fh.write(f"# {line}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        # rows hold str, int and Python float cells (.tolist() of arrays)
+        w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
 
     if path is None:
         write(sys.stdout)
@@ -108,6 +100,12 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if n < 2:
         raise ValueError(f"--grid needs n >= 2, got {n}")
     return lo, hi, n
+
+
+def _linspace(text: str):
+    import numpy as np
+
+    return np.linspace(*_parse_grid(text))
 
 
 def _material(args) -> Material:
@@ -174,22 +172,21 @@ def _cmd_materials(args) -> int:
 def _cmd_epsilon(args) -> int:
     if (args.q is None) == (args.grid is None):
         raise ValueError("epsilon needs exactly one of --q or --grid")
-    if args.q is not None:
-        qs = np.asarray([args.q])
-    else:
-        lo, hi, n = _parse_grid(args.grid)
-        qs = np.linspace(lo, hi, n)
+    from . import permittivity
+
+    qs = [args.q] if args.grid is None else _linspace(args.grid).tolist()
     vals = permittivity.eps_tr(qs, args.Omega, args.eps)
     meta = {"Omega": args.Omega, "eps": args.eps}
-    rows = [[q, v.real, v.imag] for q, v in zip(qs, np.atleast_1d(vals))]
+    rows = zip(qs, vals.real.tolist(), vals.imag.tolist())
     _emit(args, "epsilon", meta, ["q", "re_eps_tr", "im_eps_tr"], rows,
           _meta_comments(meta))
     return 0
 
 
 def _cmd_kohn_scan(args) -> int:
-    lo, hi, n = _parse_grid(args.grid)
-    res = permittivity.kohn_scan(args.Omega, args.eps, lo, hi, n)
+    from . import permittivity
+
+    res = permittivity.kohn_scan(args.Omega, args.eps, *_parse_grid(args.grid))
     meta = {
         "Omega": args.Omega,
         "eps": args.eps,
@@ -198,23 +195,21 @@ def _cmd_kohn_scan(args) -> int:
         "refined_step": res.refined_step,
         "n_skipped": res.n_skipped,
     }
-    rows = [[q, v] for q, v in zip(res.grid, res.values)]
+    rows = zip(res.grid.tolist(), res.values.tolist())
     _emit(args, "kohn-scan", meta, ["q", "abs_d_eps_dq"], rows, _meta_comments(meta))
     return 0
 
 
 def _cmd_field(args) -> int:
+    from . import field
+
     mat = _material(args)
     params = params_for(mat, args.Omega, args.eps)
-    lo, hi, n = _parse_grid(args.grid)
-    xs = np.linspace(lo, hi, n)
-    prof = field.profile(xs, params, args.method)
+    prof = field.profile(_linspace(args.grid), params, args.method)
     meta = _meta_params(params)
     meta["method"] = args.method
-    rows = [
-        [x, v.real, v.imag, e]
-        for x, v, e in zip(prof.xs, prof.values, prof.abs_err)
-    ]
+    rows = zip(prof.xs.tolist(), prof.values.real.tolist(), prof.values.imag.tolist(),
+               prof.abs_err.tolist())
     _emit(
         args, "field", meta,
         ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
@@ -224,8 +219,10 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
+    from . import asymptotic
+
     mat = _material(args)
-    coef = field.asymptotic_coefficients(args.Omega, mat)
+    coef = asymptotic.asymptotic_coefficients(args.Omega, mat)
     meta = {
         "material": mat.name,
         "Omega": args.Omega,
@@ -241,11 +238,10 @@ def _cmd_asymptotic(args) -> int:
         _emit(args, "asymptotic", meta, columns, rows,
               [f"material = {mat.name}"])
         return 0
-    lo, hi, n = _parse_grid(args.grid)
-    xs = np.linspace(lo, hi, n)
-    vals = field.asymptotic_field(xs, args.Omega, mat,
-                                  normalization=args.normalization)
-    rows = [[x, v, 0.0, 0.0] for x, v in zip(xs, vals)]
+    xs = _linspace(args.grid)
+    vals = asymptotic.asymptotic_field(xs, args.Omega, mat,
+                                       normalization=args.normalization)
+    rows = ([x, v, 0.0, 0.0] for x, v in zip(xs.tolist(), vals.tolist()))
     _emit(
         args, "asymptotic", meta,
         ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
@@ -255,6 +251,8 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from . import analysis
+
     mat = _material(args)
     res = analysis.crossover(args.Omega, mat, args.E0)
     meta = {
@@ -292,9 +290,13 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _cmd_figures(args) -> int:
+    import numpy as np
+
     fig = args.fig
     out = args.output or f"fig{fig}.csv"
     if fig == 1:
+        from . import permittivity
+
         lo, hi, n = 0.02, 0.2, 500
         qs = np.linspace(lo, hi, n)
         cols = ["q"]
@@ -308,9 +310,10 @@ def _cmd_figures(args) -> int:
             data.append(vals)
             comments.append(f"q_star(Omega = {Om:g}) = {_G % scan.q_star}")
         comments.insert(0, f"eps = {args.eps:g}")
-        rows = list(zip(*data))
-        _emit_csv(out, cols, rows, comments)
+        _emit_csv(out, cols, zip(*(d.tolist() for d in data)), comments)
     elif fig in _FIG_PROFILE:
+        from . import asymptotic
+
         x_lo, x_hi, n, comment, curves = _FIG_PROFILE[fig]
         xs = np.linspace(x_lo, x_hi, n)
         cols = ["x_cm"]
@@ -318,20 +321,21 @@ def _cmd_figures(args) -> int:
         for col, name, Om in curves:
             mat = get_material(name, args.config)
             cols.append(col)
-            data.append(field.asymptotic_field(xs, Om, mat))
-        _emit_csv(out, cols, list(zip(*data)), [comment])
+            data.append(asymptotic.asymptotic_field(xs, Om, mat))
+        _emit_csv(out, cols, zip(*(d.tolist() for d in data)), [comment])
     else:
+        from . import analysis, asymptotic
+
         Om = _FIG_CROSSOVER[fig]
         mat = _material(args)
         res = analysis.crossover(Om, mat, args.E0)
-        B = field.amplitude_B(Om, mat, args.E0)
+        B = asymptotic.amplitude_B(Om, mat, args.E0)
         k = mat.omega_p / SPEED_OF_LIGHT
         xs = np.geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
         y1 = B / xs**2
         y2 = np.exp(-k * xs)
-        rows = list(zip(xs, y1, y2))
         _emit_csv(
-            out, ["x_cm", "y1", "y2"], rows,
+            out, ["x_cm", "y1", "y2"], zip(xs.tolist(), y1.tolist(), y2.tolist()),
             [
                 f"material = {mat.name}",
                 f"Omega = {Om:g}",
@@ -411,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--grid", required=True, help="x grid in cm as min:max:n")
-    p.add_argument("--method", choices=field.PROFILE_METHODS, default="rescaled")
+    # field.PROFILE_METHODS, spelled out so that parsing does not import field
+    p.add_argument("--method", choices=("rescaled", "ibp"), default="rescaled")
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_field)
 

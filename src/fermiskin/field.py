@@ -4,8 +4,8 @@ The normalized field E(x)/E'(0) is a half-line cosine transform of the
 reciprocal dispersion denominator. A profile takes it on the
 plasma-scaled "rescaled" axis or integrated by parts ("ibp");
 field_ratio_direct, the same integral on the mean-free-path axis, is a
-cross-check for the tests. The closed-form far-field oscillation with
-its amplitude coefficients is asymptotic_field, the one closed-form path.
+cross-check for the tests. The closed-form far field and its amplitudes
+are in fermiskin.asymptotic, which this module does not import.
 
 Time enters as exp(-i omega t), as in permittivity; np.conj of a field
 value gives the mirror convention exp(+i omega t).
@@ -22,8 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import KERNEL_IBP_EXACT, KERNEL_RECIPROCAL
-from .constants import SPEED_OF_LIGHT
-from .materials import Material, PlasmaParams
+from .materials import PlasmaParams
 from .quadrature import QuadratureResult, oscillatory_halfline
 
 
@@ -81,7 +80,7 @@ def _field_point(
         kappa = 1.0
         bcoef = params.b
         phase = x_scaled
-        pref = params.b * mat.v_F / (math.pi * mat.omega_p)
+        pref = bcoef * mat.v_F / (math.pi * mat.omega_p)
     elif route == "direct":
         if params.eps == 0.0:
             raise ValueError(
@@ -185,7 +184,7 @@ def profile(
 
     params is a PlasmaParams (see params_for). method is one of
     PROFILE_METHODS (rescaled / ibp). The closed form is
-    asymptotic_field. Depths must be strictly increasing.
+    asymptotic.asymptotic_field. Depths must be strictly increasing.
     Every depth is summed on the same cached mesh, so a profile returns
     every depth or raises: QuadratureError if the mesh exceeds its panel
     budget, ValueError naming the first depth outside the route's domain.
@@ -215,117 +214,3 @@ def profile(
         method=method,
         diagnostics=[info.quad for info in infos],
     )
-
-
-# ---------------------------------------------------------------------------
-# far-field asymptotics
-# ---------------------------------------------------------------------------
-
-
-def _bracket(material: Material, Omega: float, *, relativistic: bool = True) -> float:
-    r = 1.5 + (SPEED_OF_LIGHT * Omega / material.v_F) ** 2
-    if relativistic:
-        r -= Omega**2
-    return r
-
-
-def f_of_Omega(Omega: float, material: Material) -> float:
-    """Dimensionless oscillation-strength factor 2 Omega^2 / bracket^2."""
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
-    return 2.0 * Omega**2 / _bracket(material, Omega) ** 2
-
-
-def f_of_Omega_dimensional(omega: float, material: Material) -> float:
-    """Same factor from the laboratory frequency omega (rad/s)."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
-    denom = 1.5 * wp**2 + omega**2 * ((c / v) ** 2 - 1.0)
-    return 2.0 * omega**2 * wp**2 / denom**2
-
-
-_A_MODES = ("exact8", "nonrel9", "low", "high")
-
-
-def amplitude_A(Omega: float, material: Material, mode: str = "exact8") -> float:
-    """Far-field envelope coefficient A (cm^3): E/E'(0) ~ -(A/x^2) sin.
-
-    Modes: "exact8" keeps the full quadratic bracket, "nonrel9" drops
-    its relativistic -Omega^2 correction, "low" and "high" are the
-    frequency-limit forms the first two reduce to.
-    """
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
-    c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
-    if mode == "exact8":
-        return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
-    if mode == "nonrel9":
-        return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
-    if mode == "low":
-        return 4.0 * c**2 * v / (3.0 * wp**3)
-    if mode == "high":
-        return 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
-    raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
-
-
-def amplitude_B(Omega: float, material: Material, E0: float = 1.0) -> float:
-    """Envelope coefficient B (cm^2) for the E(x)/E(0) normalization.
-
-    B = (omega_p/c) A E0; E0 is an overall surface-field scale used
-    mostly to probe the crossover logic.
-    """
-    if not 0.0 < E0 < math.inf:
-        raise ValueError(f"E0 must be finite and > 0, got {E0}")
-    return material.omega_p / SPEED_OF_LIGHT * amplitude_A(Omega, material) * E0
-
-
-class AsymptoticCoefficients(NamedTuple):
-    A: float
-    B: float
-    f_Omega: float
-    wavenumber: float
-
-
-def asymptotic_coefficients(
-    Omega: float, material: Material, E0: float = 1.0
-) -> AsymptoticCoefficients:
-    """Closed-form far-field quantities for one material and frequency.
-
-    wavenumber = Omega omega_p / v_F (cm^-1); successive zeros of the
-    oscillation sit pi/wavenumber apart.
-    """
-    return AsymptoticCoefficients(
-        A=amplitude_A(Omega, material),
-        B=amplitude_B(Omega, material, E0),
-        f_Omega=f_of_Omega(Omega, material),
-        wavenumber=Omega * material.omega_p / material.v_F,
-    )
-
-
-def asymptotic_field(
-    x_cm,
-    Omega: float,
-    material: Material,
-    *,
-    normalization: str = "per_Eprime0",
-    E0: float = 1.0,
-):
-    """Leading far-field oscillation, an inverse-square-damped sine.
-
-    per_Eprime0 gives E/E'(0) = -(A/x^2) sin(Omega omega_p x / v_F) in
-    cm; per_E0 gives the dimensionless E/E(0) = +(B/x^2) sin(...). The
-    signs differ because E(0)/E'(0) = -c/omega_p near the surface.
-    """
-    x = np.asarray(x_cm, dtype=np.float64)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise ValueError(f"x must be finite, got {bad.flat[0]}")
-    if np.any(x <= 0):
-        raise ValueError("asymptotic form needs x > 0")
-    u = Omega * material.omega_p * x / material.v_F
-    if normalization == "per_Eprime0":
-        return -amplitude_A(Omega, material) / x**2 * np.sin(u)
-    if normalization == "per_E0":
-        return amplitude_B(Omega, material, E0) / x**2 * np.sin(u)
-    raise ValueError(f"unknown normalization {normalization!r}")

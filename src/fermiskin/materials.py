@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
 
@@ -50,8 +50,8 @@ def fermi_velocity(n_e: float) -> float:
     return HBAR / ELECTRON_MASS * (3.0 * math.pi**2 * n_e) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float),
+                                              ("omega_p", float), ("v_F", float)])):
     """A free-electron metal: density plus derived frequency scales.
 
     omega_p and v_F must stay consistent with n_e through the
@@ -59,33 +59,31 @@ class Material:
     file cannot smuggle in a contradictory parameter set.
     """
 
-    name: str
-    n_e: float
-    omega_p: float
-    v_F: float
+    __slots__ = ()
+    # NamedTuple's _make, which _replace calls too, would bypass __new__
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self) -> None:
-        for label, value in (("n_e", self.n_e), ("omega_p", self.omega_p),
-                             ("v_F", self.v_F)):
+    def __new__(cls, name: str, n_e: float, omega_p: float, v_F: float):
+        for label, value in (("n_e", n_e), ("omega_p", omega_p), ("v_F", v_F)):
             if not 0.0 < value < math.inf:
                 raise ValueError(
-                    f"material {self.name!r}: {label} must be finite and > 0, "
-                    f"got {value}"
+                    f"material {name!r}: {label} must be finite and > 0, got {value}"
                 )
-        if self.v_F >= SPEED_OF_LIGHT:
+        if v_F >= SPEED_OF_LIGHT:
             raise ValueError(
-                f"material {self.name!r}: v_F = {self.v_F:g} cm/s is not "
+                f"material {name!r}: v_F = {v_F:g} cm/s is not "
                 "nonrelativistic (v_F < c required)"
             )
         for label, stored, derived in (
-            ("omega_p", self.omega_p, plasma_frequency(self.n_e)),
-            ("v_F", self.v_F, fermi_velocity(self.n_e)),
+            ("omega_p", omega_p, plasma_frequency(n_e)),
+            ("v_F", v_F, fermi_velocity(n_e)),
         ):
             if abs(stored - derived) > _CONSISTENCY_RTOL * derived:
                 raise ValueError(
-                    f"material {self.name!r}: {label} = {stored:.12e} is "
+                    f"material {name!r}: {label} = {stored:.12e} is "
                     f"inconsistent with n_e (free-electron value {derived:.12e})"
                 )
+        return super().__new__(cls, name, n_e, omega_p, v_F)
 
     @classmethod
     def from_density(cls, name: str, n_e: float) -> "Material":
@@ -173,8 +171,8 @@ def get_material(name: str, config_path: str | None = None) -> Material:
     return table[key]
 
 
-@dataclass(frozen=True)
-class PlasmaParams:
+class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega", float),
+                                                 ("eps", float)])):
     """A material driven at Omega = omega/omega_p with collision rate
     eps = nu/omega_p; everything else is derived.
 
@@ -184,15 +182,25 @@ class PlasmaParams:
     collisionless state eps = 0.
     """
 
-    material: Material
-    Omega: float
-    eps: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.Omega < math.inf:
-            raise ValueError(f"Omega must be finite and > 0, got {self.Omega}")
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+    def __new__(cls, material: Material, Omega: float, eps: float):
+        if not 0.0 < Omega < math.inf:
+            raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        self = super().__new__(cls, material, Omega, eps)
+        try:
+            b = self.b
+        except (OverflowError, ZeroDivisionError):
+            b = math.inf
+        if b == math.inf:
+            raise ValueError(
+                f"Omega = {Omega:g} is too small for material {material.name!r}: "
+                "b = (c/(v_F Omega))^2 overflows"
+            )
+        return self
 
     @property
     def omega_p(self) -> float:
@@ -204,7 +212,7 @@ class PlasmaParams:
 
     @property
     def b(self) -> float:
-        return (SPEED_OF_LIGHT / (self.v_F * self.Omega)) ** 2
+        return (SPEED_OF_LIGHT / (self.material.v_F * self.Omega)) ** 2
 
     @property
     def a(self) -> float:

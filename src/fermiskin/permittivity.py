@@ -7,11 +7,13 @@ meets the Fermi-surface edge; the seed of the spatial oscillations
 computed downstream).
 
 All evaluators accept scalars or array-likes in q and return matching
-shapes. They raise ValueError for a q that is not finite or is zero;
-every other q returns a finite value, out to |q| = 1e300. Omega and eps
-are scalars by design: one frequency point per call keeps the branch
-bookkeeping trivial. Time enters as exp(-i omega t), so z = Omega + i
-eps; np.conj of any value gives the mirror convention exp(+i omega t).
+shapes. They raise ValueError for a q that is not finite or is zero, and
+one naming q and Omega where the value overflows a float (a tiny Omega,
+or a tiny q for the pole pair); every other q returns a finite value,
+out to |q| = 1e300. Omega and eps are scalars by design: one frequency
+point per call keeps the branch bookkeeping trivial. Time enters as
+exp(-i omega t), so z = Omega + i eps; np.conj of any value gives the
+mirror convention exp(+i omega t).
 """
 
 from __future__ import annotations
@@ -47,11 +49,19 @@ def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
         )
 
 
+def _overflow(q: float, Omega: float, eps: float) -> ValueError:
+    return ValueError(f"value overflows at q = {q:g}, Omega = {Omega:g}, eps = {eps:g}")
+
+
 def _eval(q, which: int, Omega: float, eps: float):
     _validate(Omega, eps)
     arr = np.asarray(q, dtype=np.float64)
     _check_domain(arr, Omega, eps)
-    out = _kernels.family_grid(arr.ravel(), which, Omega, eps)
+    with np.errstate(over="ignore"):
+        out = _kernels.family_grid(arr.ravel(), which, Omega, eps)
+    # every q that passed _check_domain has a finite value unless it overflows
+    if not np.isfinite(out).all():
+        raise _overflow(arr.ravel()[~np.isfinite(out)][0], Omega, eps)
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
@@ -163,7 +173,8 @@ def kohn_scan(
     2*_SCAN_REFINE + 1 nodes around the running argmax, which resolves
     the peak to a thousandth of the initial spacing. A round whose largest
     sample sits on an end node of its grid has not bracketed the peak, and
-    raises ValueError naming that node and the step. Note that at finite
+    raises ValueError naming that node and the step; a sample that overflows
+    raises ValueError naming q and Omega. Note that at finite
     eps the peak of the broadened modulus sits a fraction of eps above
     Omega, so the resolution worth asking for is bounded by eps itself.
     """
@@ -178,9 +189,12 @@ def kohn_scan(
     for r in range(_SCAN_ROUNDS + 1):
         # raw kernel call: a sample on the singularity must be skipped
         # here, not raised as it would be by the public evaluator
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = np.abs(_kernels.family_grid(grid, 1, Omega, eps))
         ok = np.isfinite(vals)
+        # any other non-finite sample is an overflow, not the singular point
+        if not ok[grid != Omega].all():
+            raise _overflow(grid[~ok & (grid != Omega)][0], Omega, eps)
         n_skipped += int((~ok).sum())
         if not ok.any():
             raise ValueError("every sample hit the singularity; change the grid")

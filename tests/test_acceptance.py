@@ -23,9 +23,9 @@ from test_cli import (
 
 from fermiskin import cli
 from fermiskin.analysis import crossover, envelope_fit, near_surface_fit, wavelength_extract
+from fermiskin.asymptotic import amplitude_A
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import (
-    amplitude_A,
     field_ratio_direct,
     field_ratio_ibp,
     field_ratio_rescaled,

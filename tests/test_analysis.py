@@ -13,8 +13,9 @@ from fermiskin.analysis import (
     near_surface_fit,
     wavelength_extract,
 )
+from fermiskin.asymptotic import amplitude_B, asymptotic_field
 from fermiskin.constants import SPEED_OF_LIGHT
-from fermiskin.field import amplitude_B, asymptotic_field, profile
+from fermiskin.field import profile
 from fermiskin.materials import Material, get_material, params_for
 
 # Frozen crossover depths in micrometres (root of B/x^2 = e^{-x/delta},

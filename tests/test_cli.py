@@ -309,16 +309,16 @@ class TestBehavior:
 
     def test_start_up_footprint(self, tmp_path):
         # a fresh process that takes a rescaled point loads neither numpy.ma
-        # (np.unique imports it on first call), json, nor the submodules the
-        # point does not run; a field command loads no numpy.ma either; every
-        # export resolves on first access, star import included
+        # (np.unique imports it on first call), json, dataclasses, nor the
+        # submodules the point does not run; a field command loads no numpy.ma
+        # either; every export resolves on first access, star import included
         script = (
             "import contextlib, io, sys\n"
             "import fermiskin\n"
             "p = fermiskin.params_for(fermiskin.get_material('na'), 1e-2, 1e-4)\n"
             "fermiskin.field_ratio_rescaled(1e-5, p)\n"
-            "unwanted = ['numpy.ma', 'json', 'fermiskin.analysis', 'fermiskin.permittivity',\n"
-            "            'fermiskin.cli']\n"
+            "unwanted = ['numpy.ma', 'json', 'dataclasses', 'fermiskin.analysis',\n"
+            "            'fermiskin.asymptotic', 'fermiskin.permittivity', 'fermiskin.cli']\n"
             "print(sorted(set(unwanted) & set(sys.modules)))\n"
             "from fermiskin import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -340,6 +340,59 @@ class TestBehavior:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]"] * 4
 
+    # the fermiskin modules a subcommand loads besides cli, constants and
+    # materials; only materials runs without numpy
+    SUBCOMMAND_MODULES = {
+        "materials": [],
+        "epsilon": ["_kernels", "permittivity"],
+        "kohn-scan": ["_kernels", "permittivity"],
+        "figures --fig 1": ["_kernels", "permittivity"],
+        "asymptotic": ["asymptotic"],
+        **{f"figures --fig {n}": ["asymptotic"] for n in (2, 3, 4)},
+        "crossover": ["analysis", "asymptotic"],
+        **{f"figures --fig {n}": ["analysis", "asymptotic"] for n in (5, 6)},
+        "field": ["_kernels", "field", "quadrature"],
+    }
+    GOLDEN_COMMANDS = [argv for _, argv in STDOUT_CASES + FIELD_CASES] + [
+        ["figures", "--fig", str(n)] for n in range(1, 7)
+    ]
+
+    @pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+    def test_subcommand_footprint(self, tmp_path, argv):
+        # each golden command, in a fresh interpreter, loads only the modules
+        # it runs, and never dataclasses
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from fermiskin import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m[10:] for m in sys.modules\n"
+            "                               if m.startswith('fermiskin.')),\n"
+            "                  'numpy' in sys.modules, 'dataclasses' in sys.modules]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        key = " ".join(argv[:3]) if argv[0] == "figures" else argv[0]
+        extra = self.SUBCOMMAND_MODULES[key]
+        expected = sorted(["cli", "constants", "materials", *extra])
+        assert json.loads(proc.stdout) == [0, expected, bool(extra), False]
+
+    def test_method_choices_are_the_profile_methods(self):
+        # spelled out in cli, so that parsing does not import field
+        from fermiskin.field import PROFILE_METHODS
+
+        parser = cli.build_parser()
+        for method in PROFILE_METHODS:
+            args = parser.parse_args(["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
+                                      "--method", method])
+            assert args.method == method
+
     def test_exports(self):
         import fermiskin
 
@@ -351,11 +404,13 @@ class TestBehavior:
 
     # the field lists of the result records, as they were as dataclasses
     RECORD_FIELDS = {
+        "materials.Material": ["name", "n_e", "omega_p", "v_F"],
+        "materials.PlasmaParams": ["material", "Omega", "eps"],
         "quadrature.QuadratureResult": ["value", "error", "tail_bound", "s_max", "q_max",
                                         "n_panels", "n_evals", "n_tail_terms", "branch"],
         "field.FieldPointInfo": ["value", "abs_err_est", "phase", "quad"],
         "field.FieldProfile": ["xs", "values", "abs_err", "params", "method", "diagnostics"],
-        "field.AsymptoticCoefficients": ["A", "B", "f_Omega", "wavenumber"],
+        "asymptotic.AsymptoticCoefficients": ["A", "B", "f_Omega", "wavenumber"],
         "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
         "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
         "analysis.CrossoverResult": ["x_star", "bracket", "g_residual", "branch",
@@ -478,6 +533,11 @@ class TestExitCodes:
              "E0 must be finite and > 0, got nan"),
             (["epsilon", "--Omega", "0.1", "--q", "nan"],
              "q must be finite, got nan"),
+            # finite inputs whose values overflow a float
+            (["field", "--Omega", "1e-160", "--grid", "1e-6:1e-5:2"],
+             "Omega = 1e-160 is too small for material 'na'"),
+            (["epsilon", "--Omega", "1e-320", "--q", "1"],
+             "value overflows at q = 1, Omega = 9.99989e-321, eps = 0"),
         ],
     )
     def test_non_finite_inputs_rejected(self, capsys, argv, fragment):

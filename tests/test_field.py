@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from fermiskin import _kernels, quadrature
-from fermiskin.constants import SPEED_OF_LIGHT
-from fermiskin.field import (
-    DispersionRootError,
-    FieldProfile,
+from fermiskin.asymptotic import (
     amplitude_A,
     amplitude_B,
     asymptotic_coefficients,
     asymptotic_field,
-    check_dispersion_roots,
     f_of_Omega,
     f_of_Omega_dimensional,
+)
+from fermiskin.constants import SPEED_OF_LIGHT
+from fermiskin.field import (
+    DispersionRootError,
+    FieldProfile,
+    check_dispersion_roots,
     field_ratio_direct,
     field_ratio_ibp,
     field_ratio_rescaled,

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -88,6 +87,35 @@ def test_material_relativistic_rejected():
         Material.from_density("fast", 1e31)
 
 
+def test_every_construction_path_validates(na):
+    # the records are named tuples: _make and _replace (which calls _make)
+    # must run the checks of the constructor, and no field can be set
+    n_e = 2.65e22
+    with pytest.raises(ValueError, match="inconsistent"):
+        Material._make(["bad", n_e, plasma_frequency(n_e) * 1.001, fermi_velocity(n_e)])
+    with pytest.raises(ValueError, match="nonrelativistic"):
+        na._replace(v_F=SPEED_OF_LIGHT)
+    p = params_for(na, 1e-2, 1e-4)
+    with pytest.raises(ValueError, match="Omega must be finite and > 0, got -1"):
+        PlasmaParams._make([na, -1.0, 0.0])
+    with pytest.raises(ValueError, match="eps must be finite and >= 0, got -1"):
+        p._replace(eps=-1.0)
+    assert p._replace(Omega=0.1) == params_for(na, 0.1, 1e-4)
+    with pytest.raises(AttributeError):
+        p.Omega = 0.1
+    with pytest.raises(AttributeError):
+        na.n_e = 1e22
+
+
+@pytest.mark.parametrize("Omega", [2e-152, 1e-160, 1e-320])
+def test_tiny_omega_rejected_by_name(na, Omega):
+    # b = (c/(v_F Omega))^2 stops being a finite float below Omega ~ 2.1e-152
+    # for Na: named, not an OverflowError from the first field point
+    with pytest.raises(ValueError, match=f"Omega = {Omega:g} is too small for material 'na'"):
+        params_for(na, Omega)
+    assert math.isfinite(params_for(na, 3e-152).b)
+
+
 def test_skin_depth_identity(na):
     assert na.skin_depth * na.omega_p == pytest.approx(SPEED_OF_LIGHT, rel=1e-15)
     # frozen prototype value
@@ -134,9 +162,7 @@ def test_to_dimensionless_rejects_bad_omega(na):
 
 
 def test_params_store_only_the_regime():
-    assert [f.name for f in dataclasses.fields(PlasmaParams)] == [
-        "material", "Omega", "eps",
-    ]
+    assert PlasmaParams._fields == ("material", "Omega", "eps")
     # Au at Omega = 1e-4: (Omega omega_p)/omega_p rounds to 9.999999999999999e-05,
     # so a round trip through the dimensional pair would not keep it
     au = get_material("au")

@@ -255,6 +255,26 @@ class TestDomain:
         # finite collisionality rounds it off
         assert np.isfinite(d_eps_dq(0.1, 0.1, 1e-3))
 
+    @pytest.mark.parametrize(
+        "call,q,Omega",
+        [
+            # eps_tr ~ 3 pi i / (4 Omega q) past |q| = Omega
+            (eps_tr, 1.0, 1e-308),
+            (d_eps_dq, [0.5, 1.0], 1e-308),
+            # the pole pair ~ -3 / (Omega z q^2) far below it
+            (d2_eps_near_singularity, 1e-160, 0.1),
+        ],
+        ids=["eps_tr", "d_eps_dq", "pole_pair"],
+    )
+    def test_overflowing_value_rejected(self, call, q, Omega):
+        # a ValueError naming q and Omega, not a numpy warning and an inf
+        first = np.atleast_1d(q)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"value overflows at q = {first:g}, "
+                                                 f"Omega = {Omega:g}, eps = 0"):
+                call(q, Omega, 0.0)
+
     @pytest.mark.parametrize("call", [eps_tr, d_eps_dq, d2_eps_dq2, d2_eps_near_singularity])
     @pytest.mark.parametrize("Omega,eps", [(0.1, 0.01), (1e-4, 0.0), (0.99, 1e-4), (10.0, 0.1)])
     def test_huge_wavevector_matches_asymptote(self, call, Omega, eps):
@@ -341,6 +361,14 @@ class TestKohnScan:
         assert res.n_skipped >= 1
         assert np.isfinite(res.max_abs_derivative)
         assert res.q_star != Omega
+
+    def test_overflow_is_not_a_skipped_node(self):
+        # at Omega = 1e-308 every |d eps/dq| overflows: named, not skipped as
+        # if each node sat on the singular point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="value overflows at q = 0.02, Omega = 1e-308"):
+                kohn_scan(1e-308, 0.0, 0.02, 0.2, 50)
 
     def test_collisionless_zoom_converges(self, monkeypatch):
         monkeypatch.setattr(permittivity, "_SCAN_ROUNDS", 6)
