@@ -8,12 +8,28 @@ module imports neither field nor _kernels. Depths and E(x)/E'(0) are in cm.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .materials import Material
+
+
+@contextmanager
+def _Omega_checked(Omega: float, material: Material):
+    """Name Omega in a ValueError if it is not finite and > 0, or if the
+    closed form under the with block overflows a float there."""
+    if not 0.0 < Omega < math.inf:
+        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(
+            f"Omega = {Omega:g} is too large for material {material.name!r}: "
+            "the closed form overflows"
+        ) from None
 
 
 def _bracket(material: Material, Omega: float, *, relativistic: bool = True) -> float:
@@ -25,18 +41,8 @@ def _bracket(material: Material, Omega: float, *, relativistic: bool = True) -> 
 
 def f_of_Omega(Omega: float, material: Material) -> float:
     """Dimensionless oscillation-strength factor 2 Omega^2 / bracket^2."""
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
-    return 2.0 * Omega**2 / _bracket(material, Omega) ** 2
-
-
-def f_of_Omega_dimensional(omega: float, material: Material) -> float:
-    """Same factor from the laboratory frequency omega (rad/s)."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
-    denom = 1.5 * wp**2 + omega**2 * ((c / v) ** 2 - 1.0)
-    return 2.0 * omega**2 * wp**2 / denom**2
+    with _Omega_checked(Omega, material):
+        return 2.0 * Omega**2 / _bracket(material, Omega) ** 2
 
 
 _A_MODES = ("exact8", "nonrel9", "low", "high")
@@ -49,17 +55,16 @@ def amplitude_A(Omega: float, material: Material, mode: str = "exact8") -> float
     its relativistic -Omega^2 correction, "low" and "high" are the
     frequency-limit forms the first two reduce to.
     """
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
     c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
-    if mode == "exact8":
-        return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
-    if mode == "nonrel9":
-        return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
-    if mode == "low":
-        return 4.0 * c**2 * v / (3.0 * wp**3)
-    if mode == "high":
-        return 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
+    with _Omega_checked(Omega, material):
+        if mode == "exact8":
+            return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
+        if mode == "nonrel9":
+            return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
+        if mode == "low":
+            return 4.0 * c**2 * v / (3.0 * wp**3)
+        if mode == "high":
+            return 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
     raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
 
 

@@ -55,9 +55,19 @@ def _json_number(v):
     return v if math.isfinite(v) else None
 
 
-def _emit_json(path, subcommand, meta, columns, rows):
+def _write_json(path, doc):
+    """Write doc as JSON indented by 2, plus a newline, to path (None: stdout)."""
     import json
 
+    text = json.dumps(doc, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _emit_json(path, subcommand, meta, columns, rows):
     doc = {
         "generated": _timestamp(),
         "subcommand": subcommand,
@@ -67,13 +77,7 @@ def _emit_json(path, subcommand, meta, columns, rows):
         # NaN, which JSON cannot spell; it goes out as null
         "rows": [[v if isinstance(v, str) else _json_number(v) for v in row] for row in rows],
     }
-    if path is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_json(path, doc)
 
 
 def _emit(args, subcommand, meta, columns, rows, comments=()):
@@ -355,11 +359,7 @@ def _cmd_figures(args) -> int:
             "g_residual": res.g_residual,
             "iterations": res.iterations,
         }
-        import json
-
-        with open(_sidecar_path(out), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+        _write_json(_sidecar_path(out), sidecar)
         print(f"wrote {out} and {_sidecar_path(out)}")
         return 0
     print(f"wrote {out}")

@@ -73,14 +73,14 @@ def _field_point(
         raise ValueError(f"x must be finite, got {x_cm}")
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
-    mat = params.material
+    omega_p, v_F = params.material.omega_p, params.material.v_F
     # omega_p * x alone overflows from about 2e292 cm
-    x_scaled = x_cm * (mat.omega_p / mat.v_F)
+    x_scaled = x_cm * (omega_p / v_F)
     if route == "rescaled":
         kappa = 1.0
         bcoef = params.b
         phase = x_scaled
-        pref = bcoef * mat.v_F / (math.pi * mat.omega_p)
+        pref = bcoef * v_F / (math.pi * omega_p)
     elif route == "direct":
         if params.eps == 0.0:
             raise ValueError(
@@ -93,6 +93,13 @@ def _field_point(
         pref = params.a * params.l / math.pi
     else:
         raise ValueError(f"unknown route {route!r}")
+    # named before the mesh is built: its envelope overflows (a numpy
+    # RuntimeWarning) from Omega of about 1e-150 for Na
+    if pref == math.inf:
+        raise ValueError(
+            f"Omega = {params.Omega:g} is too small for material "
+            f"{params.material.name!r}: the field prefactor overflows"
+        )
     check_dispersion_roots(params)
     try:
         quad = oscillatory_halfline(phase, kernel_id, params.Omega, params.eps, bcoef,

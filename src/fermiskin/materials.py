@@ -25,11 +25,6 @@ BUILTIN_DENSITIES = {
     "al": 18.1e22,
 }
 
-# Relative slack for the construction-time consistency check between the
-# stored omega_p/v_F and the free-electron formulas.
-_CONSISTENCY_RTOL = 1e-10
-
-
 def plasma_frequency(n_e: float) -> float:
     """Free-electron plasma (Langmuir) angular frequency, rad/s.
 
@@ -50,50 +45,37 @@ def fermi_velocity(n_e: float) -> float:
     return HBAR / ELECTRON_MASS * (3.0 * math.pi**2 * n_e) ** (1.0 / 3.0)
 
 
-class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float),
-                                              ("omega_p", float), ("v_F", float)])):
-    """A free-electron metal: density plus derived frequency scales.
+class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float)])):
+    """A free-electron metal, fixed by its electron density n_e (cm^-3).
 
-    omega_p and v_F must stay consistent with n_e through the
-    free-electron formulas; this is enforced on construction so a config
-    file cannot smuggle in a contradictory parameter set.
+    omega_p, v_F and the skin depth are derived from n_e by the
+    free-electron formulas on every access.
     """
 
     __slots__ = ()
     # NamedTuple's _make, which _replace calls too, would bypass __new__
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    def __new__(cls, name: str, n_e: float, omega_p: float, v_F: float):
-        for label, value in (("n_e", n_e), ("omega_p", omega_p), ("v_F", v_F)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"material {name!r}: {label} must be finite and > 0, got {value}"
-                )
+    def __new__(cls, name: str, n_e: float):
+        if not 0.0 < n_e < math.inf:
+            raise ValueError(f"material {name!r}: n_e must be finite and > 0, got {n_e}")
+        v_F = fermi_velocity(n_e)
         if v_F >= SPEED_OF_LIGHT:
             raise ValueError(
                 f"material {name!r}: v_F = {v_F:g} cm/s is not "
                 "nonrelativistic (v_F < c required)"
             )
-        for label, stored, derived in (
-            ("omega_p", omega_p, plasma_frequency(n_e)),
-            ("v_F", v_F, fermi_velocity(n_e)),
-        ):
-            if abs(stored - derived) > _CONSISTENCY_RTOL * derived:
-                raise ValueError(
-                    f"material {name!r}: {label} = {stored:.12e} is "
-                    f"inconsistent with n_e (free-electron value {derived:.12e})"
-                )
-        return super().__new__(cls, name, n_e, omega_p, v_F)
+        return super().__new__(cls, name, n_e)
 
-    @classmethod
-    def from_density(cls, name: str, n_e: float) -> "Material":
-        """Build a material from its electron density alone."""
-        return cls(
-            name=name,
-            n_e=n_e,
-            omega_p=plasma_frequency(n_e),
-            v_F=fermi_velocity(n_e),
-        )
+    @property
+    def omega_p(self) -> float:
+        """Plasma frequency, rad/s."""
+        return plasma_frequency(self.n_e)
+
+    @property
+    def v_F(self) -> float:
+        """Fermi velocity, cm/s."""
+        return fermi_velocity(self.n_e)
 
     @property
     def skin_depth(self) -> float:
@@ -102,18 +84,15 @@ class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float),
 
 
 BUILTIN_MATERIALS = {
-    name: Material.from_density(name, n_e) for name, n_e in BUILTIN_DENSITIES.items()
+    name: Material(name, n_e) for name, n_e in BUILTIN_DENSITIES.items()
 }
 
 
 def load_materials_file(path: str) -> dict[str, Material]:
     """Load a JSON material table.
 
-    Schema: a JSON array of objects, each with required keys
-    ``name`` and ``n_e_cm3`` and optional ``omega_p`` / ``v_F`` (which
-    must agree with the free-electron formulas to 1e-10 relative; they
-    exist to pin serialized values, not to override the physics).
-    Unknown keys are rejected.
+    Schema: a JSON array of objects, each with exactly the keys ``name``
+    and ``n_e_cm3``; any other key is rejected.
     """
     import json
 
@@ -121,7 +100,7 @@ def load_materials_file(path: str) -> dict[str, Material]:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of material entries")
-    allowed = {"name", "n_e_cm3", "omega_p", "v_F"}
+    allowed = {"name", "n_e_cm3"}
     table: dict[str, Material] = {}
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -135,14 +114,7 @@ def load_materials_file(path: str) -> dict[str, Material]:
         if "name" not in entry or "n_e_cm3" not in entry:
             raise ValueError(f"{path}: entry {i} needs both 'name' and 'n_e_cm3'")
         name = str(entry["name"]).lower()
-        n_e = float(entry["n_e_cm3"])
-        mat = Material(
-            name=name,
-            n_e=n_e,
-            omega_p=float(entry.get("omega_p", plasma_frequency(n_e))),
-            v_F=float(entry.get("v_F", fermi_velocity(n_e))),
-        )
-        table[name] = mat
+        table[name] = Material(name, float(entry["n_e_cm3"]))
     return table
 
 
@@ -203,14 +175,6 @@ class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega"
         return self
 
     @property
-    def omega_p(self) -> float:
-        return self.material.omega_p
-
-    @property
-    def v_F(self) -> float:
-        return self.material.v_F
-
-    @property
     def b(self) -> float:
         return (SPEED_OF_LIGHT / (self.material.v_F * self.Omega)) ** 2
 
@@ -221,17 +185,17 @@ class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega"
     @property
     def omega(self) -> float:
         """Drive angular frequency, rad/s."""
-        return self.Omega * self.omega_p
+        return self.Omega * self.material.omega_p
 
     @property
     def nu(self) -> float:
         """Collision frequency, rad/s."""
-        return self.eps * self.omega_p
+        return self.eps * self.material.omega_p
 
     @property
     def l(self) -> float:
         """Mean free path v_F/nu, cm."""
-        return self.v_F / self.nu if self.eps > 0.0 else math.inf
+        return self.material.v_F / self.nu if self.eps > 0.0 else math.inf
 
     @property
     def tau(self) -> float:
@@ -242,10 +206,6 @@ class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega"
     def delta(self) -> float:
         """Collisionless skin depth c/omega_p, cm."""
         return self.material.skin_depth
-
-    @property
-    def collisionless(self) -> bool:
-        return self.eps == 0.0
 
 
 def to_dimensionless(omega: float, nu: float, material: Material) -> PlasmaParams:

@@ -199,7 +199,7 @@ def test_8_crossover_depths():
         == pytest.approx(BUILTIN_CROSSOVER_UM[name, Om], rel=1e-9)
         for name, Om in BUILTIN_CROSSOVER_UM
     )
-    kp = Material.from_density("potassium", 1.40e22)
+    kp = Material("potassium", 1.40e22)
     kp_devs = {
         Om: crossover(Om, kp).x_star * 1e4 / ref - 1.0
         for Om, ref in K_PROBE_REFERENCE_UM.items()

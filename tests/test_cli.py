@@ -396,7 +396,7 @@ class TestBehavior:
     def test_exports(self):
         import fermiskin
 
-        assert len(fermiskin.__all__) == 41
+        assert len(fermiskin.__all__) == 40
         for name in fermiskin.__all__:
             assert getattr(fermiskin, name) is not None, name
         with pytest.raises(AttributeError, match="no attribute 'field_ratio_direct'"):
@@ -404,7 +404,7 @@ class TestBehavior:
 
     # the field lists of the result records, as they were as dataclasses
     RECORD_FIELDS = {
-        "materials.Material": ["name", "n_e", "omega_p", "v_F"],
+        "materials.Material": ["name", "n_e"],
         "materials.PlasmaParams": ["material", "Omega", "eps"],
         "quadrature.QuadratureResult": ["value", "error", "tail_bound", "s_max", "q_max",
                                         "n_panels", "n_evals", "n_tail_terms", "branch"],
@@ -538,6 +538,14 @@ class TestExitCodes:
              "Omega = 1e-160 is too small for material 'na'"),
             (["epsilon", "--Omega", "1e-320", "--q", "1"],
              "value overflows at q = 1, Omega = 9.99989e-321, eps = 0"),
+            (["field", "--Omega", "1e-148", "--grid", "1e-6:1e-5:2"],
+             "Omega = 1e-148 is too small for material 'na': the field prefactor overflows"),
+            (["field", "--Omega", "1e-150", "--grid", "1e-6:1e-5:2"],
+             "Omega = 1e-150 is too small for material 'na': the field prefactor overflows"),
+            (["asymptotic", "--Omega", "1e160"],
+             "Omega = 1e+160 is too large for material 'na': the closed form overflows"),
+            (["crossover", "--Omega", "1e160"],
+             "Omega = 1e+160 is too large for material 'na': the closed form overflows"),
         ],
     )
     def test_non_finite_inputs_rejected(self, capsys, argv, fragment):
@@ -549,9 +557,19 @@ class TestExitCodes:
     def test_nan_materials_file_rejected(self, capsys, tmp_path):
         # NaN is valid JSON to Python's reader; it must not load as a metal
         cfg = tmp_path / "mats.json"
-        cfg.write_text('[{"name": "x", "n_e_cm3": 2.65e22, "omega_p": NaN, "v_F": NaN}]')
+        cfg.write_text('[{"name": "x", "n_e_cm3": NaN}]')
         argv = ["asymptotic", "--Omega", "1e-2", "--material", "x", "--config", str(cfg)]
         code, out, err = run_cli(capsys, argv)
         assert code == 1
-        assert "material 'x': omega_p must be finite and > 0, got nan" in err
+        assert "material 'x': n_e must be finite and > 0, got nan" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["omega_p", "v_F"])
+    def test_materials_file_plasma_key_rejected(self, capsys, tmp_path, key):
+        # omega_p and v_F follow from n_e; an entry cannot set either
+        cfg = tmp_path / "mats.json"
+        cfg.write_text(f'[{{"name": "x", "n_e_cm3": 2.65e22, "{key}": 1e8}}]')
+        code, out, err = run_cli(capsys, ["materials", "--config", str(cfg)])
+        assert code == 1
+        assert f"unknown keys ['{key}']" in err
         assert out == ""

@@ -11,7 +11,6 @@ from fermiskin.asymptotic import (
     asymptotic_coefficients,
     asymptotic_field,
     f_of_Omega,
-    f_of_Omega_dimensional,
 )
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import (
@@ -115,7 +114,7 @@ class TestDispersionDenominator:
     def test_root_check_trips_on_soft_stiffness(self):
         # a fictitious density with v_F = 0.9 c; the crossing comes from
         # Omega >= 1, where D(0) = 1 - 1/Omega^2 is no longer negative
-        fict = Material.from_density("fict", 4.3e29)
+        fict = Material("fict", 4.3e29)
         assert fict.v_F == pytest.approx(0.9 * SPEED_OF_LIGHT, rel=1e-2)
         p = params_for(fict, 2.0, 0.0)
         with pytest.raises(DispersionRootError, match="dispersion root on contour"):
@@ -251,6 +250,14 @@ class TestRouteDomains:
         v = field_ratio_rescaled(3e-5, p)
         assert np.isfinite(v)
 
+    def test_tiny_omega_below_the_overflow_returns(self, na):
+        # from about 2.2e-148 the prefactor b v_F overflows and the point
+        # raises (test_cli); just above, the values stand
+        v, info = field_ratio_rescaled(1e-6, params_for(na, 1e-146), full_output=True)
+        assert v == pytest.approx(-1.1593015167470724e42 - 6.6932304276586376e41j,
+                                  rel=1e-12)
+        assert info.abs_err_est == pytest.approx(2.469260952652263e28, rel=1e-12)
+
 
 class TestNearSurface:
     def test_frozen_regression_values(self, p_1em5):
@@ -362,21 +369,24 @@ class TestOscillationStrength:
         # f / Omega^2 -> 8/9 as Omega -> 0
         assert f_of_Omega(1e-6, na) / 1e-12 == pytest.approx(8.0 / 9.0, rel=1e-6)
 
-    def test_dimensional_form_agrees(self, na):
-        for Omega in (1e-3, 1e-2, 1e-1):
-            f = f_of_Omega(Omega, na)
-            f_dim = f_of_Omega_dimensional(Omega * na.omega_p, na)
-            assert f_dim == pytest.approx(f, rel=1e-12)
-
     def test_validation(self, na):
         with pytest.raises(ValueError):
             f_of_Omega(0.0, na)
-        with pytest.raises(ValueError):
-            f_of_Omega_dimensional(-1.0, na)
         with pytest.raises(ValueError, match="Omega must be finite"):
             f_of_Omega(float("nan"), na)
         with pytest.raises(ValueError, match="Omega must be finite"):
             amplitude_A(float("inf"), na)
+
+    def test_huge_omega_named(self, na):
+        # the squared bracket and Omega^4 overflow a float long before
+        # 1e160; the "low" limit does not depend on Omega
+        msg = r"Omega = 1e\+160 is too large for material 'na': the closed form overflows"
+        with pytest.raises(ValueError, match=msg):
+            f_of_Omega(1e160, na)
+        for mode in ("exact8", "nonrel9", "high"):
+            with pytest.raises(ValueError, match=msg):
+                amplitude_A(1e160, na, mode)
+        assert amplitude_A(1e160, na, "low") == amplitude_A(1e-2, na, "low")
 
 
 class TestAmplitudeModes:

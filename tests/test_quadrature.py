@@ -391,7 +391,7 @@ def test_skin_layer_against_qawo(na_params, u):
 
 def test_result_metadata(na_params):
     p = na_params
-    phase = p.omega_p * 1e-5 / p.v_F
+    phase = p.material.omega_p * 1e-5 / p.material.v_F
     res = oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
     assert res.q_max == pytest.approx(res.s_max, rel=1e-15)  # kappa = 1 here
     assert res.n_panels > 0
@@ -428,7 +428,7 @@ def test_one_mesh_serves_every_depth(na_params, monkeypatch):
 
 def test_panel_budget_exhaustion_raises(na_params, monkeypatch):
     p = na_params
-    phase = p.omega_p * 1e-5 / p.v_F
+    phase = p.material.omega_p * 1e-5 / p.material.v_F
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 20)
     with pytest.raises(QuadratureError, match="panel budget 20 exhausted"):
         oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
@@ -460,7 +460,7 @@ def test_ibp_kernel_domain(phase, zi):
 def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
     p = na_params
     if phase is None:
-        phase = p.omega_p * 1e-5 / p.v_F
+        phase = p.material.omega_p * 1e-5 / p.material.v_F
     total = [0]
     orig = k.panel_batch
 
