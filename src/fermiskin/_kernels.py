@@ -92,7 +92,8 @@ def _legendre_fit():
     M (2 - V M), which takes the residual |1 - V M| from 6e-15 to 3e-16.
     At 6e-15 the noise in c_21..c_23 can keep a panel from meeting the
     mesh test of quadrature. Products here and in panel_batch use einsum,
-    not matmul, whose BLAS buffers would add 0.3 MB to the process.
+    not matmul: matmul sums in another order, which moves the last digits
+    of the coefficients and with them the pinned field values and goldens.
     """
     t = -np.cos(np.pi * (np.arange(N_LEGENDRE) + 0.75) / (N_LEGENDRE + 0.5))
     t, w = _gauss_legendre(t, N_LEGENDRE, 6)

@@ -1,15 +1,17 @@
-"""Observable extraction from field profiles, and the crossover solver.
+"""Observable extraction from field profiles, and the crossover depth.
 
 The extractors quantify the three signatures of the computed profiles:
 the inverse-square envelope of the far-field oscillation, its spatial
 period, and the exponential decay constant near the surface. The
-crossover solver finds the depth beyond which the oscillatory tail
-permanently overtakes the near-surface exponential.
+crossover depth, beyond which the oscillatory tail B/x^2 permanently
+overtakes the near-surface exponential exp(-omega_p x / c), is closed
+form: x_star = -(2c/omega_p) W_{-1}(-(omega_p/2c) sqrt(B)), on the lower
+real branch of the Lambert W function, evaluated by Halley's method.
 
 Extractors accept either a FieldProfile or a plain (xs, values) pair,
 so synthetic signals can be fed through the same code path the real
 profiles use. A FieldProfile is told apart by its xs attribute, so the
-crossover solver runs without importing field and its quadrature.
+crossover runs without importing field and its quadrature.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .materials import Material
 _MIN_EXTREMA = 4
 _MIN_CROSSINGS = 3
 _MIN_POINTS = 5
-_REL_WIDTH = 1e-12
 _RESIDUAL_TOL = 1e-10
-_MAX_EXPAND = 1e6
 
 
 class AnalysisError(RuntimeError):
@@ -70,10 +70,10 @@ class WavelengthEstimate(NamedTuple):
 
 
 class CrossoverResult(NamedTuple):
+    """Crossover depth x_star (cm), |g(x_star)| and the Halley steps taken."""
+
     x_star: float
-    bracket: tuple[float, float]
     g_residual: float
-    branch: str
     iterations: int
 
 
@@ -243,74 +243,57 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
     )
 
 
-def crossover(Omega: float, material: Material, E0: float = 1.0) -> CrossoverResult:
+def _lambert_w_lower(y: float) -> tuple[float, int]:
+    """Lower real branch W_{-1}(y) for -1/e <= y < 0, and the steps taken.
+
+    Four Halley steps on w e^w = y, started from the branch-point series
+    in p = -sqrt(2(1 + e y)) below y = -1/4 and from log(-y) - log(-log(-y))
+    above (Corless et al., Adv. Comput. Math. 5, 329 (1996)). At
+    y = -1/e the start is the root w = -1, where no step is taken.
+    """
+    if y < -0.25:
+        p = -math.sqrt(2.0 * (1.0 + math.e * y))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = math.log(-y) - math.log(-math.log(-y))
+    steps = 0
+    while steps < 4 and w != -1.0:
+        ew = math.exp(w)
+        f = w * ew - y
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        steps += 1
+    return w, steps
+
+
+def crossover(Omega: float, material: Material) -> CrossoverResult:
     """Depth where the oscillatory tail overtakes the surface exponential.
 
-    Solves B/x^2 = exp(-omega_p x / c) for the root beyond the minimum
-    of g(x) = ln B - 2 ln x + omega_p x / c at x_min = 2c/omega_p; g is
-    convex, so past that point the inverse-square tail wins for good.
-    Bisection to relative width _REL_WIDTH = 1e-12, polished by a few
-    Newton steps; the residual |g(x_star)| must come out below
-    _RESIDUAL_TOL = 1e-10, and the bracket may grow to _MAX_EXPAND = 1e6
-    times 2c/omega_p.
+    The root of B/x^2 = exp(-k x), k = omega_p / c, beyond the minimum of
+    g(x) = ln B - 2 ln x + k x at x = 2/k; g is convex, so past that
+    point the inverse-square tail wins for good. The equation reads
+    x e^{-kx/2} = sqrt(B), so x_star = -(2/k) W_{-1}(-k sqrt(B)/2), which
+    exists when k sqrt(B)/2 <= 1/e. The residual |g(x_star)| must come
+    out below _RESIDUAL_TOL = 1e-10.
     """
-    B = amplitude_B(Omega, material, E0)
+    B = amplitude_B(Omega, material)
     k = material.omega_p / SPEED_OF_LIGHT
 
     def g(x: float) -> float:
         return math.log(B) - 2.0 * math.log(x) + k * x
 
-    def dg(x: float) -> float:
-        return -2.0 / x + k
-
-    x_min = 2.0 / k
-    g_min = g(x_min)
-    if g_min > 0.0:
+    y = -k * math.sqrt(B) / 2.0
+    if y < -1.0 / math.e:
+        x_min = 2.0 / k
         raise NoCrossoverError(
             "no crossover: Friedel tail dominates everywhere "
-            f"(min of ln(y1/y2) is {g_min:.3g} > 0 at x = {x_min:.3g} cm)"
+            f"(min of ln(y1/y2) is {g(x_min):.3g} > 0 at x = {x_min:.3g} cm)"
         )
-
-    # g < 0 at the minimum and grows linearly beyond it: double outward
-    lo, hi = x_min, 2.0 * x_min
-    expansions = 0
-    while g(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        expansions += 1
-        if hi > _MAX_EXPAND * x_min:
-            raise AnalysisError(
-                f"crossover bracket expansion exceeded {_MAX_EXPAND:g} * x_min"
-            )
-
-    iterations = expansions
-    while (hi - lo) > _REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    x_star = 0.5 * (lo + hi)
-    for _ in range(3):
-        step = g(x_star) / dg(x_star)
-        x_new = x_star - step
-        if not (lo <= x_new <= hi):
-            break
-        x_star = x_new
-        iterations += 1
-
+    w, iterations = _lambert_w_lower(y)
+    x_star = -2.0 * w / k
     residual = abs(g(x_star))
     # written so that a NaN residual fails too
     if not residual <= _RESIDUAL_TOL:
         raise AnalysisError(
             f"crossover root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g}"
         )
-    return CrossoverResult(
-        x_star=x_star,
-        bracket=(lo, hi),
-        g_residual=residual,
-        branch="beyond_minimum",
-        iterations=iterations,
-    )
+    return CrossoverResult(x_star=x_star, g_residual=residual, iterations=iterations)

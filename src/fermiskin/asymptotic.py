@@ -20,7 +20,7 @@ from .materials import Material
 @contextmanager
 def _Omega_checked(Omega: float, material: Material):
     """Name Omega in a ValueError if it is not finite and > 0, or if the
-    closed form under the with block overflows a float there."""
+    closed form under the with block raises OverflowError there."""
     if not 0.0 < Omega < math.inf:
         raise ValueError(f"Omega must be finite and > 0, got {Omega}")
     try:
@@ -58,25 +58,26 @@ def amplitude_A(Omega: float, material: Material, mode: str = "exact8") -> float
     c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
     with _Omega_checked(Omega, material):
         if mode == "exact8":
-            return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
-        if mode == "nonrel9":
-            return 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
-        if mode == "low":
-            return 4.0 * c**2 * v / (3.0 * wp**3)
-        if mode == "high":
-            return 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
-    raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
+            A = 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
+        elif mode == "nonrel9":
+            A = 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
+        elif mode == "low":
+            A = 4.0 * c**2 * v / (3.0 * wp**3)
+        elif mode == "high":
+            A = 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
+        else:
+            raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
+        # a denominator product that overflows under float * gives 0, not
+        # an OverflowError
+        if not 0.0 < A < math.inf:
+            raise OverflowError
+    return A
 
 
-def amplitude_B(Omega: float, material: Material, E0: float = 1.0) -> float:
-    """Envelope coefficient B (cm^2) for the E(x)/E(0) normalization.
-
-    B = (omega_p/c) A E0; E0 is an overall surface-field scale used
-    mostly to probe the crossover logic.
-    """
-    if not 0.0 < E0 < math.inf:
-        raise ValueError(f"E0 must be finite and > 0, got {E0}")
-    return material.omega_p / SPEED_OF_LIGHT * amplitude_A(Omega, material) * E0
+def amplitude_B(Omega: float, material: Material) -> float:
+    """Envelope coefficient B = (omega_p/c) A (cm^2) for the E(x)/E(0)
+    normalization."""
+    return material.omega_p / SPEED_OF_LIGHT * amplitude_A(Omega, material)
 
 
 class AsymptoticCoefficients(NamedTuple):
@@ -86,9 +87,7 @@ class AsymptoticCoefficients(NamedTuple):
     wavenumber: float
 
 
-def asymptotic_coefficients(
-    Omega: float, material: Material, E0: float = 1.0
-) -> AsymptoticCoefficients:
+def asymptotic_coefficients(Omega: float, material: Material) -> AsymptoticCoefficients:
     """Closed-form far-field quantities for one material and frequency.
 
     wavenumber = Omega omega_p / v_F (cm^-1); successive zeros of the
@@ -96,7 +95,7 @@ def asymptotic_coefficients(
     """
     return AsymptoticCoefficients(
         A=amplitude_A(Omega, material),
-        B=amplitude_B(Omega, material, E0),
+        B=amplitude_B(Omega, material),
         f_Omega=f_of_Omega(Omega, material),
         wavenumber=Omega * material.omega_p / material.v_F,
     )
@@ -108,7 +107,6 @@ def asymptotic_field(
     material: Material,
     *,
     normalization: str = "per_Eprime0",
-    E0: float = 1.0,
 ):
     """Leading far-field oscillation, an inverse-square-damped sine.
 
@@ -126,5 +124,5 @@ def asymptotic_field(
     if normalization == "per_Eprime0":
         return -amplitude_A(Omega, material) / x**2 * np.sin(u)
     if normalization == "per_E0":
-        return amplitude_B(Omega, material, E0) / x**2 * np.sin(u)
+        return amplitude_B(Omega, material) / x**2 * np.sin(u)
     raise ValueError(f"unknown normalization {normalization!r}")

@@ -258,16 +258,14 @@ def _cmd_crossover(args) -> int:
     from . import analysis
 
     mat = _material(args)
-    res = analysis.crossover(args.Omega, mat, args.E0)
+    res = analysis.crossover(args.Omega, mat)
     meta = {
         "material": mat.name,
         "Omega": args.Omega,
-        "E0": args.E0,
         "x_star_cm": res.x_star,
         "x_star_um": res.x_star * 1e4,
         "g_residual": res.g_residual,
         "iterations": res.iterations,
-        "branch": res.branch,
     }
     columns = ["material", "Omega", "x_star_cm", "x_star_um", "g_residual", "iterations"]
     rows = [[mat.name, args.Omega, res.x_star, res.x_star * 1e4, res.g_residual,
@@ -332,8 +330,8 @@ def _cmd_figures(args) -> int:
 
         Om = _FIG_CROSSOVER[fig]
         mat = _material(args)
-        res = analysis.crossover(Om, mat, args.E0)
-        B = asymptotic.amplitude_B(Om, mat, args.E0)
+        res = analysis.crossover(Om, mat)
+        B = asymptotic.amplitude_B(Om, mat)
         k = mat.omega_p / SPEED_OF_LIGHT
         xs = np.geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
         y1 = B / xs**2
@@ -352,7 +350,6 @@ def _cmd_figures(args) -> int:
             "fig": fig,
             "material": mat.name,
             "Omega": Om,
-            "E0": args.E0,
             "B_cm2": B,
             "x_star_cm": res.x_star,
             "x_star_um": res.x_star * 1e4,
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossover", help="exponential-vs-tail crossover depth")
     p.add_argument("--Omega", type=float, required=True)
-    p.add_argument("--E0", type=float, default=1.0)
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_crossover)
 
@@ -438,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fig", type=int, required=True, choices=(1, 2, 3, 4, 5, 6))
     p.add_argument("--eps", type=float, default=1e-4,
                    help="collision parameter for the fig-1 scan")
-    p.add_argument("--E0", type=float, default=1.0)
     _add_common(p, material=True, fmt=False)
     p.set_defaults(func=_cmd_figures)
 

@@ -1,6 +1,8 @@
 import math
+import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from fermiskin.field import profile
 from fermiskin.materials import Material, get_material, params_for
 
 # Frozen crossover depths in micrometres (root of B/x^2 = e^{-x/delta},
-# bisection + Newton polish; deterministic to machine precision).
+# the closed form -(2/k) W_{-1}(-k sqrt(B)/2); deterministic to machine
+# precision).
 CROSSOVER_UM = {
     ("na", 1e-2): 0.468223647679,
     ("na", 1e-1): 0.791951887308,
@@ -30,6 +33,19 @@ CROSSOVER_UM = {
     ("al", 1e-1): 0.259253785093,
 }
 K_PROBE_UM = {1e-2: 0.693451814825, 1e-1: 1.14145953007}
+# Crossover depths (cm) at Omega = 1e-300, 1e-4, 1, 1e20 and 1e40 from the
+# earlier root finder (bracket doubling, bisection to 1e-12, Newton polish)
+BISECTION_X_CM = {
+    "na": [3.2460502154982944e-05, 3.246479586025686e-05, 0.00011148184807730985,
+           0.0007250347242257365, 0.001330326140223085],
+    "au": [2.1020814160186038e-05, 2.102251699168794e-05, 7.160972162754522e-05,
+           0.00048296478043615494, 0.000888636272401186],
+    "al": [1.1408121554752136e-05, 1.1408588443596994e-05, 3.8393904501498693e-05,
+           0.0002733864292562666, 0.0005050083635395315],
+}
+# at Omega = 1e-3, n_e of about 3.92541237e28 cm^-3 puts k sqrt(B)/2 at 1/e;
+# a denser metal's tail dominates everywhere
+DENSE = Material("dense", 5e28)
 
 
 def synthetic_wave(k=3.7, x0=6.0, n=2000, periods=10, amp=1.0, phase=0.0):
@@ -194,13 +210,28 @@ class TestCrossover:
 
     def test_root_quality(self, na):
         r = crossover(1e-2, na)
-        assert r.branch == "beyond_minimum"
         assert r.g_residual <= 1e-10
-        lo, hi = r.bracket
-        assert lo <= r.x_star <= hi
-        assert hi - lo <= 1e-11 * r.x_star
+        assert r.iterations == 4
         # the root must sit beyond the minimum of the log-difference
         assert r.x_star > 2.0 * SPEED_OF_LIGHT / na.omega_p
+
+    @pytest.mark.parametrize("name", sorted(BISECTION_X_CM))
+    def test_closed_form_keeps_the_bisection_depths(self, name):
+        m = get_material(name)
+        for Omega, x_ref in zip((1e-300, 1e-4, 1.0, 1e20, 1e40), BISECTION_X_CM[name]):
+            x = crossover(Omega, m).x_star
+            assert abs(x - x_ref) <= 4 * math.ulp(x_ref), (Omega, x, x_ref)
+
+    @pytest.mark.parametrize("n_e", [3.9e28, 3.92541e28, 3.92541237e28, 3.925412373e28])
+    def test_residual_near_the_branch_point(self, n_e):
+        # W_{-1} is steepest at -1/e, where x_star meets the minimum 2/k
+        m = Material("edge", n_e)
+        r = crossover(1e-3, m)
+        x_min = 2.0 * SPEED_OF_LIGHT / m.omega_p
+        assert r.g_residual <= 1e-10
+        assert x_min < r.x_star < 1.05 * x_min
+        with pytest.raises(NoCrossoverError):
+            crossover(1e-3, Material("edge", 3.92541238e28))
 
     def test_root_satisfies_defining_equation(self, na):
         r = crossover(1e-2, na)
@@ -209,18 +240,21 @@ class TestCrossover:
         assert B / r.x_star**2 == pytest.approx(math.exp(-k * r.x_star), rel=1e-9)
 
     def test_stronger_tail_pulls_crossover_in(self, na):
-        # scaling the oscillation up makes it overtake the exponential
-        # sooner; push far enough and the crossover disappears entirely
-        assert crossover(1e-2, na, E0=10.0).x_star < crossover(1e-2, na).x_star
+        # in units of c/omega_p the tail k sqrt(B) grows with v_F/c, so in a
+        # denser metal it overtakes the exponential sooner; push far enough
+        # and the crossover disappears entirely
+        depths = [crossover(1e-2, m).x_star * m.omega_p / SPEED_OF_LIGHT
+                  for m in (na, Material("denser", 1e26), Material("densest", 1e28))]
+        assert depths == sorted(depths, reverse=True)
 
-    def test_overdriven_surface_has_no_crossover(self, na):
-        with pytest.raises(NoCrossoverError, match="dominates everywhere"):
-            crossover(1e-2, na, E0=1e5)
+    def test_overdriven_surface_has_no_crossover(self):
+        for Omega in (1e-3, 1e-2):
+            with pytest.raises(NoCrossoverError, match="dominates everywhere"):
+                crossover(Omega, DENSE)
 
     def test_nan_residual_fails(self, na, monkeypatch):
         # a NaN amplitude propagates to the residual, which must not pass
-        # for a root; amplitude_B rejects a NaN E0 itself, so the NaN is
-        # injected past it
+        # for a root; amplitude_B never returns NaN, so it is injected
         monkeypatch.setattr(analysis, "amplitude_B", lambda *args: math.nan)
         with pytest.raises(AnalysisError, match="residual nan"):
             crossover(1e-2, na)
@@ -234,3 +268,27 @@ class TestCrossover:
         u_na = crossover(1e-2, na).x_star * na.omega_p / SPEED_OF_LIGHT
         u_f = crossover(1e-2, fict).x_star * fict.omega_p / SPEED_OF_LIGHT
         assert u_f == pytest.approx(u_na, rel=1e-10)
+
+
+class TestLambertW:
+    # the lower real branch, sampled from 1e-6 above the branch point -1/e
+    # to -1e-170
+    YS = ([-1.0 / math.e + 10.0**-j for j in range(6, 0, -1)]
+          + [-0.3, -0.26, -0.25, -0.2499]
+          + [-(10.0**-j) for j in range(1, 171, 3)])
+
+    @pytest.mark.parametrize("y", YS)
+    def test_against_mpmath(self, y):
+        w, steps = analysis._lambert_w_lower(y)
+        with mpmath.workdps(40):
+            ref = mpmath.lambertw(y, -1).real
+            rel = float(abs((w - ref) / ref))
+            cond = float(1 / abs(1 + ref))
+        assert steps == 4
+        # the condition number 1/|1 + w| turns the rounding of w e^w - y,
+        # an ulp of |y|, into a relative error that near -1/e exceeds 1e-15
+        assert rel <= max(1e-15, sys.float_info.epsilon * cond), (rel, cond)
+
+    def test_branch_point_is_minus_one(self):
+        # the branch-point start is the root itself there: x_star = 2c/omega_p
+        assert analysis._lambert_w_lower(-1.0 / math.e) == (-1.0, 0)

@@ -413,8 +413,7 @@ class TestBehavior:
         "asymptotic.AsymptoticCoefficients": ["A", "B", "f_Omega", "wavenumber"],
         "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
         "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
-        "analysis.CrossoverResult": ["x_star", "bracket", "g_residual", "branch",
-                                     "iterations"],
+        "analysis.CrossoverResult": ["x_star", "g_residual", "iterations"],
         "permittivity.KohnScanResult": ["q_star", "max_abs_derivative", "refined_step",
                                         "grid", "values", "n_skipped"],
     }
@@ -476,6 +475,9 @@ class TestExitCodes:
              "--method", "direct"],
             # the mesh has one tolerance, the kernel's rounding floor
             ["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3", "--tol-rel", "1e-8"],
+            # B is the closed form's; no surface-field scale multiplies it
+            ["crossover", "--Omega", "1e-2", "--E0", "1"],
+            ["figures", "--fig", "5", "--E0", "1"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -496,7 +498,8 @@ class TestExitCodes:
             (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
               "--material", "unobtainium"],
              "unknown material"),
-            (["crossover", "--Omega", "1e-2", "--E0", "1e5"],
+            # dense.json stands for a file holding a metal at n_e = 5e28 cm^-3
+            (["crossover", "--Omega", "1e-2", "--material", "dense", "--config", "dense.json"],
              "no crossover: Friedel tail dominates everywhere"),
             (["field", "--Omega", "1", "--grid", "1e-6:2e-6:2"],
              "dispersion root on contour"),
@@ -508,8 +511,10 @@ class TestExitCodes:
              "--grid must be min:max:n with numeric parts, got 'a:3e-5:3'"),
         ],
     )
-    def test_module_errors_exit_1_verbatim(self, capsys, argv, fragment):
-        code, out, err = run_cli(capsys, argv)
+    def test_module_errors_exit_1_verbatim(self, capsys, tmp_path, argv, fragment):
+        cfg = tmp_path / "dense.json"
+        cfg.write_text('[{"name": "dense", "n_e_cm3": 5e28}]')
+        code, out, err = run_cli(capsys, [str(cfg) if a == cfg.name else a for a in argv])
         assert code == 1
         assert fragment in err
 
@@ -529,8 +534,8 @@ class TestExitCodes:
             # finite depths whose phase overflows
             (["field", "--Omega", "1e-2", "--grid", "1e299:1e300:2"],
              "x = 1e+299 cm: phase 8.60079e+306 times the mesh end S = "),
-            (["crossover", "--Omega", "1e-2", "--E0", "nan"],
-             "E0 must be finite and > 0, got nan"),
+            (["crossover", "--Omega", "inf"],
+             "Omega must be finite and > 0, got inf"),
             (["epsilon", "--Omega", "0.1", "--q", "nan"],
              "q must be finite, got nan"),
             # finite inputs whose values overflow a float
@@ -546,6 +551,13 @@ class TestExitCodes:
              "Omega = 1e+160 is too large for material 'na': the closed form overflows"),
             (["crossover", "--Omega", "1e160"],
              "Omega = 1e+160 is too large for material 'na': the closed form overflows"),
+            # A = 0 where a denominator product overflows under float *
+            (["asymptotic", "--Omega", "1e70"],
+             "Omega = 1e+70 is too large for material 'na': the closed form overflows"),
+            (["asymptotic", "--Omega", "1e70", "--grid", "1e-4:3e-4:3"],
+             "Omega = 1e+70 is too large for material 'na': the closed form overflows"),
+            (["crossover", "--Omega", "1e70"],
+             "Omega = 1e+70 is too large for material 'na': the closed form overflows"),
         ],
     )
     def test_non_finite_inputs_rejected(self, capsys, argv, fragment):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -388,6 +389,18 @@ class TestOscillationStrength:
                 amplitude_A(1e160, na, mode)
         assert amplitude_A(1e160, na, "low") == amplitude_A(1e-2, na, "low")
 
+    @pytest.mark.parametrize("Omega,mode", [(1e60, "high"), (1e70, "exact8"),
+                                            (1e70, "nonrel9"), (1e70, "high")])
+    def test_zero_amplitude_named(self, na, Omega, mode):
+        # a denominator product that overflows under float * leaves A = 0
+        # with no OverflowError: from about 4.4e62 for the full forms and
+        # 7.1e59 for "high", below which A is a normal float
+        msg = f"Omega = {Omega:g} is too large for material 'na': the closed form overflows"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            amplitude_A(Omega, na, mode)
+        below = 1e59 if mode == "high" else 1e62
+        assert 1e-300 < amplitude_A(below, na, mode) < 1e-250
+
 
 class TestAmplitudeModes:
     def test_frozen_limit_values(self, na):
@@ -412,15 +425,6 @@ class TestAmplitudeModes:
     def test_unknown_mode_rejected(self, na):
         with pytest.raises(ValueError, match="unknown mode"):
             amplitude_A(1e-2, na, "fancy")
-
-    def test_B_scales_with_E0(self, na):
-        assert amplitude_B(1e-2, na, E0=3.0) == pytest.approx(
-            3.0 * amplitude_B(1e-2, na), rel=1e-14
-        )
-        with pytest.raises(ValueError, match="E0"):
-            amplitude_B(1e-2, na, E0=0.0)
-        with pytest.raises(ValueError, match="E0 must be finite and > 0, got nan"):
-            amplitude_B(1e-2, na, E0=float("nan"))
 
     def test_coefficient_bundle(self, na):
         co = asymptotic_coefficients(1e-2, na)
