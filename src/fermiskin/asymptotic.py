@@ -20,15 +20,16 @@ from .materials import Material
 @contextmanager
 def _Omega_checked(Omega: float, material: Material):
     """Name Omega in a ValueError if it is not finite and > 0, or if the
-    closed form under the with block raises OverflowError there."""
+    closed form under the with block overflows a float there: it raises
+    OverflowError, or divides by a power of Omega that underflows to 0."""
     if not 0.0 < Omega < math.inf:
         raise ValueError(f"Omega must be finite and > 0, got {Omega}")
     try:
         yield
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ValueError(
-            f"Omega = {Omega:g} is too large for material {material.name!r}: "
-            "the closed form overflows"
+            f"Omega = {Omega:g} is too {'large' if Omega > 1.0 else 'small'} for "
+            f"material {material.name!r}: the closed form overflows"
         ) from None
 
 
@@ -67,8 +68,8 @@ def amplitude_A(Omega: float, material: Material, mode: str = "exact8") -> float
             A = 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
         else:
             raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
-        # a denominator product that overflows under float * gives 0, not
-        # an OverflowError
+        # a product that overflows under float * gives 0 or inf, not an
+        # OverflowError
         if not 0.0 < A < math.inf:
             raise OverflowError
     return A

@@ -401,6 +401,15 @@ class TestOscillationStrength:
         below = 1e59 if mode == "high" else 1e62
         assert 1e-300 < amplitude_A(below, na, mode) < 1e-250
 
+    def test_tiny_omega_named_in_the_high_limit(self, na):
+        # Omega^4 underflows to 0 below about 1e-81, and A ~ Omega^-4
+        # would divide by it
+        assert amplitude_A(1e-80, na, "high") < 1e300
+        for Omega in (1e-82, 1e-100):
+            msg = f"Omega = {Omega:g} is too small for material 'na': the closed form overflows"
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                amplitude_A(Omega, na, "high")
+
 
 class TestAmplitudeModes:
     def test_frozen_limit_values(self, na):
