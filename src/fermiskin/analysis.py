@@ -126,24 +126,20 @@ def _line_fit(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 
 def _refined_peaks(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima of m by three-point comparison, parabolic refinement."""
-    i = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
-    xs, ps = [], []
-    for j in i:
-        tx = x[j - 1 : j + 2]
-        ty = m[j - 1 : j + 2]
-        # quadratic through the triplet; keep the vertex only when it is
-        # a genuine interior maximum, else fall back to the grid node
-        c2, c1, c0 = np.polyfit(tx, ty, 2)
-        xv = float(x[j])
-        pv = float(m[j])
-        if np.isfinite(c2) and c2 < 0.0:
-            cand = -c1 / (2.0 * c2)
-            val = c0 + c1 * cand + c2 * cand * cand
-            if tx[0] < cand < tx[2] and val > 0.0:
-                xv, pv = float(cand), float(val)
-        xs.append(xv)
-        ps.append(pv)
-    return np.asarray(xs), np.asarray(ps)
+    j = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
+    x0, x1, x2 = x[j - 1], x[j], x[j + 1]
+    y1 = m[j]
+    # the parabola through each triplet, from divided differences: slope
+    # s at x1 and curvature c2; keep its vertex only when it is a genuine
+    # interior maximum, else fall back to the grid node
+    d01 = (y1 - m[j - 1]) / (x1 - x0)
+    c2 = ((m[j + 1] - y1) / (x2 - x1) - d01) / (x2 - x0)
+    s = d01 + c2 * (x1 - x0)
+    ok = c2 < 0.0
+    h = np.divide(-s, 2.0 * c2, out=np.zeros_like(s), where=ok)
+    xv, pv = x1 + h, y1 + 0.5 * s * h
+    ok &= (x0 < xv) & (xv < x2) & (pv > 0.0)
+    return np.where(ok, xv, x1), np.where(ok, pv, y1)
 
 
 def envelope_fit(profile, window=None) -> FitResult:

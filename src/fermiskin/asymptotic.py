@@ -20,24 +20,21 @@ from .materials import Material
 @contextmanager
 def _Omega_checked(Omega: float, material: Material):
     """Name Omega in a ValueError if it is not finite and > 0, or if the
-    closed form under the with block overflows a float there: it raises
-    OverflowError, or divides by a power of Omega that underflows to 0."""
+    closed form under the with block overflows a float there."""
     if not 0.0 < Omega < math.inf:
         raise ValueError(f"Omega must be finite and > 0, got {Omega}")
     try:
         yield
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         raise ValueError(
-            f"Omega = {Omega:g} is too {'large' if Omega > 1.0 else 'small'} for "
-            f"material {material.name!r}: the closed form overflows"
+            f"Omega = {Omega:g} is too large for material {material.name!r}: "
+            "the closed form overflows"
         ) from None
 
 
-def _bracket(material: Material, Omega: float, *, relativistic: bool = True) -> float:
-    r = 1.5 + (SPEED_OF_LIGHT * Omega / material.v_F) ** 2
-    if relativistic:
-        r -= Omega**2
-    return r
+def _bracket(material: Material, Omega: float) -> float:
+    # 1.5 + Omega^2 ((c/v_F)^2 - 1) > 1.5, since v_F < c
+    return 1.5 + (SPEED_OF_LIGHT * Omega / material.v_F) ** 2 - Omega**2
 
 
 def f_of_Omega(Omega: float, material: Material) -> float:
@@ -46,31 +43,20 @@ def f_of_Omega(Omega: float, material: Material) -> float:
         return 2.0 * Omega**2 / _bracket(material, Omega) ** 2
 
 
-_A_MODES = ("exact8", "nonrel9", "low", "high")
-
-
-def amplitude_A(Omega: float, material: Material, mode: str = "exact8") -> float:
+def amplitude_A(Omega: float, material: Material) -> float:
     """Far-field envelope coefficient A (cm^3): E/E'(0) ~ -(A/x^2) sin.
 
-    Modes: "exact8" keeps the full quadratic bracket, "nonrel9" drops
-    its relativistic -Omega^2 correction, "low" and "high" are the
-    frequency-limit forms the first two reduce to.
+    A = 3 c^2 v_F / (omega_p^3 bracket^2) with the full quadratic
+    bracket 1.5 + (c Omega/v_F)^2 - Omega^2; it tends to
+    4 c^2 v_F / (3 omega_p^3) as Omega -> 0 and to
+    3 v_F^5 / (c^2 omega_p^3 Omega^4) once (c Omega/v_F)^2 >> 1.
     """
     c, v, wp = SPEED_OF_LIGHT, material.v_F, material.omega_p
     with _Omega_checked(Omega, material):
-        if mode == "exact8":
-            A = 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
-        elif mode == "nonrel9":
-            A = 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega, relativistic=False) ** 2)
-        elif mode == "low":
-            A = 4.0 * c**2 * v / (3.0 * wp**3)
-        elif mode == "high":
-            A = 3.0 * v**5 / (c**2 * wp**3 * Omega**4)
-        else:
-            raise ValueError(f"unknown mode {mode!r}; choose from {_A_MODES}")
-        # a product that overflows under float * gives 0 or inf, not an
+        A = 3.0 * c**2 * v / (wp**3 * _bracket(material, Omega) ** 2)
+        # a denominator that overflows under float * gives A = 0, not an
         # OverflowError
-        if not 0.0 < A < math.inf:
+        if A == 0.0:
             raise OverflowError
     return A
 

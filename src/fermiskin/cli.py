@@ -304,14 +304,15 @@ def _cmd_figures(args) -> int:
         cols = ["q"]
         data = [qs]
         comments = []
+        eps = 1e-4 if args.eps is None else args.eps
         for Om in (0.1, 0.08):
-            vals = np.abs(permittivity.d_eps_dq(qs, Om, args.eps))
-            scan = permittivity.kohn_scan(Om, args.eps, lo, hi, n)
+            vals = np.abs(permittivity.d_eps_dq(qs, Om, eps))
+            scan = permittivity.kohn_scan(Om, eps, lo, hi, n)
             tag = ("%g" % Om).replace(".", "p")
             cols.append(f"abs_d_eps_dq_Omega_{tag}")
             data.append(vals)
             comments.append(f"q_star(Omega = {Om:g}) = {_G % scan.q_star}")
-        comments.insert(0, f"eps = {args.eps:g}")
+        comments.insert(0, f"eps = {eps:g}")
         _emit_csv(out, cols, zip(*(d.tolist() for d in data)), comments)
     elif fig in _FIG_PROFILE:
         from . import asymptotic
@@ -329,7 +330,7 @@ def _cmd_figures(args) -> int:
         from . import analysis, asymptotic
 
         Om = _FIG_CROSSOVER[fig]
-        mat = _material(args)
+        mat = get_material(args.material or "na", args.config)
         res = analysis.crossover(Om, mat)
         B = asymptotic.amplitude_B(Om, mat)
         k = mat.omega_p / SPEED_OF_LIGHT
@@ -370,7 +371,8 @@ def _cmd_figures(args) -> int:
 
 def _add_common(p, *, material=False, fmt=True):
     if material:
-        p.add_argument("--material", default=None if p.prog.endswith("materials") else "na",
+        p.add_argument("--material",
+                       default=None if p.prog.endswith(("materials", "figures")) else "na",
                        help="material name from the built-in table or config")
         p.add_argument("--config", default=None,
                        help=f"materials JSON path (or set {MATERIALS_ENV_VAR})")
@@ -432,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit one of the six reference data sets")
     p.add_argument("--fig", type=int, required=True, choices=(1, 2, 3, 4, 5, 6))
-    p.add_argument("--eps", type=float, default=1e-4,
-                   help="collision parameter for the fig-1 scan")
+    p.add_argument("--eps", type=float, default=None,
+                   help="collision parameter of the fig-1 scan (default 1e-4)")
     _add_common(p, material=True, fmt=False)
     p.set_defaults(func=_cmd_figures)
 
@@ -443,6 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.subcommand == "figures":
+        # figures 1-4 fix their materials (default na for 5-6), and only
+        # figure 1 has a collision rate
+        if args.material is not None and args.fig < 5:
+            ap.error(f"figures --fig {args.fig} takes no --material; only figures 5 and 6 do")
+        if args.eps is not None and args.fig > 1:
+            ap.error(f"figures --fig {args.fig} takes no --eps; only figure 1 does")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -92,7 +92,8 @@ def load_materials_file(path: str) -> dict[str, Material]:
     """Load a JSON material table.
 
     Schema: a JSON array of objects, each with exactly the keys ``name``
-    and ``n_e_cm3``; any other key is rejected.
+    (a string) and ``n_e_cm3`` (a number); any other key is rejected, and
+    so is a name that an earlier entry has in any case.
     """
     import json
 
@@ -113,8 +114,15 @@ def load_materials_file(path: str) -> dict[str, Material]:
             )
         if "name" not in entry or "n_e_cm3" not in entry:
             raise ValueError(f"{path}: entry {i} needs both 'name' and 'n_e_cm3'")
-        name = str(entry["name"]).lower()
-        table[name] = Material(name, float(entry["n_e_cm3"]))
+        name, n_e = entry["name"], entry["n_e_cm3"]
+        # type(), not isinstance(): JSON true loads as a bool, an int to Python
+        if not isinstance(name, str) or type(n_e) not in (int, float):
+            raise ValueError(f"{path}: entry {i} needs a string 'name' and a number 'n_e_cm3', "
+                             f"got {json.dumps(name)} and {json.dumps(n_e)}")
+        name = name.lower()
+        if name in table:
+            raise ValueError(f"{path}: entry {i} repeats the name {name!r} (in any case)")
+        table[name] = Material(name, float(n_e))
     return table
 
 

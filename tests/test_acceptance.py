@@ -20,6 +20,7 @@ from test_cli import (
     strip_csv_stamp,
     strip_json_stamp,
 )
+from test_field import amplitude_high, amplitude_low
 
 from fermiskin import cli
 from fermiskin.analysis import crossover, envelope_fit, near_surface_fit, wavelength_extract
@@ -180,8 +181,8 @@ def test_6_far_zone_coefficient_unscaled(far_zone_profile, na):
 
 
 def test_7_amplitude_limits(na):
-    low_dev = abs(amplitude_A(1e-6, na, "exact8") / amplitude_A(1e-6, na, "low") - 1.0)
-    high_dev = abs(amplitude_A(0.1, na, "nonrel9") / amplitude_A(0.1, na, "high") - 1.0)
+    low_dev = abs(amplitude_A(1e-6, na) / amplitude_low(na) - 1.0)
+    high_dev = abs(amplitude_A(0.1, na) / amplitude_high(0.1, na) - 1.0)
     _verdict(7, "amplitude limits: low-frequency 1e-4, high-frequency 1%",
              low_dev <= 1e-4 and high_dev <= 0.01,
              f"low dev {low_dev:.2e}, high dev {high_dev:.2e}")

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -153,6 +154,32 @@ class TestFuzzedExtraction:
             est = wavelength_extract((xs, y))
             assert abs(fit.slope + 2.0) < 0.02
             assert abs(est.wavelength - 2.0 * math.pi / k) < 1e-3 * (2.0 * math.pi / k)
+
+
+    def test_peak_vertices_match_exact_arithmetic(self):
+        # the vectorized vertex against the parabola through each triplet
+        # in rational arithmetic, under the same acceptance rule; rounded
+        # values give flat tops (m[j] = m[j + 1]) and tied peaks
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            x = np.sort(rng.uniform(0.0, 10.0, 40)) * 10.0 ** rng.integers(-8, 3)
+            m = rng.uniform(0.0, 1.0, 40)
+            if trial % 2:
+                m = np.round(m, 1)
+            xs, ps = analysis._refined_peaks(x, m)
+            nodes = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
+            assert xs.size == ps.size == nodes.size
+            for xk, pk, j in zip(xs, ps, nodes):
+                x0, x1, x2 = (Fraction(float(v)) for v in x[j - 1 : j + 2])
+                y0, y1, y2 = (Fraction(float(v)) for v in m[j - 1 : j + 2])
+                d01 = (y1 - y0) / (x1 - x0)
+                c2 = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
+                s = d01 + c2 * (x1 - x0)
+                xv, pv = x1, y1
+                if c2 < 0 and x0 < x1 - s / (2 * c2) < x2 and y1 - s * s / (4 * c2) > 0:
+                    xv, pv = x1 - s / (2 * c2), y1 - s * s / (4 * c2)
+                assert xk == pytest.approx(float(xv), rel=1e-14)
+                assert pk == pytest.approx(float(pv), rel=1e-14)
 
 
 class TestNearSurfaceFit:

@@ -240,6 +240,17 @@ class TestBehavior:
         assert out == ""
         assert target.read_text().startswith("# generated: ")
 
+    @pytest.mark.parametrize("fig,option", [(1, ["--eps", "1e-4"]),
+                                            (5, ["--material", "na"])])
+    def test_figure_option_at_its_default(self, capsys, tmp_path, fig, option):
+        out_path = tmp_path / f"fig{fig}.csv"
+        code, _, _ = run_cli(
+            capsys, ["figures", "--fig", str(fig), *option, "--output", str(out_path)]
+        )
+        assert code == 0
+        golden = (GOLDEN_DIR / f"fig{fig}.csv").read_text(encoding="utf-8")
+        assert strip_csv_stamp(out_path.read_text(encoding="utf-8")) == golden
+
     def test_figures_default_filename(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, ["figures", "--fig", "1"])
@@ -486,6 +497,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fig,option,takers", [
+        (1, "--material", "only figures 5 and 6 do"),
+        (2, "--material", "only figures 5 and 6 do"),
+        (4, "--material", "only figures 5 and 6 do"),
+        (2, "--eps", "only figure 1 does"),
+        (6, "--eps", "only figure 1 does"),
+    ])
+    def test_figure_option_outside_its_figures(self, capsys, tmp_path, fig, option,
+                                               takers):
+        value = "au" if option == "--material" else "1e-3"
+        out_path = tmp_path / "fig.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figures", "--fig", str(fig), option, value, "--output", str(out_path)])
+        assert exc.value.code == 2
+        assert f"figures --fig {fig} takes no {option}; {takers}" in capsys.readouterr().err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "argv,fragment",
         [
@@ -574,6 +602,16 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert "material 'x': n_e must be finite and > 0, got nan" in err
+        assert out == ""
+
+    def test_materials_file_malformed_entry_rejected(self, capsys, tmp_path):
+        # JSON true is no density, though bool is an int to Python
+        cfg = tmp_path / "mats.json"
+        cfg.write_text('[{"name": "k", "n_e_cm3": 1.4e22}, {"name": "x", "n_e_cm3": true}]')
+        code, out, err = run_cli(capsys, ["materials", "--config", str(cfg)])
+        assert code == 1
+        assert f"{cfg}: entry 1 needs a string 'name' and a number 'n_e_cm3', " \
+            "got \"x\" and true" in err
         assert out == ""
 
     @pytest.mark.parametrize("key", ["omega_p", "v_F"])

@@ -211,6 +211,40 @@ def test_config_file_unknown_keys_rejected(tmp_path):
         load_materials_file(str(cfg))
 
 
+@pytest.mark.parametrize("entries,fragment", [
+    ([{"name": "k", "n_e_cm3": True}], "got \"k\" and true"),
+    ([{"name": "k", "n_e_cm3": "2.65e22"}], "got \"k\" and \"2.65e22\""),
+    ([{"name": "k", "n_e_cm3": None}], "got \"k\" and null"),
+    ([{"name": "k", "n_e_cm3": [2.65e22]}], "got \"k\" and [2.65e+22]"),
+    ([{"name": None, "n_e_cm3": 2.65e22}], "got null and 2.65e+22"),
+], ids=["true", "string", "null", "list", "name-null"])
+def test_config_file_malformed_entry_rejected(tmp_path, entries, fragment):
+    # JSON true loads as a bool, which Python takes for the int 1
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps([{"name": "na", "n_e_cm3": 2.6e22}] + entries))
+    with pytest.raises(ValueError) as exc:
+        load_materials_file(str(cfg))
+    assert str(exc.value) == (
+        f"{cfg}: entry 1 needs a string 'name' and a number 'n_e_cm3', {fragment}"
+    )
+
+
+def test_config_file_name_repeated_in_another_case_rejected(tmp_path):
+    # names are looked up lower-cased, so "K" and "k" name one material
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(json.dumps([{"name": "k", "n_e_cm3": 1.4e22},
+                               {"name": "K", "n_e_cm3": 1.5e22}]))
+    with pytest.raises(ValueError) as exc:
+        load_materials_file(str(cfg))
+    assert str(exc.value) == f"{cfg}: entry 1 repeats the name 'k' (in any case)"
+
+
+def test_config_file_integer_density_accepted(tmp_path):
+    cfg = tmp_path / "mats.json"
+    cfg.write_text('[{"name": "k", "n_e_cm3": 14000000000000000000000}]')
+    assert load_materials_file(str(cfg))["k"].n_e == 1.4e22
+
+
 def test_config_file_missing_keys_rejected(tmp_path):
     cfg = tmp_path / "mats.json"
     cfg.write_text(json.dumps([{"name": "k"}]))
