@@ -24,8 +24,7 @@ _EXPORTS = {
     "field": ("DispersionRootError", "FieldProfile", "field_ratio_ibp", "field_ratio_rescaled",
               "profile"),
     "materials": ("BUILTIN_MATERIALS", "Material", "PlasmaParams", "fermi_velocity",
-                  "get_material", "load_materials_file", "params_for", "plasma_frequency",
-                  "to_dimensionless"),
+                  "get_material", "load_materials_file", "params_for", "plasma_frequency"),
     "permittivity": ("KohnScanResult", "SeriesValue", "d2_eps_dq2", "d2_eps_near_singularity",
                      "d_eps_dq", "eps_tr", "kohn_scan", "small_q_series"),
     "quadrature": ("QuadratureError", "QuadratureResult"),

@@ -130,16 +130,15 @@ def _refined_peaks(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x0, x1, x2 = x[j - 1], x[j], x[j + 1]
     y1 = m[j]
     # the parabola through each triplet, from divided differences: slope
-    # s at x1 and curvature c2; keep its vertex only when it is a genuine
-    # interior maximum, else fall back to the grid node
+    # s at x1 and curvature c2; keep its vertex when it is a maximum, else
+    # fall back to the grid node. y1 > m[j-1] >= 0 puts the vertex between
+    # the triplet's midpoints, and h has the sign of s, so pv >= y1 > 0
     d01 = (y1 - m[j - 1]) / (x1 - x0)
     c2 = ((m[j + 1] - y1) / (x2 - x1) - d01) / (x2 - x0)
     s = d01 + c2 * (x1 - x0)
     ok = c2 < 0.0
     h = np.divide(-s, 2.0 * c2, out=np.zeros_like(s), where=ok)
-    xv, pv = x1 + h, y1 + 0.5 * s * h
-    ok &= (x0 < xv) & (xv < x2) & (pv > 0.0)
-    return np.where(ok, xv, x1), np.where(ok, pv, y1)
+    return np.where(ok, x1 + h, x1), np.where(ok, y1 + 0.5 * s * h, y1)
 
 
 def envelope_fit(profile, window=None) -> FitResult:
@@ -154,8 +153,6 @@ def envelope_fit(profile, window=None) -> FitResult:
     x, y = x[keep], y[keep]
     m = np.abs(y)
     xs, ps = _refined_peaks(x, m)
-    pos = ps > 0
-    xs, ps = xs[pos], ps[pos]
     if xs.size < _MIN_EXTREMA:
         raise AnalysisError(
             f"need at least {_MIN_EXTREMA} local extrema in the window, "

@@ -7,22 +7,21 @@ module imports neither field nor _kernels. Depths and E(x)/E'(0) are in cm.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .materials import Material
+from .materials import Material, _check_regime
 
 
 @contextmanager
 def _Omega_checked(Omega: float, material: Material):
-    """Name Omega in a ValueError if it is not finite and > 0, or if the
-    closed form under the with block overflows a float there."""
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+    """Refuse an Omega that is not finite and > 0, and name Omega in a
+    ValueError if the closed form under the with block overflows a float
+    there."""
+    _check_regime(Omega)
     try:
         yield
     except OverflowError:

@@ -446,12 +446,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.subcommand == "figures":
-        # figures 1-4 fix their materials (default na for 5-6), and only
-        # figure 1 has a collision rate
+        # figures 1-4 fix their materials (default na for 5-6), only
+        # figure 1 has a collision rate, and figure 1 has no material
         if args.material is not None and args.fig < 5:
             ap.error(f"figures --fig {args.fig} takes no --material; only figures 5 and 6 do")
         if args.eps is not None and args.fig > 1:
             ap.error(f"figures --fig {args.fig} takes no --eps; only figure 1 does")
+        if args.config is not None and args.fig == 1:
+            ap.error("figures --fig 1 takes no --config; only figures 2-6 do")
     try:
         return args.func(args)
     except BrokenPipeError:

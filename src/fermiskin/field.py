@@ -66,33 +66,20 @@ class FieldPointInfo(NamedTuple):
 def _field_point(
     x_cm: float,
     params: PlasmaParams,
-    route: str,
     kernel_id: int,
+    kappa: float,
 ) -> FieldPointInfo:
+    # the transform on the axis s = q/kappa: kappa = 1 is the plasma-scaled
+    # axis, kappa = eps the mean-free-path axis
     if not math.isfinite(x_cm):
         raise ValueError(f"x must be finite, got {x_cm}")
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
     omega_p, v_F = params.material.omega_p, params.material.v_F
     # omega_p * x alone overflows from about 2e292 cm
-    x_scaled = x_cm * (omega_p / v_F)
-    if route == "rescaled":
-        kappa = 1.0
-        bcoef = params.b
-        phase = x_scaled
-        pref = bcoef * v_F / (math.pi * omega_p)
-    elif route == "direct":
-        if params.eps == 0.0:
-            raise ValueError(
-                "direct route needs eps > 0; use the rescaled route, the "
-                "asymptotic form, or a small eps such as 1e-5"
-            )
-        kappa = params.eps
-        bcoef = params.a
-        phase = params.eps * x_scaled
-        pref = params.a * params.l / math.pi
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    phase = kappa * (x_cm * (omega_p / v_F))
+    bcoef = params.b * kappa * kappa
+    pref = bcoef * v_F / (math.pi * omega_p * kappa)
     # named before the mesh is built: its envelope overflows (a numpy
     # RuntimeWarning) from Omega of about 1e-150 for Na
     if pref == math.inf:
@@ -126,7 +113,7 @@ def field_ratio_rescaled(
     full_output: bool = False,
 ):
     """E(x)/E'(0) in cm via the plasma-scaled axis. Works at eps = 0."""
-    info = _field_point(x_cm, params, "rescaled", KERNEL_RECIPROCAL)
+    info = _field_point(x_cm, params, KERNEL_RECIPROCAL, 1.0)
     return (info.value, info) if full_output else info.value
 
 
@@ -142,7 +129,12 @@ def field_ratio_direct(
     the two must agree to quadrature accuracy. Kept separate as a
     cross-check, not merged.
     """
-    info = _field_point(x_cm, params, "direct", KERNEL_RECIPROCAL)
+    if params.eps == 0.0:
+        raise ValueError(
+            "direct route needs eps > 0; use the rescaled route, the "
+            "asymptotic form, or a small eps such as 1e-5"
+        )
+    info = _field_point(x_cm, params, KERNEL_RECIPROCAL, params.eps)
     return (info.value, info) if full_output else info.value
 
 
@@ -163,7 +155,7 @@ def field_ratio_ibp(
     parts of the plain routes' (see quadrature), with the same rounding
     floor of 1e-14 of the summed Legendre-term magnitudes.
     """
-    info = _field_point(x_cm, params, "rescaled", KERNEL_IBP_EXACT)
+    info = _field_point(x_cm, params, KERNEL_IBP_EXACT, 1.0)
     return (info.value, info) if full_output else info.value
 
 

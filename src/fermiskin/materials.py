@@ -4,7 +4,7 @@ A material is fully specified by its free-electron number density; the
 plasma frequency and Fermi velocity follow from the free-electron-gas
 formulas. A regime is the material plus the dimensionless pair
 (Omega, eps) = (omega, nu)/omega_p; every other regime quantity
-(a, b, omega, nu, l, tau, delta) is derived from those three.
+(a, b, omega, nu, l, delta) is derived from those three.
 """
 
 from __future__ import annotations
@@ -122,7 +122,10 @@ def load_materials_file(path: str) -> dict[str, Material]:
         name = name.lower()
         if name in table:
             raise ValueError(f"{path}: entry {i} repeats the name {name!r} (in any case)")
-        table[name] = Material(name, float(n_e))
+        try:
+            table[name] = Material(name, float(n_e))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: entry {i}: {exc}") from None
     return table
 
 
@@ -151,6 +154,15 @@ def get_material(name: str, config_path: str | None = None) -> Material:
     return table[key]
 
 
+def _check_regime(Omega: float, eps: float = 0.0) -> None:
+    """Refuse an Omega that is not finite and > 0, or an eps that is not
+    finite and >= 0: the one check of the dimensionless regime."""
+    if not 0.0 < Omega < math.inf:
+        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+
+
 class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega", float),
                                                  ("eps", float)])):
     """A material driven at Omega = omega/omega_p with collision rate
@@ -158,18 +170,14 @@ class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega"
 
     b = (c/(v_F Omega))^2 and a = b*eps^2 are the quadratic
     coefficients of the two equivalent dispersion denominators. The
-    mean free path l and relaxation time tau are infinite in the
-    collisionless state eps = 0.
+    mean free path l is infinite in the collisionless state eps = 0.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, material: Material, Omega: float, eps: float):
-        if not 0.0 < Omega < math.inf:
-            raise ValueError(f"Omega must be finite and > 0, got {Omega}")
-        if not 0.0 <= eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+        _check_regime(Omega, eps)
         self = super().__new__(cls, material, Omega, eps)
         try:
             b = self.b
@@ -206,21 +214,12 @@ class PlasmaParams(NamedTuple("_PlasmaFields", [("material", Material), ("Omega"
         return self.material.v_F / self.nu if self.eps > 0.0 else math.inf
 
     @property
-    def tau(self) -> float:
-        """Relaxation time 1/nu, s."""
-        return 1.0 / self.nu if self.eps > 0.0 else math.inf
-
-    @property
     def delta(self) -> float:
         """Collisionless skin depth c/omega_p, cm."""
         return self.material.skin_depth
 
 
-def to_dimensionless(omega: float, nu: float, material: Material) -> PlasmaParams:
-    """PlasmaParams of a dimensional drive: omega and nu in rad/s."""
-    return PlasmaParams(material, omega / material.omega_p, nu / material.omega_p)
-
-
 def params_for(material: Material, Omega: float, eps: float = 0.0) -> PlasmaParams:
-    """PlasmaParams of the dimensionless pair (Omega, eps)."""
+    """PlasmaParams of the dimensionless pair (Omega, eps); a drive of
+    omega and nu in rad/s is (omega, nu) / material.omega_p."""
     return PlasmaParams(material, Omega, eps)

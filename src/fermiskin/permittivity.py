@@ -7,11 +7,12 @@ meets the Fermi-surface edge; the seed of the spatial oscillations
 computed downstream).
 
 All evaluators accept scalars or array-likes in q and return matching
-shapes. They raise ValueError for a q that is not finite or is zero, and
-one naming q and Omega where the value overflows a float (a tiny Omega,
-or a tiny q for the pole pair); every other q returns a finite value,
-out to |q| = 1e300. Omega and eps are scalars by design: one frequency
-point per call keeps the branch bookkeeping trivial. Time enters as
+shapes. They raise ValueError for a q that is not finite, for the
+collisionless singular point |q| = Omega at eps = 0, and naming q and
+Omega where the value overflows a float (a tiny Omega, or a tiny or zero
+q for the pole pair); every other q, q = 0 included, returns a finite
+value, out to |q| = 1e300. Omega and eps are scalars by design: one
+frequency point per call keeps the branch bookkeeping trivial. Time enters as
 exp(-i omega t), so z = Omega + i eps; np.conj of any value gives the
 mirror convention exp(+i omega t).
 """
@@ -25,24 +26,16 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import N_SERIES_TERMS
+from .materials import _check_regime
 
 _SCAN_ROUNDS = 3
 _SCAN_REFINE = 10
-
-
-def _validate(Omega: float, eps: float) -> None:
-    if not 0.0 < Omega < math.inf:
-        raise ValueError(f"Omega must be finite and > 0, got {Omega}")
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
     bad = arr[~np.isfinite(arr)]
     if bad.size:
         raise ValueError(f"q must be finite, got {bad.flat[0]}")
-    if np.any(arr == 0.0):
-        raise ValueError("q = 0 is outside the closed-form domain; use small_q_series")
     if eps == 0.0 and np.any(np.abs(arr) == Omega):
         raise ValueError(
             f"|q| = Omega = {Omega:g} is the collisionless singular point"
@@ -54,7 +47,7 @@ def _overflow(q: float, Omega: float, eps: float) -> ValueError:
 
 
 def _eval(q, which: int, Omega: float, eps: float):
-    _validate(Omega, eps)
+    _check_regime(Omega, eps)
     arr = np.asarray(q, dtype=np.float64)
     _check_domain(arr, Omega, eps)
     with np.errstate(over="ignore"):
@@ -125,7 +118,7 @@ def small_q_series(q: float, Omega: float, eps: float = 0.0) -> SeriesValue:
     magnitude of the last retained term: a true remainder bound once
     |q/z| < 1/2 and plain bookkeeping closer to the edge.
     """
-    _validate(Omega, eps)
+    _check_regime(Omega, eps)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q}")
     z = complex(Omega, eps)
@@ -178,7 +171,7 @@ def kohn_scan(
     eps the peak of the broadened modulus sits a fraction of eps above
     Omega, so the resolution worth asking for is bounded by eps itself.
     """
-    _validate(Omega, eps)
+    _check_regime(Omega, eps)
     if n_points < 10:
         raise ValueError(f"n_points must be >= 10, got {n_points}")
     if not (0.0 < q_min < q_max):

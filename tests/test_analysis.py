@@ -158,11 +158,20 @@ class TestFuzzedExtraction:
 
     def test_peak_vertices_match_exact_arithmetic(self):
         # the vectorized vertex against the parabola through each triplet
-        # in rational arithmetic, under the same acceptance rule; rounded
-        # values give flat tops (m[j] = m[j + 1]) and tied peaks
+        # in rational arithmetic, which keeps it wherever c2 < 0; rounded
+        # values give flat tops (m[j] = m[j + 1]) and tied peaks, and grids
+        # a few ulps apart test that rounding never moves a vertex out of
+        # its triplet or below its node
         rng = np.random.default_rng(3)
-        for trial in range(60):
-            x = np.sort(rng.uniform(0.0, 10.0, 40)) * 10.0 ** rng.integers(-8, 3)
+        for trial in range(90):
+            if trial < 60:
+                x = np.sort(rng.uniform(0.0, 10.0, 40)) * 10.0 ** rng.integers(-8, 3)
+            else:
+                x = [rng.uniform(0.5, 1.0) * 10.0 ** rng.integers(-8, 3)]
+                for k in rng.integers(1, 4, 39):
+                    for _ in range(k):
+                        x.append(np.nextafter(x[-1], np.inf))
+                x = np.array(x)
             m = rng.uniform(0.0, 1.0, 40)
             if trial % 2:
                 m = np.round(m, 1)
@@ -170,14 +179,15 @@ class TestFuzzedExtraction:
             nodes = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
             assert xs.size == ps.size == nodes.size
             for xk, pk, j in zip(xs, ps, nodes):
+                assert x[j - 1] <= xk <= x[j + 1] and pk >= m[j] > 0.0
                 x0, x1, x2 = (Fraction(float(v)) for v in x[j - 1 : j + 2])
                 y0, y1, y2 = (Fraction(float(v)) for v in m[j - 1 : j + 2])
                 d01 = (y1 - y0) / (x1 - x0)
                 c2 = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
                 s = d01 + c2 * (x1 - x0)
-                xv, pv = x1, y1
-                if c2 < 0 and x0 < x1 - s / (2 * c2) < x2 and y1 - s * s / (4 * c2) > 0:
-                    xv, pv = x1 - s / (2 * c2), y1 - s * s / (4 * c2)
+                assert c2 < 0
+                xv, pv = x1 - s / (2 * c2), y1 - s * s / (4 * c2)
+                assert (x0 + x1) / 2 < xv <= (x1 + x2) / 2 and pv >= y1
                 assert xk == pytest.approx(float(xv), rel=1e-14)
                 assert pk == pytest.approx(float(pv), rel=1e-14)
 

@@ -407,7 +407,7 @@ class TestBehavior:
     def test_exports(self):
         import fermiskin
 
-        assert len(fermiskin.__all__) == 40
+        assert len(fermiskin.__all__) == 39
         for name in fermiskin.__all__:
             assert getattr(fermiskin, name) is not None, name
         with pytest.raises(AttributeError, match="no attribute 'field_ratio_direct'"):
@@ -503,10 +503,11 @@ class TestExitCodes:
         (4, "--material", "only figures 5 and 6 do"),
         (2, "--eps", "only figure 1 does"),
         (6, "--eps", "only figure 1 does"),
+        (1, "--config", "only figures 2-6 do"),
     ])
     def test_figure_option_outside_its_figures(self, capsys, tmp_path, fig, option,
                                                takers):
-        value = "au" if option == "--material" else "1e-3"
+        value = {"--material": "au", "--eps": "1e-3", "--config": "mats.json"}[option]
         out_path = tmp_path / "fig.csv"
         with pytest.raises(SystemExit) as exc:
             cli.main(["figures", "--fig", str(fig), option, value, "--output", str(out_path)])

@@ -152,9 +152,9 @@ class TestRoutesAgainstFrozenReferences:
 
     def test_direct_equals_rescaled_spec_points(self, p_1em4):
         for x in QAWO_REFS:
-            d = field_ratio_direct(x, p_1em4)
-            r = field_ratio_rescaled(x, p_1em4)
-            assert abs(d - r) <= 1e-6 * max(abs(d), abs(r))
+            d = field_ratio_direct(x, p_1em4, full_output=True)[1]
+            r = field_ratio_rescaled(x, p_1em4, full_output=True)[1]
+            assert abs(d.value - r.value) <= d.abs_err_est + r.abs_err_est
 
     def test_direct_equals_rescaled_randomized(self, na):
         rng = np.random.default_rng(42)
@@ -163,9 +163,9 @@ class TestRoutesAgainstFrozenReferences:
             e = 10 ** rng.uniform(-5, -3)
             x = 10 ** rng.uniform(-6, math.log10(6e-5))
             p = params_for(na, Om, e)
-            d = field_ratio_direct(x, p)
-            r = field_ratio_rescaled(x, p)
-            assert abs(d - r) <= 1e-6 * max(abs(d), abs(r))
+            d = field_ratio_direct(x, p, full_output=True)[1]
+            r = field_ratio_rescaled(x, p, full_output=True)[1]
+            assert abs(d.value - r.value) <= d.abs_err_est + r.abs_err_est
 
     def test_ibp_exact_equals_rescaled(self, p_1em4):
         for x in QAWO_REFS:

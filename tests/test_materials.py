@@ -17,7 +17,6 @@ from fermiskin.materials import (
     load_materials_file,
     params_for,
     plasma_frequency,
-    to_dimensionless,
 )
 
 # frozen from a 50-digit prototype evaluation of the free-electron formulas
@@ -117,18 +116,22 @@ def test_skin_depth_identity(na):
     assert na.skin_depth == pytest.approx(3.2644215415865921e-6, rel=1e-12)
 
 
+def _drive(material, omega, nu):
+    # a drive of omega and nu in rad/s, as params_for documents it
+    return params_for(material, omega / material.omega_p, nu / material.omega_p)
+
+
 def test_to_dimensionless_collisionless(na):
-    p = to_dimensionless(na.omega_p * 1e-2, 0.0, na)
+    p = _drive(na, na.omega_p * 1e-2, 0.0)
     assert p.eps == 0.0
     assert p.a == 0.0
     assert p.b > 0
     assert math.isinf(p.l)
-    assert math.isinf(p.tau)
 
 
 def test_to_dimensionless_b_scaling(na):
-    p1 = to_dimensionless(na.omega_p * 1e-2, 0.0, na)
-    p2 = to_dimensionless(na.omega_p * 2e-2, 0.0, na)
+    p1 = _drive(na, na.omega_p * 1e-2, 0.0)
+    p2 = _drive(na, na.omega_p * 2e-2, 0.0)
     assert p2.Omega == pytest.approx(2 * p1.Omega, rel=1e-14)
     assert p2.b == pytest.approx(p1.b / 4, rel=1e-14)
 
@@ -144,13 +147,13 @@ def test_to_dimensionless_b_oracle(na):
 
 def test_to_dimensionless_rejects_bad_omega(na):
     with pytest.raises(ValueError):
-        to_dimensionless(0.0, 0.0, na)
+        _drive(na, 0.0, 0.0)
     with pytest.raises(ValueError):
-        to_dimensionless(-1e14, 0.0, na)
+        _drive(na, -1e14, 0.0)
     with pytest.raises(ValueError):
-        to_dimensionless(1e14, -1.0, na)
+        _drive(na, 1e14, -1.0)
     with pytest.raises(ValueError, match="Omega must be finite"):
-        to_dimensionless(float("nan"), 0.0, na)
+        _drive(na, float("nan"), 0.0)
     with pytest.raises(ValueError, match="eps must be finite"):
         params_for(na, 1e-2, float("inf"))
 
@@ -165,7 +168,6 @@ def test_params_store_only_the_regime():
     assert p.b == (SPEED_OF_LIGHT / (au.v_F * 1e-4)) ** 2
     assert p.omega == 1e-4 * au.omega_p
     assert p.nu == 1e-5 * au.omega_p
-    assert p.tau == 1.0 / p.nu
     assert p.delta == au.skin_depth
 
 
@@ -263,6 +265,24 @@ def test_config_file_nan_values_rejected(tmp_path, key):
     fragment = "n_e must be finite" if key == "n_e_cm3" else f"unknown keys \\['{key}'\\]"
     with pytest.raises(ValueError, match=fragment):
         load_materials_file(str(cfg))
+
+
+@pytest.mark.parametrize("n_e,fragment", [
+    ("NaN", "material 'k': n_e must be finite and > 0, got nan"),
+    ("1e400", "material 'k': n_e must be finite and > 0, got inf"),
+    ("0", "material 'k': n_e must be finite and > 0, got 0.0"),
+    ("-1", "material 'k': n_e must be finite and > 0, got -1.0"),
+    ("9" * 401, "int too large to convert to float"),
+    ("1e31", "material 'k': v_F = "),
+], ids=["nan", "1e400", "zero", "negative", "401-digit", "relativistic"])
+def test_config_file_bad_density_names_file_and_entry(tmp_path, n_e, fragment):
+    # the density is checked by Material itself; the file and entry are
+    # named in front of its message
+    cfg = tmp_path / "mats.json"
+    cfg.write_text(f'[{{"name": "na", "n_e_cm3": 2.6e22}}, {{"name": "K", "n_e_cm3": {n_e}}}]')
+    with pytest.raises(ValueError) as exc:
+        load_materials_file(str(cfg))
+    assert str(exc.value).startswith(f"{cfg}: entry 1: {fragment}")
 
 
 def test_config_file_explicit_values_checked(tmp_path):

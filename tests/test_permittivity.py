@@ -227,11 +227,19 @@ class TestDerivativesAgainstFiniteDifferences:
 
 
 class TestDomain:
-    def test_q_zero_rejected(self):
-        with pytest.raises(ValueError, match="small_q_series"):
-            eps_tr(0.0, 0.1, 0.01)
-        with pytest.raises(ValueError, match="small_q_series"):
-            d_eps_dq(np.array([0.05, 0.0]), 0.1, 0.01)
+    def test_q_zero_values(self):
+        # the series branch covers q = 0: the leading term, an odd first
+        # derivative, a finite even second one; only the pole pair
+        # -3 z / (Omega q^2 (z^2 - q^2)) overflows there, as at a tiny q
+        Omega, eps = 0.1, 0.01
+        z = complex(Omega, eps)
+        assert abs(eps_tr(0.0, Omega, eps) - (1 - 1 / (Omega * z))) <= 3e-16 * abs(1 / (Omega * z))
+        assert eps_tr(0.0, Omega, eps) == small_q_series(0.0, Omega, eps).value
+        assert d_eps_dq(np.array([0.05, 0.0]), Omega, eps)[1] == 0.0
+        assert np.isfinite(d2_eps_dq2(0.0, Omega, eps))
+        for q in (0.0, 1e-200):
+            with pytest.raises(ValueError, match=f"value overflows at q = {q:g}, Omega = 0.1"):
+                d2_eps_near_singularity(q, Omega, eps)
 
     @pytest.mark.parametrize(
         "call,bad",
