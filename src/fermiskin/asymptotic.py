@@ -106,9 +106,15 @@ def asymptotic_field(
         raise ValueError(f"x must be finite, got {bad.flat[0]}")
     if np.any(x <= 0):
         raise ValueError("asymptotic form needs x > 0")
-    u = Omega * material.omega_p * x / material.v_F
     if normalization == "per_Eprime0":
-        return -amplitude_A(Omega, material) / x**2 * np.sin(u)
-    if normalization == "per_E0":
-        return amplitude_B(Omega, material) / x**2 * np.sin(u)
-    raise ValueError(f"unknown normalization {normalization!r}")
+        amp = -amplitude_A(Omega, material)
+    elif normalization == "per_E0":
+        amp = amplitude_B(Omega, material)
+    else:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y = amp / x**2 * np.sin(Omega * material.omega_p * x / material.v_F)
+    bad = x[~np.isfinite(y)]
+    if bad.size:
+        raise ValueError(f"the closed form overflows a float at x = {bad.flat[0]:g} cm")
+    return y

@@ -18,13 +18,7 @@ import sys
 from datetime import datetime, timezone
 
 from .constants import SPEED_OF_LIGHT
-from .materials import (
-    MATERIALS_ENV_VAR,
-    Material,
-    get_material,
-    material_table,
-    params_for,
-)
+from .materials import Material, get_material, material_table, params_for
 
 _G = "%.12g"
 
@@ -113,7 +107,7 @@ def _linspace(text: str):
 
 
 def _material(args) -> Material:
-    return get_material(args.material, getattr(args, "config", None))
+    return get_material(args.material, args.config)
 
 
 def _meta_params(params) -> dict:
@@ -284,6 +278,7 @@ _FIG_PROFILE = {
     4: (1.5e-3, 1.8e-3, 2000, "material = al",
         [(f"E_ratio_Omega_{om:g}_cm", "al", om) for om in (1e-4, 1e-3, 1e-2)]),
 }
+# Omega of the two crossover figures, both for na
 _FIG_CROSSOVER = {5: 1e-2, 6: 1e-1}
 
 
@@ -299,12 +294,11 @@ def _cmd_figures(args) -> int:
     if fig == 1:
         from . import permittivity
 
-        lo, hi, n = 0.02, 0.2, 500
+        lo, hi, n, eps = 0.02, 0.2, 500, 1e-4
         qs = np.linspace(lo, hi, n)
         cols = ["q"]
         data = [qs]
-        comments = []
-        eps = 1e-4 if args.eps is None else args.eps
+        comments = [f"eps = {eps:g}"]
         for Om in (0.1, 0.08):
             vals = np.abs(permittivity.d_eps_dq(qs, Om, eps))
             scan = permittivity.kohn_scan(Om, eps, lo, hi, n)
@@ -312,7 +306,6 @@ def _cmd_figures(args) -> int:
             cols.append(f"abs_d_eps_dq_Omega_{tag}")
             data.append(vals)
             comments.append(f"q_star(Omega = {Om:g}) = {_G % scan.q_star}")
-        comments.insert(0, f"eps = {eps:g}")
         _emit_csv(out, cols, zip(*(d.tolist() for d in data)), comments)
     elif fig in _FIG_PROFILE:
         from . import asymptotic
@@ -322,7 +315,7 @@ def _cmd_figures(args) -> int:
         cols = ["x_cm"]
         data = [xs]
         for col, name, Om in curves:
-            mat = get_material(name, args.config)
+            mat = get_material(name)
             cols.append(col)
             data.append(asymptotic.asymptotic_field(xs, Om, mat))
         _emit_csv(out, cols, zip(*(d.tolist() for d in data)), [comment])
@@ -330,7 +323,7 @@ def _cmd_figures(args) -> int:
         from . import analysis, asymptotic
 
         Om = _FIG_CROSSOVER[fig]
-        mat = get_material(args.material or "na", args.config)
+        mat = get_material("na")
         res = analysis.crossover(Om, mat)
         B = asymptotic.amplitude_B(Om, mat)
         k = mat.omega_p / SPEED_OF_LIGHT
@@ -369,16 +362,14 @@ def _cmd_figures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *, material=False, fmt=True):
+def _add_common(p, *, material=False):
     if material:
         p.add_argument("--material",
-                       default=None if p.prog.endswith(("materials", "figures")) else "na",
+                       default=None if p.prog.endswith("materials") else "na",
                        help="material name from the built-in table or config")
-        p.add_argument("--config", default=None,
-                       help=f"materials JSON path (or set {MATERIALS_ENV_VAR})")
+        p.add_argument("--config", default=None, help="materials JSON path")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    if fmt:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit one of the six reference data sets")
     p.add_argument("--fig", type=int, required=True, choices=(1, 2, 3, 4, 5, 6))
-    p.add_argument("--eps", type=float, default=None,
-                   help="collision parameter of the fig-1 scan (default 1e-4)")
-    _add_common(p, material=True, fmt=False)
+    p.add_argument("--output", default=None, help="output path (default figN.csv)")
     p.set_defaults(func=_cmd_figures)
 
     return ap
@@ -445,15 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.subcommand == "figures":
-        # figures 1-4 fix their materials (default na for 5-6), only
-        # figure 1 has a collision rate, and figure 1 has no material
-        if args.material is not None and args.fig < 5:
-            ap.error(f"figures --fig {args.fig} takes no --material; only figures 5 and 6 do")
-        if args.eps is not None and args.fig > 1:
-            ap.error(f"figures --fig {args.fig} takes no --eps; only figure 1 does")
-        if args.config is not None and args.fig == 1:
-            ap.error("figures --fig 1 takes no --config; only figures 2-6 do")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -194,6 +194,8 @@ def profile(
             "build one with params_for(material, Omega, eps)"
         )
     x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if x.ndim != 1:
+        raise ValueError(f"depths must be a 1-d array, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("empty depth grid")
     if x.size > 1 and np.any(np.diff(x) <= 0):

@@ -10,12 +10,9 @@ formulas. A regime is the material plus the dimensionless pair
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 from .constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
-
-MATERIALS_ENV_VAR = "FERMISKIN_MATERIALS"
 
 # Standard free-electron densities, cm^-3. Inputs chosen from the usual
 # solid-state tables, not fitted to anything.
@@ -130,16 +127,11 @@ def load_materials_file(path: str) -> dict[str, Material]:
 
 
 def material_table(config_path: str | None = None) -> dict[str, Material]:
-    """The built-in materials, extended by a config file.
-
-    The file is ``config_path`` if given, else the one named by the
-    ``FERMISKIN_MATERIALS`` environment variable; its entries may shadow
-    the built-ins.
-    """
+    """The built-in materials, extended by the file config_path if given;
+    its entries may shadow the built-ins."""
     table = dict(BUILTIN_MATERIALS)
-    path = config_path or os.environ.get(MATERIALS_ENV_VAR)
-    if path:
-        table.update(load_materials_file(path))
+    if config_path:
+        table.update(load_materials_file(config_path))
     return table
 
 

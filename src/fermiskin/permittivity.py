@@ -189,8 +189,6 @@ def kohn_scan(
         if not ok[grid != Omega].all():
             raise _overflow(grid[~ok & (grid != Omega)][0], Omega, eps)
         n_skipped += int((~ok).sum())
-        if not ok.any():
-            raise ValueError("every sample hit the singularity; change the grid")
         masked = np.where(ok, vals, -np.inf)
         i = int(np.argmax(masked))
         if i in (0, grid.size - 1):

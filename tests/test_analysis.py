@@ -225,6 +225,16 @@ class TestNearSurfaceFit:
         with pytest.raises(ValueError, match="delta must be given"):
             near_surface_fit((xs, np.exp(-xs)), (0.1, 1.0))
 
+    def test_too_few_samples_in_window(self):
+        # 7 nodes in the window, 3 of them zero: the log fit keeps only 4
+        d = 0.7
+        xs = np.linspace(0.1 * d, d, 7)
+        y = np.exp(-xs / d)
+        y[1:4] = 0.0
+        with pytest.raises(AnalysisError) as exc:
+            near_surface_fit((xs, y), (0.1 * d, d), delta=d)
+        assert str(exc.value) == "need at least 5 samples in the window, found 4"
+
     def test_growing_field_rejected(self):
         d = 0.7
         xs = np.linspace(0.01 * d, 1.4 * d, 80)

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -187,9 +188,9 @@ class TestBehavior:
         names = [row[0] for row in json.loads(out)["rows"]]
         assert "cs" in names and "na" in names
 
-    def test_environment_extends_table(self, capsys, tmp_path, monkeypatch):
-        # FERMISKIN_MATERIALS alone, no --config: the listing extends and
-        # shadows the built-ins the same way a material lookup does
+    def test_environment_is_not_read(self, capsys, tmp_path, monkeypatch):
+        # --config is the only route to a materials file: a variable naming
+        # one changes neither the listing nor a lookup
         cfg = tmp_path / "mats.json"
         cfg.write_text(json.dumps([
             {"name": "cs", "n_e_cm3": 0.91e22},
@@ -199,9 +200,11 @@ class TestBehavior:
         code, out, _ = run_cli(capsys, ["materials", "--format", "json"])
         assert code == 0
         rows = {row[0]: row for row in json.loads(out)["rows"]}
-        assert set(rows) == {"al", "au", "cs", "na"}
-        assert rows["cs"][1] == 0.91e22
-        assert rows["na"][1] == 2.60e22
+        assert set(rows) == {"al", "au", "na"}
+        assert rows["na"][1] == 2.65e22
+        code, _, err = run_cli(capsys, ["crossover", "--Omega", "1e-2", "--material", "cs"])
+        assert code == 1
+        assert "unknown material 'cs'" in err
 
     def test_non_finite_value_reads_null_in_json(self, capsys):
         # q = Omega = 0.08 is a node of the final zoom at eps = 0, where
@@ -239,17 +242,6 @@ class TestBehavior:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("# generated: ")
-
-    @pytest.mark.parametrize("fig,option", [(1, ["--eps", "1e-4"]),
-                                            (5, ["--material", "na"])])
-    def test_figure_option_at_its_default(self, capsys, tmp_path, fig, option):
-        out_path = tmp_path / f"fig{fig}.csv"
-        code, _, _ = run_cli(
-            capsys, ["figures", "--fig", str(fig), *option, "--output", str(out_path)]
-        )
-        assert code == 0
-        golden = (GOLDEN_DIR / f"fig{fig}.csv").read_text(encoding="utf-8")
-        assert strip_csv_stamp(out_path.read_text(encoding="utf-8")) == golden
 
     def test_figures_default_filename(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -497,23 +489,34 @@ class TestExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("fig,option,takers", [
-        (1, "--material", "only figures 5 and 6 do"),
-        (2, "--material", "only figures 5 and 6 do"),
-        (4, "--material", "only figures 5 and 6 do"),
-        (2, "--eps", "only figure 1 does"),
-        (6, "--eps", "only figure 1 does"),
-        (1, "--config", "only figures 2-6 do"),
+    @pytest.mark.parametrize("fig,option,value", [
+        # each figure is the paper's: eps = 1e-4 for figure 1, na for
+        # figures 5-6 and the built-in table are fixed, so the fixed values
+        # themselves are refused too
+        (1, "--eps", "1e-4"),
+        (5, "--material", "na"),
+        (1, "--material", "au"),
+        (2, "--material", "au"),
+        (4, "--material", "au"),
+        (2, "--eps", "1e-3"),
+        (6, "--eps", "1e-3"),
+        (1, "--config", "mats.json"),
+        (5, "--config", "mats.json"),
     ])
-    def test_figure_option_outside_its_figures(self, capsys, tmp_path, fig, option,
-                                               takers):
-        value = {"--material": "au", "--eps": "1e-3", "--config": "mats.json"}[option]
+    def test_figure_option_refused(self, capsys, tmp_path, fig, option, value):
         out_path = tmp_path / "fig.csv"
         with pytest.raises(SystemExit) as exc:
             cli.main(["figures", "--fig", str(fig), option, value, "--output", str(out_path)])
         assert exc.value.code == 2
-        assert f"figures --fig {fig} takes no {option}; {takers}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_figures_help_lists_only_fig_and_output(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["figures", "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {
+            "--help", "--fig", "--output"}
 
     @pytest.mark.parametrize(
         "argv,fragment",
@@ -538,6 +541,14 @@ class TestExitCodes:
              "--grid must be min:max:n with numeric parts, got '1e-5:3e-5:x'"),
             (["asymptotic", "--Omega", "0.01", "--grid", "a:3e-5:3"],
              "--grid must be min:max:n with numeric parts, got 'a:3e-5:3'"),
+            (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5"],
+             "--grid must be min:max:n, got '1e-5:3e-5'"),
+            (["asymptotic", "--Omega", "0.01", "--grid", "1e-5:3e-5:3:4"],
+             "--grid must be min:max:n, got '1e-5:3e-5:3:4'"),
+            (["kohn-scan", "--Omega", "0.08", "--eps", "1e-4", "--grid", "0.02:0.2:1"],
+             "--grid needs n >= 2, got 1"),
+            (["asymptotic", "--Omega", "1e-2", "--grid", "1e300:1e301:2"],
+             "the closed form overflows a float at x = 1e+300 cm"),
         ],
     )
     def test_module_errors_exit_1_verbatim(self, capsys, tmp_path, argv, fragment):

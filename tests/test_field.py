@@ -500,6 +500,19 @@ class TestAsymptoticField:
         with pytest.raises(ValueError, match="x must be finite, got nan"):
             asymptotic_field([1e-4, float("nan")], 1e-2, na)
 
+    @pytest.mark.parametrize("normalization", ["per_Eprime0", "per_E0"])
+    @pytest.mark.parametrize("xs,named", [
+        # Omega omega_p x overflows before the division by v_F
+        ([1e-4, 1e300, 1e301], "1e+300"),
+        # x^2 underflows, so A/x^2 is infinite
+        ([1e-170, 1e-4], "1e-170"),
+    ])
+    def test_overflowing_depth_named(self, na, xs, named, normalization):
+        # refused by its first depth, with no numpy RuntimeWarning
+        with pytest.raises(ValueError) as exc:
+            asymptotic_field(xs, 1e-2, na, normalization=normalization)
+        assert str(exc.value) == f"the closed form overflows a float at x = {named} cm"
+
 
 class TestProfile:
     def test_numeric_matches_single_calls(self, p_1em4):
@@ -520,6 +533,11 @@ class TestProfile:
             profile([], p_1em4)
         with pytest.raises(ValueError, match="strictly increasing"):
             profile([2e-5, 1e-5], p_1em4)
+        for xs in ([[1e-5, 2e-5]], [[1e-5], [2e-5]]):
+            with pytest.raises(ValueError) as exc:
+                profile(xs, p_1em4)
+            shape = np.shape(xs)
+            assert str(exc.value) == f"depths must be a 1-d array, got shape {shape}"
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "magic")
         # the direct axis is a cross-check (field_ratio_direct), not a method

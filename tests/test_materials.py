@@ -188,7 +188,7 @@ def test_get_material_unknown():
         get_material("unobtainium")
 
 
-def test_config_file_extends_and_shadows(tmp_path, monkeypatch):
+def test_config_file_extends_and_shadows(tmp_path):
     cfg = tmp_path / "mats.json"
     cfg.write_text(json.dumps([
         {"name": "k", "n_e_cm3": 1.40e22},
@@ -198,10 +198,8 @@ def test_config_file_extends_and_shadows(tmp_path, monkeypatch):
     assert k.omega_p == pytest.approx(FROZEN_K_PROBE[1], rel=1e-12)
     shadowed = get_material("na", str(cfg))
     assert shadowed.n_e == 2.60e22
-    # and via the environment variable
-    monkeypatch.setenv("FERMISKIN_MATERIALS", str(cfg))
-    assert get_material("k").n_e == 1.40e22
-    monkeypatch.delenv("FERMISKIN_MATERIALS")
+    # a lookup without the file sees the built-ins alone
+    assert get_material("na").n_e == 2.65e22
     with pytest.raises(ValueError):
         get_material("k")
 
@@ -213,22 +211,28 @@ def test_config_file_unknown_keys_rejected(tmp_path):
         load_materials_file(str(cfg))
 
 
-@pytest.mark.parametrize("entries,fragment", [
-    ([{"name": "k", "n_e_cm3": True}], "got \"k\" and true"),
-    ([{"name": "k", "n_e_cm3": "2.65e22"}], "got \"k\" and \"2.65e22\""),
-    ([{"name": "k", "n_e_cm3": None}], "got \"k\" and null"),
-    ([{"name": "k", "n_e_cm3": [2.65e22]}], "got \"k\" and [2.65e+22]"),
-    ([{"name": None, "n_e_cm3": 2.65e22}], "got null and 2.65e+22"),
-], ids=["true", "string", "null", "list", "name-null"])
-def test_config_file_malformed_entry_rejected(tmp_path, entries, fragment):
-    # JSON true loads as a bool, which Python takes for the int 1
+_NEEDS = "entry 1 needs a string 'name' and a number 'n_e_cm3', "
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"name": "k", "n_e_cm3": True}], _NEEDS + "got \"k\" and true"),
+    ([{"name": "k", "n_e_cm3": "2.65e22"}], _NEEDS + "got \"k\" and \"2.65e22\""),
+    ([{"name": "k", "n_e_cm3": None}], _NEEDS + "got \"k\" and null"),
+    ([{"name": "k", "n_e_cm3": [2.65e22]}], _NEEDS + "got \"k\" and [2.65e+22]"),
+    ([{"name": None, "n_e_cm3": 2.65e22}], _NEEDS + "got null and 2.65e+22"),
+    (["k"], "entry 1 is not an object"),
+    ({"name": "k", "n_e_cm3": 1.4e22}, "expected a JSON array of material entries"),
+], ids=["true", "string", "null", "list", "name-null", "not-object", "not-array"])
+def test_config_file_malformed_entry_rejected(tmp_path, doc, message):
+    # JSON true loads as a bool, which Python takes for the int 1; a list
+    # follows a valid first entry
     cfg = tmp_path / "mats.json"
-    cfg.write_text(json.dumps([{"name": "na", "n_e_cm3": 2.6e22}] + entries))
+    if isinstance(doc, list):
+        doc = [{"name": "na", "n_e_cm3": 2.6e22}] + doc
+    cfg.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as exc:
         load_materials_file(str(cfg))
-    assert str(exc.value) == (
-        f"{cfg}: entry 1 needs a string 'name' and a number 'n_e_cm3', {fragment}"
-    )
+    assert str(exc.value) == f"{cfg}: {message}"
 
 
 def test_config_file_name_repeated_in_another_case_rejected(tmp_path):
