@@ -11,19 +11,21 @@ real branch of the Lambert W function, evaluated by Halley's method.
 Extractors accept either a FieldProfile or a plain (xs, values) pair,
 so synthetic signals can be fed through the same code path the real
 profiles use. A FieldProfile is told apart by its xs attribute, so the
-crossover runs without importing field and its quadrature.
+crossover runs without importing field and its quadrature; the
+extractors import numpy when called, so the crossover runs without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .asymptotic import amplitude_B
 from .constants import SPEED_OF_LIGHT
 from .materials import Material
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # fewest refined peaks, sign changes and near-surface samples a fit accepts
 _MIN_EXTREMA = 4
@@ -79,6 +81,8 @@ class CrossoverResult(NamedTuple):
 
 def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
     """Accept a FieldProfile or an (xs, values) pair; drop non-finite points."""
+    import numpy as np
+
     if hasattr(profile, "xs"):
         x = profile.xs
         y = profile.values
@@ -102,6 +106,8 @@ def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_window(x: np.ndarray, window) -> np.ndarray:
+    import numpy as np
+
     if window is None:
         return np.ones(x.shape, dtype=bool)
     lo, hi = float(window[0]), float(window[1])
@@ -116,6 +122,8 @@ def _in_window(x: np.ndarray, window) -> np.ndarray:
 
 
 def _line_fit(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    import numpy as np
+
     slope, intercept = np.polyfit(u, v, 1)
     resid = v - (slope * u + intercept)
     ss_res = float(np.sum(resid**2))
@@ -126,6 +134,8 @@ def _line_fit(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 
 def _refined_peaks(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima of m by three-point comparison, parabolic refinement."""
+    import numpy as np
+
     j = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
     x0, x1, x2 = x[j - 1], x[j], x[j + 1]
     y1 = m[j]
@@ -148,6 +158,8 @@ def envelope_fit(profile, window=None) -> FitResult:
     ln(peak) against ln(x); a slope of -2 is the inverse-square
     envelope of the far-field oscillation.
     """
+    import numpy as np
+
     x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
@@ -174,6 +186,8 @@ def wavelength_extract(profile, window=None) -> WavelengthEstimate:
     changes of Re value. Constant-sign input has no crossings and is
     rejected.
     """
+    import numpy as np
+
     x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
@@ -205,6 +219,8 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
     the profile's params when present, so it only needs passing for
     synthetic input.
     """
+    import numpy as np
+
     x, y = _coerce_profile(profile)
     if delta is None:
         if hasattr(profile, "xs"):

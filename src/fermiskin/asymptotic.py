@@ -2,15 +2,15 @@
 
 The tail that the permittivity's derivative singularity at |q| = Omega
 leaves past the skin layer, in closed form with no quadrature: this
-module imports neither field nor _kernels. Depths and E(x)/E'(0) are in cm.
+module imports neither field nor _kernels, and loads numpy only for
+asymptotic_field's ndarray. Depths and E(x)/E'(0) are in cm.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import NamedTuple
-
-import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .materials import Material, _check_regime
@@ -87,24 +87,24 @@ def asymptotic_coefficients(Omega: float, material: Material) -> AsymptoticCoeff
     )
 
 
-def asymptotic_field(
-    x_cm,
+def asymptotic_values(
+    xs: list[float],
     Omega: float,
     material: Material,
     *,
     normalization: str = "per_Eprime0",
-):
-    """Leading far-field oscillation, an inverse-square-damped sine.
+) -> list[float]:
+    """Leading far-field oscillation at each depth of xs, an
+    inverse-square-damped sine, in plain floats.
 
     per_Eprime0 gives E/E'(0) = -(A/x^2) sin(Omega omega_p x / v_F) in
     cm; per_E0 gives the dimensionless E/E(0) = +(B/x^2) sin(...). The
     signs differ because E(0)/E'(0) = -c/omega_p near the surface.
     """
-    x = np.asarray(x_cm, dtype=np.float64)
-    bad = x[~np.isfinite(x)]
-    if bad.size:
-        raise ValueError(f"x must be finite, got {bad.flat[0]}")
-    if np.any(x <= 0):
+    for x in xs:
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
+    if any(x <= 0 for x in xs):
         raise ValueError("asymptotic form needs x > 0")
     if normalization == "per_Eprime0":
         amp = -amplitude_A(Omega, material)
@@ -112,9 +112,34 @@ def asymptotic_field(
         amp = amplitude_B(Omega, material)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y = amp / x**2 * np.sin(Omega * material.omega_p * x / material.v_F)
-    bad = x[~np.isfinite(y)]
-    if bad.size:
-        raise ValueError(f"the closed form overflows a float at x = {bad.flat[0]:g} cm")
-    return y
+    w, v = Omega * material.omega_p, material.v_F
+    ys = []
+    for x in xs:
+        # x * x, as numpy squares: 0 below x = 1.6e-162, where the division
+        # raises, and inf above 1.3e154, where y is 0 while the phase is
+        # finite; an infinite phase makes sin raise
+        try:
+            y = amp / (x * x) * math.sin(w * x / v)
+        except (ZeroDivisionError, ValueError):
+            y = math.inf
+        if not math.isfinite(y):
+            raise ValueError(f"the closed form overflows a float at x = {x:g} cm")
+        ys.append(y)
+    return ys
+
+
+def asymptotic_field(
+    x_cm,
+    Omega: float,
+    material: Material,
+    *,
+    normalization: str = "per_Eprime0",
+):
+    """asymptotic_values over an array of depths, as a float64 ndarray of
+    the same shape (a numpy scalar for a scalar depth)."""
+    import numpy as np
+
+    x = np.asarray(x_cm, dtype=np.float64)
+    ys = asymptotic_values(x.ravel().tolist(), Omega, material,
+                           normalization=normalization)
+    return np.array(ys, dtype=np.float64).reshape(x.shape)[()]

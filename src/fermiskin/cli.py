@@ -5,8 +5,9 @@ item is an ISO-8601 timestamp carried in a leading comment line (CSV)
 or a "generated" field (JSON). Exit codes: 0 success, 2 usage errors,
 1 computation errors with the originating module's message verbatim.
 
-Each subcommand imports the modules it runs (numpy among them) in its
-body, so `materials` loads no numpy and `asymptotic` no quadrature.
+Each subcommand imports the modules it runs in its body. The closed forms
+(`asymptotic`, `crossover`, `figures --fig 2-6`) run on `math` alone, so
+only `epsilon`, `kohn-scan`, `field` and `figures --fig 1` load numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def _emit_csv(path, columns, rows, comments=()):
             fh.write(f"# {line}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
-        # rows hold str, int and Python float cells (.tolist() of arrays)
+        # rows hold str, int and Python float cells: plain floats from the
+        # closed forms, .tolist() of arrays from the numeric commands
         w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
 
     if path is None:
@@ -100,10 +102,22 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _linspace(text: str):
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) in plain floats, by its arithmetic: node i is
+    i * step + lo, and the last node is hi."""
+    div, delta = n - 1, hi - lo
+    step = delta / div
+    if step == 0.0:
+        # a subnormal span, scaled as numpy does
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
 
-    return np.linspace(*_parse_grid(text))
+
+def _geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.geomspace(lo, hi, n) for 0 < lo < hi in plain floats, by its
+    arithmetic: 10 ** nodes of a linspace in log10, with the ends pinned."""
+    logs = _linspace(math.log10(lo), math.log10(hi), n)
+    return [lo] + [10.0**v for v in logs[1:-1]] + [hi]
 
 
 def _material(args) -> Material:
@@ -172,7 +186,7 @@ def _cmd_epsilon(args) -> int:
         raise ValueError("epsilon needs exactly one of --q or --grid")
     from . import permittivity
 
-    qs = [args.q] if args.grid is None else _linspace(args.grid).tolist()
+    qs = [args.q] if args.grid is None else _linspace(*_parse_grid(args.grid))
     vals = permittivity.eps_tr(qs, args.Omega, args.eps)
     meta = {"Omega": args.Omega, "eps": args.eps}
     rows = zip(qs, vals.real.tolist(), vals.imag.tolist())
@@ -203,7 +217,7 @@ def _cmd_field(args) -> int:
 
     mat = _material(args)
     params = params_for(mat, args.Omega, args.eps)
-    prof = field.profile(_linspace(args.grid), params, args.method)
+    prof = field.profile(_linspace(*_parse_grid(args.grid)), params, args.method)
     meta = _meta_params(params)
     meta["method"] = args.method
     rows = zip(prof.xs.tolist(), prof.values.real.tolist(), prof.values.imag.tolist(),
@@ -228,7 +242,7 @@ def _cmd_asymptotic(args) -> int:
         "B_cm2": coef.B,
         "f_Omega": coef.f_Omega,
         "wavenumber_per_cm": coef.wavenumber,
-        "normalization": args.normalization,
+        "normalization": args.normalization or "per_Eprime0",
     }
     if args.grid is None:
         columns = ["Omega", "A_cm3", "B_cm2", "f_Omega", "wavenumber_per_cm"]
@@ -236,10 +250,10 @@ def _cmd_asymptotic(args) -> int:
         _emit(args, "asymptotic", meta, columns, rows,
               [f"material = {mat.name}"])
         return 0
-    xs = _linspace(args.grid)
-    vals = asymptotic.asymptotic_field(xs, args.Omega, mat,
-                                       normalization=args.normalization)
-    rows = ([x, v, 0.0, 0.0] for x, v in zip(xs.tolist(), vals.tolist()))
+    xs = _linspace(*_parse_grid(args.grid))
+    vals = asymptotic.asymptotic_values(xs, args.Omega, mat,
+                                        normalization=meta["normalization"])
+    rows = ([x, v, 0.0, 0.0] for x, v in zip(xs, vals))
     _emit(
         args, "asymptotic", meta,
         ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
@@ -287,11 +301,11 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _cmd_figures(args) -> int:
-    import numpy as np
-
     fig = args.fig
     out = args.output or f"fig{fig}.csv"
     if fig == 1:
+        import numpy as np
+
         from . import permittivity
 
         lo, hi, n, eps = 0.02, 0.2, 500, 1e-4
@@ -311,14 +325,13 @@ def _cmd_figures(args) -> int:
         from . import asymptotic
 
         x_lo, x_hi, n, comment, curves = _FIG_PROFILE[fig]
-        xs = np.linspace(x_lo, x_hi, n)
+        xs = _linspace(x_lo, x_hi, n)
         cols = ["x_cm"]
         data = [xs]
         for col, name, Om in curves:
-            mat = get_material(name)
             cols.append(col)
-            data.append(asymptotic.asymptotic_field(xs, Om, mat))
-        _emit_csv(out, cols, zip(*(d.tolist() for d in data)), [comment])
+            data.append(asymptotic.asymptotic_values(xs, Om, get_material(name)))
+        _emit_csv(out, cols, zip(*data), [comment])
     else:
         from . import analysis, asymptotic
 
@@ -327,11 +340,10 @@ def _cmd_figures(args) -> int:
         res = analysis.crossover(Om, mat)
         B = asymptotic.amplitude_B(Om, mat)
         k = mat.omega_p / SPEED_OF_LIGHT
-        xs = np.geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
-        y1 = B / xs**2
-        y2 = np.exp(-k * xs)
+        xs = _geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
+        rows = ([x, B / (x * x), math.exp(-k * x)] for x in xs)
         _emit_csv(
-            out, ["x_cm", "y1", "y2"], zip(xs.tolist(), y1.tolist(), y2.tolist()),
+            out, ["x_cm", "y1", "y2"], rows,
             [
                 f"material = {mat.name}",
                 f"Omega = {Om:g}",
@@ -413,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotic", help="far-field coefficients or closed-form profile")
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--grid", default=None, help="x grid in cm as min:max:n")
-    p.add_argument("--normalization", choices=("per_Eprime0", "per_E0"),
-                   default="per_Eprime0")
+    p.add_argument("--normalization", choices=("per_Eprime0", "per_E0"), default=None,
+                   help="E/E'(0) or E/E(0) profile, with --grid (default per_Eprime0)")
     _add_common(p, material=True)
     p.set_defaults(func=_cmd_asymptotic)
 
@@ -434,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.subcommand == "asymptotic" and args.grid is None and args.normalization:
+        ap.error("asymptotic --normalization needs --grid: the coefficient row "
+                 "gives both A and B")
     try:
         return args.func(args)
     except BrokenPipeError:

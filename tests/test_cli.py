@@ -344,7 +344,7 @@ class TestBehavior:
         assert proc.stdout.splitlines() == ["[]"] * 4
 
     # the fermiskin modules a subcommand loads besides cli, constants and
-    # materials; only materials runs without numpy
+    # materials
     SUBCOMMAND_MODULES = {
         "materials": [],
         "epsilon": ["_kernels", "permittivity"],
@@ -356,6 +356,10 @@ class TestBehavior:
         **{f"figures --fig {n}": ["analysis", "asymptotic"] for n in (5, 6)},
         "field": ["_kernels", "field", "quadrature"],
     }
+    # the subcommands that run without numpy: the material table and the
+    # closed forms
+    NUMPY_FREE = {"materials", "asymptotic", "crossover",
+                  *(f"figures --fig {n}" for n in range(2, 7))}
     GOLDEN_COMMANDS = [argv for _, argv in STDOUT_CASES + FIELD_CASES] + [
         ["figures", "--fig", str(n)] for n in range(1, 7)
     ]
@@ -382,9 +386,50 @@ class TestBehavior:
         )
         assert proc.returncode == 0, proc.stderr
         key = " ".join(argv[:3]) if argv[0] == "figures" else argv[0]
-        extra = self.SUBCOMMAND_MODULES[key]
-        expected = sorted(["cli", "constants", "materials", *extra])
-        assert json.loads(proc.stdout) == [0, expected, bool(extra), False]
+        expected = sorted(["cli", "constants", "materials", *self.SUBCOMMAND_MODULES[key]])
+        assert json.loads(proc.stdout) == [0, expected, key not in self.NUMPY_FREE, False]
+
+    def test_closed_forms_run_with_numpy_blocked(self, tmp_path):
+        # the nine closed-form golden commands, in one fresh interpreter in
+        # which importing numpy raises, write their golden payloads
+        cases = [(name, argv) for name, argv in STDOUT_CASES
+                 if argv[0] in ("asymptotic", "crossover")]
+        cases += [(f"fig{n}.csv", ["figures", "--fig", str(n), "--output",
+                                   str(tmp_path / f"fig{n}.csv")]) for n in range(2, 7)]
+        assert len(cases) == 9
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from fermiskin import cli\n"
+            "outs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    outs.append(out.getvalue())\n"
+            "print(json.dumps(outs))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([argv for _, argv in cases])],
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads = {}
+        for (name, argv), out in zip(cases, json.loads(proc.stdout)):
+            if argv[0] == "figures":
+                payloads[name] = strip_csv_stamp((tmp_path / name).read_text(encoding="utf-8"))
+                if name in ("fig5.csv", "fig6.csv"):
+                    meta = name.replace(".csv", "_meta.json")
+                    sidecar = tmp_path / name.replace(".csv", ".json")
+                    payloads[meta] = strip_json_stamp(sidecar.read_text(encoding="utf-8"))
+            else:
+                strip = strip_json_stamp if name.endswith(".json") else strip_csv_stamp
+                payloads[name] = strip(out)
+        assert len(payloads) == 11
+        for name, text in payloads.items():
+            assert text == (GOLDEN_DIR / name).read_text(encoding="utf-8"), name
 
     def test_method_choices_are_the_profile_methods(self):
         # spelled out in cli, so that parsing does not import field
@@ -438,6 +483,50 @@ class TestBehavior:
         )
         assert proc.returncode == 0
         assert "na" in proc.stdout
+
+
+class TestPlainFloatGrids:
+    """The closed-form commands build their grids in plain floats; numpy's
+    linspace and geomspace are the oracles."""
+
+    def test_linspace_is_numpy_bit_for_bit(self):
+        import numpy as np
+
+        grids = [cli._parse_grid(a[a.index("--grid") + 1])
+                 for _, a in STDOUT_CASES + FIELD_CASES if "--grid" in a]
+        grids += [(lo, hi, n) for lo, hi, n, _, _ in cli._FIG_PROFILE.values()]
+        # a span of two subnormals, where numpy's step rounds to 0
+        grids.append((0.0, 1e-323, 6))
+        rng = np.random.default_rng(25)
+        for _ in range(500):
+            lo, hi = sorted(rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.integers(-300, 300, 2))
+            grids.append((float(lo), float(hi), int(rng.integers(2, 300))))
+        for lo, hi, n in grids:
+            assert cli._linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+
+    def test_geomspace_and_exponential_match_numpy(self):
+        # figures 5-6 plot B/x^2 and exp(-k x) on a 300-point geometric grid;
+        # math and numpy may differ in the last bit of log10, 10**v and exp,
+        # so exp is compared at the same depths
+        import numpy as np
+
+        from fermiskin import analysis
+
+        na = cli.get_material("na")
+        k = na.omega_p / cli.SPEED_OF_LIGHT
+        ranges = []
+        for Om in cli._FIG_CROSSOVER.values():
+            x_star = analysis.crossover(Om, na).x_star
+            ranges.append((x_star / 20.0, x_star * 4.0))
+        rng = np.random.default_rng(25)
+        ranges += [tuple(sorted(10.0 ** rng.uniform(-9.0, -3.0, 2))) for _ in range(20)]
+        for lo, hi in ranges:
+            xs = cli._geomspace(lo, hi, 300)
+            ref = np.geomspace(lo, hi, 300)
+            assert xs[0] == lo and xs[-1] == hi
+            np.testing.assert_allclose(xs, ref, rtol=1e-15, atol=0)
+            np.testing.assert_allclose([math.exp(-k * x) for x in xs],
+                                       np.exp(-k * np.array(xs)), rtol=1e-15, atol=0)
 
 
 class TestReadme:
@@ -510,6 +599,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("normalization", ["per_E0", "per_Eprime0"])
+    def test_normalization_needs_grid(self, capsys, normalization):
+        # the coefficient row gives both A and B, so a normalization without
+        # --grid would be ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asymptotic", "--Omega", "1e-2", "--normalization", normalization])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "asymptotic --normalization needs --grid" in err
 
     def test_figures_help_lists_only_fig_and_output(self, capsys):
         with pytest.raises(SystemExit) as exc:

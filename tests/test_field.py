@@ -12,6 +12,7 @@ from fermiskin.asymptotic import (
     amplitude_B,
     asymptotic_coefficients,
     asymptotic_field,
+    asymptotic_values,
     f_of_Omega,
 )
 from fermiskin.constants import SPEED_OF_LIGHT
@@ -512,6 +513,61 @@ class TestAsymptoticField:
         with pytest.raises(ValueError) as exc:
             asymptotic_field(xs, 1e-2, na, normalization=normalization)
         assert str(exc.value) == f"the closed form overflows a float at x = {named} cm"
+
+
+def numpy_closed_form(xs, Omega, m, normalization="per_Eprime0"):
+    """The closed form as an ndarray expression: the oracle of the plain-float
+    asymptotic_values, inf or NaN where a float overflows."""
+    amp = -amplitude_A(Omega, m) if normalization == "per_Eprime0" else amplitude_B(Omega, m)
+    x = np.asarray(xs, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return amp / x**2 * np.sin(Omega * m.omega_p * x / m.v_F)
+
+
+class TestClosedFormAgainstNumpy:
+    @pytest.mark.parametrize("normalization", ["per_Eprime0", "per_E0"])
+    def test_values_match_within_1e_15(self, na, au, al, normalization):
+        # the nine curves of figures 2-4 (13,200 depths) and 10,800 seeded
+        # log-uniform depths; math.sin and numpy's sin may differ in the
+        # last bit, so the two agree to 1e-15, not bit for bit
+        grids = [(np.linspace(2e-5, 2e-3, 400), m, 1e-4) for m in (na, au, al)]
+        grids += [(np.linspace(9e-5, 3e-3, 2000), m, 1e-3) for m in (na, au, al)]
+        grids += [(np.linspace(1.5e-3, 1.8e-3, 2000), al, om) for om in (1e-4, 1e-3, 1e-2)]
+        rng = np.random.default_rng(25)
+        for m in (na, au, al):
+            for om in (1e-4, 1e-2, 0.5):
+                grids.append((10.0 ** rng.uniform(-8.0, 2.0, 1200), m, om))
+        assert sum(xs.size for xs, _, _ in grids) == 24000
+        for xs, m, om in grids:
+            ref = numpy_closed_form(xs, om, m, normalization)
+            got = np.array(asymptotic_values(xs.tolist(), om, m, normalization=normalization))
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (m.name, om)
+
+    @pytest.mark.parametrize("normalization", ["per_Eprime0", "per_E0"])
+    @pytest.mark.parametrize("lo,hi", [(1e-163, 1e-161), (1e294, 1e295)])
+    def test_refused_exactly_where_numpy_overflows(self, na, normalization, lo, hi):
+        # bisect for the adjacent depths where numpy's value turns non-finite
+        # (x^2 underflows below, Omega omega_p x overflows above): the
+        # finite side is computed, the other refused
+        finite = lambda x: bool(np.isfinite(numpy_closed_form([x], 1e-2, na, normalization)[0]))
+        ok, bad = (hi, lo) if lo < 1.0 else (lo, hi)
+        assert finite(ok) and not finite(bad)
+        while math.nextafter(ok, bad) != bad:
+            mid = math.sqrt(ok) * math.sqrt(bad)
+            if mid in (ok, bad):
+                mid = math.nextafter(ok, bad)
+            ok, bad = (mid, bad) if finite(mid) else (ok, mid)
+        assert math.isfinite(asymptotic_values([ok], 1e-2, na, normalization=normalization)[0])
+        with pytest.raises(ValueError, match="the closed form overflows a float at x = "):
+            asymptotic_values([bad], 1e-2, na, normalization=normalization)
+
+    def test_field_is_values_as_an_array(self, na):
+        # the ndarray wrapper keeps the shape, and a scalar depth gives a scalar
+        xs = np.linspace(1e-4, 3e-4, 6).reshape(2, 3)
+        got = asymptotic_field(xs, 1e-2, na)
+        assert got.shape == (2, 3) and got.dtype == np.float64
+        assert got.ravel().tolist() == asymptotic_values(xs.ravel().tolist(), 1e-2, na)
+        assert np.ndim(asymptotic_field(1e-4, 1e-2, na)) == 0
 
 
 class TestProfile:
