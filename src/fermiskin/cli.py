@@ -242,7 +242,6 @@ def _cmd_asymptotic(args) -> int:
         "B_cm2": coef.B,
         "f_Omega": coef.f_Omega,
         "wavenumber_per_cm": coef.wavenumber,
-        "normalization": args.normalization or "per_Eprime0",
     }
     if args.grid is None:
         columns = ["Omega", "A_cm3", "B_cm2", "f_Omega", "wavenumber_per_cm"]
@@ -250,6 +249,7 @@ def _cmd_asymptotic(args) -> int:
         _emit(args, "asymptotic", meta, columns, rows,
               [f"material = {mat.name}"])
         return 0
+    meta["normalization"] = args.normalization or "per_Eprime0"
     xs = _linspace(*_parse_grid(args.grid))
     vals = asymptotic.asymptotic_values(xs, args.Omega, mat,
                                         normalization=meta["normalization"])

@@ -603,13 +603,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("normalization", ["per_E0", "per_Eprime0"])
     def test_normalization_needs_grid(self, capsys, normalization):
         # the coefficient row gives both A and B, so a normalization without
-        # --grid would be ignored
+        # --grid would be ignored; its meta names none
         with pytest.raises(SystemExit) as exc:
             cli.main(["asymptotic", "--Omega", "1e-2", "--normalization", normalization])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "asymptotic --normalization needs --grid" in err
+        code, out, _ = run_cli(capsys, ["asymptotic", "--Omega", "1e-2", "--format", "json"])
+        assert code == 0
+        assert "normalization" not in json.loads(out)["meta"]
 
     def test_figures_help_lists_only_fig_and_output(self, capsys):
         with pytest.raises(SystemExit) as exc:
