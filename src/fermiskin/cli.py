@@ -69,8 +69,7 @@ def _emit_json(path, subcommand, meta, columns, rows):
         "subcommand": subcommand,
         "meta": meta,
         "columns": list(columns),
-        # a kohn-scan node on the collisionless singular point reads inf or
-        # NaN, which JSON cannot spell; it goes out as null
+        # JSON cannot spell a non-finite number; one goes out as null
         "rows": [[v if isinstance(v, str) else _json_number(v) for v in row] for row in rows],
     }
     _write_json(path, doc)
@@ -204,8 +203,6 @@ def _cmd_kohn_scan(args) -> int:
         "eps": args.eps,
         "q_star": res.q_star,
         "max_abs_derivative": res.max_abs_derivative,
-        "refined_step": res.refined_step,
-        "n_skipped": res.n_skipped,
     }
     rows = zip(res.grid.tolist(), res.values.tolist())
     _emit(args, "kohn-scan", meta, ["q", "abs_d_eps_dq"], rows, _meta_comments(meta))
@@ -304,21 +301,17 @@ def _cmd_figures(args) -> int:
     fig = args.fig
     out = args.output or f"fig{fig}.csv"
     if fig == 1:
-        import numpy as np
-
         from . import permittivity
 
-        lo, hi, n, eps = 0.02, 0.2, 500, 1e-4
-        qs = np.linspace(lo, hi, n)
+        eps = 1e-4
+        scans = {Om: permittivity.kohn_scan(Om, eps, 0.02, 0.2, 500) for Om in (0.1, 0.08)}
         cols = ["q"]
-        data = [qs]
+        data = [scans[0.1].grid]  # the scans share their grid
         comments = [f"eps = {eps:g}"]
-        for Om in (0.1, 0.08):
-            vals = np.abs(permittivity.d_eps_dq(qs, Om, eps))
-            scan = permittivity.kohn_scan(Om, eps, lo, hi, n)
+        for Om, scan in scans.items():
             tag = ("%g" % Om).replace(".", "p")
             cols.append(f"abs_d_eps_dq_Omega_{tag}")
-            data.append(vals)
+            data.append(scan.values)
             comments.append(f"q_star(Omega = {Om:g}) = {_G % scan.q_star}")
         _emit_csv(out, cols, zip(*(d.tolist() for d in data)), comments)
     elif fig in _FIG_PROFILE:

@@ -1,10 +1,10 @@
 """Transverse permittivity of the degenerate collisionless electron gas.
 
 Public entry points for eps_tr(q, Omega, eps), its small-q series, its
-analytic q-derivatives, and the grid scan that localizes the derivative
-singularity at |q| = Omega (the wavevector where the phase velocity
-meets the Fermi-surface edge; the seed of the spatial oscillations
-computed downstream).
+analytic q-derivatives, and the scan and bisection that localize the
+derivative singularity at |q| = Omega (the wavevector where the phase
+velocity meets the Fermi-surface edge; the seed of the spatial
+oscillations computed downstream) as the root of d|eps'|^2/dq.
 
 All evaluators accept scalars or array-likes in q and return matching
 shapes. They raise ValueError for a q that is not finite, for the
@@ -27,10 +27,6 @@ import numpy as np
 from . import _kernels
 from ._kernels import N_SERIES_TERMS
 from .materials import _check_regime
-
-_SCAN_ROUNDS = 3
-_SCAN_REFINE = 10
-
 
 def _check_domain(arr: np.ndarray, Omega: float, eps: float) -> None:
     bad = arr[~np.isfinite(arr)]
@@ -137,19 +133,15 @@ def small_q_series(q: float, Omega: float, eps: float = 0.0) -> SeriesValue:
 class KohnScanResult(NamedTuple):
     """Outcome of the derivative-singularity scan.
 
-    q_star is the grid point of largest |d eps_tr/dq| after refinement,
-    refined_step the final grid spacing (the localization resolution),
-    grid and values the last refinement round, n_skipped the number of
-    non-finite samples dropped (a node landing exactly on the
-    collisionless singularity is skipped, not fatal).
+    q_star is the wavevector of largest |d eps_tr/dq|, the root of its
+    q-derivative to adjacent floats; max_abs_derivative the modulus
+    there; grid and values the uniform scan that bracketed it.
     """
 
     q_star: float
     max_abs_derivative: float
-    refined_step: float
     grid: np.ndarray
     values: np.ndarray
-    n_skipped: int
 
 
 def kohn_scan(
@@ -159,56 +151,45 @@ def kohn_scan(
     q_max: float,
     n_points: int,
 ) -> KohnScanResult:
-    """Localize the singular wavevector by scanning |d eps_tr/dq|.
+    """Localize the singular wavevector as the peak of |d eps_tr/dq|.
 
-    A uniform scan over [q_min, q_max] is followed by _SCAN_ROUNDS = 3
-    zoom stages, each shrinking the step by _SCAN_REFINE = 10 with
-    2*_SCAN_REFINE + 1 nodes around the running argmax, which resolves
-    the peak to a thousandth of the initial spacing. A round whose largest
-    sample sits on an end node of its grid has not bracketed the peak, and
-    raises ValueError naming that node and the step; a sample that overflows
-    raises ValueError naming q and Omega. Note that at finite
-    eps the peak of the broadened modulus sits a fraction of eps above
-    Omega, so the resolution worth asking for is bounded by eps itself.
+    A uniform scan over [q_min, q_max] brackets the peak between the
+    neighbours of its largest sample, and bisection on
+    d|eps'|^2/dq = 2 Re(conj(eps') eps'') takes the bracket down to
+    adjacent floats. At finite eps the peak sits a fraction of eps above
+    Omega. A scan whose largest sample is an end node has not bracketed
+    the peak, and raises ValueError naming that node and the step; a
+    sample that overflows raises ValueError naming q and Omega. At
+    eps = 0 the peak is the singular point q = Omega itself, where the
+    derivative diverges, and is refused by name.
     """
     _check_regime(Omega, eps)
+    if eps == 0.0:
+        raise ValueError(
+            f"at eps = 0 |d eps_tr/dq| diverges at the singular point q = Omega = "
+            f"{Omega:g}, which is its peak; scan at eps > 0"
+        )
     if n_points < 10:
         raise ValueError(f"n_points must be >= 10, got {n_points}")
     if not (0.0 < q_min < q_max):
         raise ValueError("need 0 < q_min < q_max")
     grid = np.linspace(q_min, q_max, n_points)
-    step = (q_max - q_min) / (n_points - 1)
-    n_skipped = 0
-    for r in range(_SCAN_ROUNDS + 1):
-        # raw kernel call: a sample on the singularity must be skipped
-        # here, not raised as it would be by the public evaluator
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = np.abs(_kernels.family_grid(grid, 1, Omega, eps))
-        ok = np.isfinite(vals)
-        # any other non-finite sample is an overflow, not the singular point
-        if not ok[grid != Omega].all():
-            raise _overflow(grid[~ok & (grid != Omega)][0], Omega, eps)
-        n_skipped += int((~ok).sum())
-        masked = np.where(ok, vals, -np.inf)
-        i = int(np.argmax(masked))
-        if i in (0, grid.size - 1):
-            raise ValueError(
-                f"|d eps_tr/dq| is largest at the end node q = {grid[i]:g} of a grid "
-                f"of step {step:g}: the peak is not bracketed; widen the grid"
-            )
-        center = float(grid[i])
-        best = float(vals[i])
-        if r < _SCAN_ROUNDS:
-            # zoom: 2*_SCAN_REFINE + 1 nodes spanning +- one current step
-            step /= _SCAN_REFINE
-            grid = center + step * np.arange(-_SCAN_REFINE, _SCAN_REFINE + 1,
-                                             dtype=np.float64)
-            grid = grid[grid > 0.0]
-    return KohnScanResult(
-        q_star=center,
-        max_abs_derivative=best,
-        refined_step=step,
-        grid=grid,
-        values=vals,
-        n_skipped=n_skipped,
-    )
+    values = np.abs(d_eps_dq(grid, Omega, eps))
+    i = int(np.argmax(values))
+    if i in (0, n_points - 1):
+        raise ValueError(
+            f"|d eps_tr/dq| is largest at the end node q = {grid[i]:g} of a grid of step "
+            f"{(q_max - q_min) / (n_points - 1):g}: the peak is not bracketed; widen the grid"
+        )
+    # the sign of Re(conj(eps') eps'') from the members at Omega = 1, since
+    # eps' = Omega^-3 H'(q/Omega) and eps'' = Omega^-4 H''(q/Omega) with H the
+    # permittivity at (1, eps/Omega): their product overflows at a tiny Omega
+    # where the scan does not
+    lo, hi = float(grid[i - 1]), float(grid[i + 1])
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        d1, d2 = _kernels._family_members(np.array([mid / Omega]), (1, 2), 1.0, eps / Omega)
+        if (d1.conjugate() * d2).real[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return KohnScanResult(lo, abs(d_eps_dq(lo, Omega, eps)), grid, values)

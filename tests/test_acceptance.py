@@ -107,7 +107,8 @@ def test_3_derivative_peak_localization():
     ok = True
     for Omega in (0.08, 0.1):
         res = kohn_scan(Omega, 1e-4, 0.04, 0.4, 10)
-        hit = abs(res.q_star - Omega) <= res.refined_step * (1 + 1e-9)
+        # the peak broadens a fraction of eps above Omega
+        hit = 0.0 < res.q_star - Omega < 1e-4
         far_lo = abs(d_eps_dq(res.q_star / 100.0, Omega, 1e-4))
         far_hi = abs(d_eps_dq(min(res.q_star * 100.0, 8.0), Omega, 1e-4))
         contrast = min(res.max_abs_derivative / far_lo,

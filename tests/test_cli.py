@@ -167,9 +167,9 @@ class TestBehavior:
         )
         assert code == 0
         meta = json.loads(out)["meta"]
-        assert meta["q_star"] == pytest.approx(0.08004064128256513, rel=1e-12)
-        assert meta["refined_step"] == pytest.approx(3.6072144288577153e-7, rel=1e-12)
-        assert meta["n_skipped"] == 0
+        assert list(meta) == ["Omega", "eps", "q_star", "max_abs_derivative"]
+        assert meta["q_star"] == pytest.approx(0.08004078578352956, rel=1e-12)
+        assert meta["max_abs_derivative"] == pytest.approx(13792.028339264314, rel=1e-12)
 
     def test_materials_table_is_sorted(self, capsys):
         code, out, _ = run_cli(capsys, ["materials", "--format", "json"])
@@ -207,20 +207,14 @@ class TestBehavior:
         assert "unknown material 'cs'" in err
 
     def test_non_finite_value_reads_null_in_json(self, capsys):
-        # q = Omega = 0.08 is a node of the final zoom at eps = 0, where
-        # |d eps/dq| is not finite: the CSV prints nan, and the JSON, which
-        # has no NaN, null
-        argv = ["kohn-scan", "--Omega", "0.08", "--eps", "0", "--grid", "0.06:0.1:11"]
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert "0.08,nan" in out.splitlines()
-
+        # JSON has no NaN or inf: a non-finite cell goes out as null
         def no_constants(name):
             raise ValueError(f"{name} is not JSON")
 
-        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
-        assert code == 0
-        assert [0.08, None] in json.loads(out, parse_constant=no_constants)["rows"]
+        rows = [[0.08, math.nan], [0.09, math.inf], ["na", 1.5]]
+        cli._emit_json(None, "kohn-scan", {}, ["q", "abs_d_eps_dq"], rows)
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        assert doc["rows"] == [[0.08, None], [0.09, None], ["na", 1.5]]
 
     def test_mesh_failure_exits_1(self, capsys, monkeypatch):
         # every depth shares one mesh: a mesh past its panel budget fails the
@@ -462,8 +456,7 @@ class TestBehavior:
         "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
         "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
         "analysis.CrossoverResult": ["x_star", "g_residual", "iterations"],
-        "permittivity.KohnScanResult": ["q_star", "max_abs_derivative", "refined_step",
-                                        "grid", "values", "n_skipped"],
+        "permittivity.KohnScanResult": ["q_star", "max_abs_derivative", "grid", "values"],
     }
 
     @pytest.mark.parametrize("path", sorted(RECORD_FIELDS))

@@ -3,8 +3,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from conftest import _mp_eps_tr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermiskin import permittivity
+from fermiskin import cli
 from fermiskin.permittivity import (
     KohnScanResult,
     d2_eps_dq2,
@@ -336,20 +339,51 @@ class TestDomain:
             eps_tr(0.05, 0.1, float("inf"))
 
 
+def _mp_kohn_root(Omega, eps):
+    """The peak of |d eps_tr/dq| as the root of Re(conj(eps') eps'') in
+    mpmath, with both derivatives taken by mp.diff on the conftest closed
+    form; it lies in (Omega, Omega + eps), where the function changes sign."""
+    with mpmath.workdps(40):
+        def slope(q):
+            d1, d2 = (mpmath.diff(lambda t: _mp_eps_tr(t, Omega, eps, 1), q, n) for n in (1, 2))
+            return mpmath.re(mpmath.conj(d1) * d2)
+
+        a, b = mpmath.mpf(Omega), mpmath.mpf(Omega) + mpmath.mpf(eps)
+        assert slope(a) > 0 > slope(b)
+        return float(mpmath.findroot(slope, (a, b), solver="anderson"))
+
+
+KOHN_BOX = [(Om, e) for Om in (0.01, 0.08, 0.1, 0.5, 0.9, 2.0) for e in (1e-6, 1e-4, 1e-2)]
+
+
 class TestKohnScan:
     def test_localizes_singular_wavevector(self):
         res = kohn_scan(0.08, 1e-4, 0.02, 0.2, 500)
         assert isinstance(res, KohnScanResult)
-        assert res.q_star == pytest.approx(0.08004064128256513, rel=1e-12)
-        assert res.refined_step == pytest.approx(3.6072144288577153e-7, rel=1e-12)
+        assert res.q_star == pytest.approx(0.08004078578352956, rel=1e-12)
+        assert res.grid.shape == res.values.shape == (500,)
         # broadened peak sits a fraction of eps above Omega
         assert 0.0 < res.q_star - 0.08 < 1e-4
+
+    @pytest.mark.parametrize("Omega,eps", KOHN_BOX)
+    def test_peak_is_the_mpmath_root(self, Omega, eps):
+        res = kohn_scan(Omega, eps, Omega / 4, 4 * Omega, 100)
+        assert res.q_star == pytest.approx(_mp_kohn_root(Omega, eps), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_Omega=st.floats(-3.0, 0.5), log_eps_ratio=st.floats(-5.0, 0.0),
+           n_points=st.integers(10, 400))
+    def test_peak_tops_the_scan_just_above_omega(self, log_Omega, log_eps_ratio, n_points):
+        Omega = 10.0**log_Omega
+        eps = Omega * 10.0**log_eps_ratio
+        res = kohn_scan(Omega, eps, Omega / 3, 3 * Omega, n_points)
+        assert np.all(res.max_abs_derivative >= res.values)
+        assert 0.0 < res.q_star - Omega < eps
 
     @pytest.mark.parametrize("Omega,peak", [(0.08, 13792.0), (0.1, 7372.4)])
     def test_coarse_grid_refines_to_omega(self, Omega, peak):
         res = kohn_scan(Omega, 1e-4, 0.04, 0.4, 10)
-        assert abs(res.q_star - Omega) <= res.refined_step * (1 + 1e-9)
-        assert res.refined_step == pytest.approx(4e-5, rel=1e-12)
+        assert 0.0 < res.q_star - Omega < 1e-4
         assert res.max_abs_derivative == pytest.approx(peak, rel=1e-3)
 
     def test_peak_contrast(self):
@@ -360,30 +394,34 @@ class TestKohnScan:
         assert res.max_abs_derivative / far_lo > 1e3
         assert res.max_abs_derivative / far_hi > 1e3
 
-    def test_collisionless_scan_skips_singular_node(self, monkeypatch):
-        grid = np.linspace(0.05, 0.25, 11)
-        Omega = float(grid[3])  # an exact grid node
-        monkeypatch.setattr(permittivity, "_SCAN_ROUNDS", 0)
-        res = kohn_scan(Omega, 0.0, 0.05, 0.25, 11)
-        assert res.grid.size == 11  # the uniform scan alone
-        assert res.n_skipped >= 1
-        assert np.isfinite(res.max_abs_derivative)
-        assert res.q_star != Omega
+    def test_collisionless_peak_is_refused(self, capsys):
+        # at eps = 0 the peak is the singular point q = Omega itself
+        msg = ("at eps = 0 |d eps_tr/dq| diverges at the singular point q = Omega = 0.08, "
+               "which is its peak; scan at eps > 0")
+        with pytest.raises(ValueError) as exc:
+            kohn_scan(0.08, 0.0, 0.02, 0.2, 500)
+        assert str(exc.value) == msg
+        argv = ["kohn-scan", "--Omega", "0.08", "--eps", "0", "--grid", "0.02:0.2:500"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", msg + "\n")
 
-    def test_overflow_is_not_a_skipped_node(self):
-        # at Omega = 1e-308 every |d eps/dq| overflows: named, not skipped as
-        # if each node sat on the singular point
+    def test_overflow_is_refused_by_name(self):
+        # at Omega = 1e-308 every |d eps/dq| overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="value overflows at q = 0.02, Omega = 1e-308"):
-                kohn_scan(1e-308, 0.0, 0.02, 0.2, 50)
+            with pytest.raises(ValueError, match=r"value overflows at q = 0\.02, "
+                                                 r"Omega = 1e-308, eps = 0\.0001"):
+                kohn_scan(1e-308, 1e-4, 0.02, 0.2, 50)
 
-    def test_collisionless_zoom_converges(self, monkeypatch):
-        monkeypatch.setattr(permittivity, "_SCAN_ROUNDS", 6)
-        res = kohn_scan(0.1, 0.0, 0.05, 0.2, 16)
-        assert res.refined_step == pytest.approx(0.01 / 10**6, rel=1e-12)
-        assert abs(res.q_star - 0.1) < 1e-5
-        assert res.values.shape == res.grid.shape
+    @pytest.mark.parametrize("Omega,eps", [(1e-60, 1e-62), (1e-90, 1e-95)])
+    def test_tiny_omega_peak(self, Omega, eps):
+        # eps' eps'' overflows here where eps' does not; eps_tr - 1 scales as
+        # Omega^-2 at fixed q/Omega and eps/Omega, so the peak is the one at
+        # (1, eps/Omega) times Omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kohn_scan(Omega, eps, Omega / 4, 4 * Omega, 100)
+        assert res.q_star == pytest.approx(Omega * _mp_kohn_root(1.0, eps / Omega), rel=1e-12)
 
     @pytest.mark.parametrize("q_min,q_max,end", [(0.12, 0.4, "0.12"), (0.02, 0.09, "0.09")])
     def test_unbracketed_peak_raises(self, q_min, q_max, end):
