@@ -18,8 +18,7 @@ _EXPORTS = {
     "analysis": ("AnalysisError", "CrossoverResult", "FitResult", "NoCrossoverError",
                  "WavelengthEstimate", "crossover", "envelope_fit", "near_surface_fit",
                  "wavelength_extract"),
-    "asymptotic": ("AsymptoticCoefficients", "amplitude_A", "amplitude_B",
-                   "asymptotic_coefficients", "asymptotic_field", "f_of_Omega"),
+    "asymptotic": ("amplitude_A", "amplitude_B", "asymptotic_values", "f_of_Omega"),
     "constants": ("SPEED_OF_LIGHT",),
     "field": ("DispersionRootError", "FieldProfile", "field_ratio_ibp", "field_ratio_rescaled",
               "profile"),

@@ -5,9 +5,10 @@ One vectorized numpy path. The series/closed-form split is taken once per
 call and the logarithm branch of eps_tr at |q| = Om is chosen in one place,
 _log_branch, whose result every family member an envelope kernel needs
 shares. It computes log((z - q)/(z + q)) in real arithmetic, the
-modulus as log1p and the argument as arctan2, which is the principal
-branch of the complex logarithm without its complex division, and at
-zi = 0 its limit from Im z > 0.
+modulus as log1p (a difference of logs where its ratio overflows) and
+the argument as arctan2, which is the principal branch of the complex
+logarithm without its complex division, and at zi = 0 its limit from
+Im z > 0.
 tests/test_kernels.py checks the branch and the family against independent
 mpmath oracles and the panel fits against adaptive quadrature.
 
@@ -112,12 +113,19 @@ def _log_branch(q, Om, zi):
     # imaginary part is the argument of (z - q)(conj(z) + q) = Om^2 +
     # zi^2 - q^2 + 2 i zi q, both parts divided by Om + |q|. At zi = 0 the
     # signed zero of zi q makes arctan2 take the limit from Im z > 0: the
-    # absorption step +-pi past |q| = Om
+    # absorption step +-pi past |q| = Om. Where the ratio overflows (zi
+    # below about 1e-154 Om at |q| = Om), 1 + ratio = (s^2 + zi^2) / m^2
+    # gives the log1p as 2 (log hypot(s, zi) - log m)
     aq = np.abs(q)
     d = Om - aq
     s = Om + aq
     m = np.hypot(d, zi)
-    re = np.copysign(0.5 * np.log1p(4.0 * Om / m * (aq / m)), -q)
+    with np.errstate(over="ignore"):
+        lg = np.log1p(4.0 * Om / m * (aq / m))
+    over = ~np.isfinite(lg)
+    if over.any():
+        lg[over] = 2.0 * (np.log(np.hypot(s[over], zi)) - np.log(m[over]))
+    re = np.copysign(0.5 * lg, -q)
     im = np.arctan2(2.0 * zi * (q / s), d + zi * (zi / s))
     return re + 1j * im
 

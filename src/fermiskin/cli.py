@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from datetime import datetime, timezone
@@ -28,22 +29,26 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit_csv(path, columns, rows, comments=()):
-    def write(fh):
-        fh.write(f"# generated: {_timestamp()}\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        # rows hold str, int and Python float cells: plain floats from the
-        # closed forms, .tolist() of arrays from the numeric commands
-        w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
-
+def _write(path, text):
+    """Write text to path (None: stdout)."""
     if path is None:
-        write(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+            fh.write(text)
+
+
+def _emit_csv(path, columns, rows, comments=()):
+    fh = io.StringIO()
+    fh.write(f"# generated: {_timestamp()}\n")
+    for line in comments:
+        fh.write(f"# {line}\n")
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    # rows hold str, int and Python float cells: plain floats from the
+    # closed forms, .tolist() of arrays from the numeric commands
+    w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
+    _write(path, fh.getvalue())
 
 
 def _json_number(v):
@@ -55,12 +60,7 @@ def _write_json(path, doc):
     """Write doc as JSON indented by 2, plus a newline, to path (None: stdout)."""
     import json
 
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_json(path, subcommand, meta, columns, rows):
@@ -231,19 +231,17 @@ def _cmd_asymptotic(args) -> int:
     from . import asymptotic
 
     mat = _material(args)
-    coef = asymptotic.asymptotic_coefficients(args.Omega, mat)
     meta = {
         "material": mat.name,
         "Omega": args.Omega,
-        "A_cm3": coef.A,
-        "B_cm2": coef.B,
-        "f_Omega": coef.f_Omega,
-        "wavenumber_per_cm": coef.wavenumber,
+        "A_cm3": asymptotic.amplitude_A(args.Omega, mat),
+        "B_cm2": asymptotic.amplitude_B(args.Omega, mat),
+        "f_Omega": asymptotic.f_of_Omega(args.Omega, mat),
+        "wavenumber_per_cm": args.Omega * mat.omega_p / mat.v_F,
     }
     if args.grid is None:
         columns = ["Omega", "A_cm3", "B_cm2", "f_Omega", "wavenumber_per_cm"]
-        rows = [[args.Omega, coef.A, coef.B, coef.f_Omega, coef.wavenumber]]
-        _emit(args, "asymptotic", meta, columns, rows,
+        _emit(args, "asymptotic", meta, columns, [[meta[c] for c in columns]],
               [f"material = {mat.name}"])
         return 0
     meta["normalization"] = args.normalization or "per_Eprime0"

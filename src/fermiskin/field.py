@@ -183,7 +183,7 @@ def profile(
 
     params is a PlasmaParams (see params_for). method is one of
     PROFILE_METHODS (rescaled / ibp). The closed form is
-    asymptotic.asymptotic_field. Depths must be strictly increasing.
+    asymptotic.asymptotic_values. Depths must be strictly increasing.
     Every depth is summed on the same cached mesh, so a profile returns
     every depth or raises: QuadratureError if the mesh exceeds its panel
     budget, ValueError naming the first depth outside the route's domain.

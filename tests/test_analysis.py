@@ -17,7 +17,7 @@ from fermiskin.analysis import (
     near_surface_fit,
     wavelength_extract,
 )
-from fermiskin.asymptotic import amplitude_B, asymptotic_field
+from fermiskin.asymptotic import amplitude_B, asymptotic_values
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import profile
 from fermiskin.materials import Material, get_material, params_for
@@ -74,7 +74,7 @@ class TestEnvelopeFit:
     def test_asymptotic_profile_recovers_exponent(self, na):
         L = na.v_F / (1e-2 * na.omega_p)
         us = np.linspace(14.6, 50.4, 400)
-        prof = (us * L, asymptotic_field(us * L, 1e-2, na))
+        prof = (us * L, np.array(asymptotic_values(us * L, 1e-2, na)))
         fit = envelope_fit(prof, window=(15 * L, 50 * L))
         assert fit.slope == pytest.approx(-2.0, abs=0.01)
 
@@ -121,7 +121,7 @@ class TestWavelengthExtract:
     def test_asymptotic_profile_period(self, na):
         L = na.v_F / (1e-2 * na.omega_p)
         us = np.linspace(14.6, 50.4, 400)
-        prof = (us * L, asymptotic_field(us * L, 1e-2, na))
+        prof = (us * L, np.array(asymptotic_values(us * L, 1e-2, na)))
         est = wavelength_extract(prof, window=(15 * L, 50 * L))
         assert est.wavelength == pytest.approx(2.0 * math.pi * L, rel=5e-3)
 

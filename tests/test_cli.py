@@ -438,7 +438,7 @@ class TestBehavior:
     def test_exports(self):
         import fermiskin
 
-        assert len(fermiskin.__all__) == 39
+        assert len(fermiskin.__all__) == 37
         for name in fermiskin.__all__:
             assert getattr(fermiskin, name) is not None, name
         with pytest.raises(AttributeError, match="no attribute 'field_ratio_direct'"):
@@ -452,7 +452,6 @@ class TestBehavior:
                                         "n_panels", "n_evals", "n_tail_terms", "branch"],
         "field.FieldPointInfo": ["value", "abs_err_est", "phase", "quad"],
         "field.FieldProfile": ["xs", "values", "abs_err", "params", "method", "diagnostics"],
-        "asymptotic.AsymptoticCoefficients": ["A", "B", "f_Omega", "wavenumber"],
         "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
         "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
         "analysis.CrossoverResult": ["x_star", "g_residual", "iterations"],

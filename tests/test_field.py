@@ -10,8 +10,6 @@ from fermiskin import _kernels, quadrature
 from fermiskin.asymptotic import (
     amplitude_A,
     amplitude_B,
-    asymptotic_coefficients,
-    asymptotic_field,
     asymptotic_values,
     f_of_Omega,
 )
@@ -460,13 +458,6 @@ class TestAmplitudeModes:
         a9 = amplitude_nonrel(1e-2, na)
         assert abs(a8 - a9) / a8 <= 5.0 * (na.v_F / SPEED_OF_LIGHT) ** 2
 
-    def test_coefficient_bundle(self, na):
-        co = asymptotic_coefficients(1e-2, na)
-        assert co.A == amplitude_A(1e-2, na)
-        assert co.B == amplitude_B(1e-2, na)
-        assert co.f_Omega == f_of_Omega(1e-2, na)
-        assert co.wavenumber == pytest.approx(1e-2 * na.omega_p / na.v_F, rel=1e-15)
-
 
 class TestAsymptoticField:
     def test_zeros_on_the_comb(self, na):
@@ -474,17 +465,17 @@ class TestAsymptoticField:
         A = amplitude_A(1e-2, na)
         for n in (3, 10, 41):
             xn = n * math.pi / k
-            assert abs(asymptotic_field(xn, 1e-2, na)) * xn**2 / A < 1e-9
+            assert abs(asymptotic_values([xn], 1e-2, na)[0]) * xn**2 / A < 1e-9
 
     def test_first_half_period_is_negative(self, na):
         k = 1e-2 * na.omega_p / na.v_F
         xs = np.linspace(0.05, 0.95, 12) * math.pi / k
-        assert np.all(asymptotic_field(xs, 1e-2, na) < 0)
+        assert all(y < 0 for y in asymptotic_values(xs, 1e-2, na))
 
     def test_normalizations_related_by_skin_depth(self, na):
-        x = 1e-4
-        per_ep = asymptotic_field(x, 1e-2, na, normalization="per_Eprime0")
-        per_e0 = asymptotic_field(x, 1e-2, na, normalization="per_E0")
+        x = [1e-4]
+        [per_ep] = asymptotic_values(x, 1e-2, na, normalization="per_Eprime0")
+        [per_e0] = asymptotic_values(x, 1e-2, na, normalization="per_E0")
         assert abs(per_e0) == pytest.approx(
             na.omega_p / SPEED_OF_LIGHT * abs(per_ep), rel=1e-12
         )
@@ -493,13 +484,22 @@ class TestAsymptoticField:
 
     def test_domain(self, na):
         with pytest.raises(ValueError, match="x > 0"):
-            asymptotic_field(0.0, 1e-2, na)
+            asymptotic_values([0.0], 1e-2, na)
         with pytest.raises(ValueError, match="normalization"):
-            asymptotic_field(1e-4, 1e-2, na, normalization="per_B")
+            asymptotic_values([1e-4], 1e-2, na, normalization="per_B")
 
     def test_non_finite_depth_rejected(self, na):
         with pytest.raises(ValueError, match="x must be finite, got nan"):
-            asymptotic_field([1e-4, float("nan")], 1e-2, na)
+            asymptotic_values([1e-4, float("nan")], 1e-2, na)
+
+    def test_any_iterable_gives_plain_floats(self, na):
+        # a list, an ndarray and a generator of the same depths give the
+        # same list of Python floats
+        xs = np.linspace(1e-4, 3e-4, 6)
+        ref = asymptotic_values(xs.tolist(), 1e-2, na)
+        for given in (xs, iter(xs), (float(x) for x in xs)):
+            got = asymptotic_values(given, 1e-2, na)
+            assert got == ref and all(type(y) is float for y in got)
 
     @pytest.mark.parametrize("normalization", ["per_Eprime0", "per_E0"])
     @pytest.mark.parametrize("xs,named", [
@@ -509,10 +509,14 @@ class TestAsymptoticField:
         ([1e-170, 1e-4], "1e-170"),
     ])
     def test_overflowing_depth_named(self, na, xs, named, normalization):
-        # refused by its first depth, with no numpy RuntimeWarning
-        with pytest.raises(ValueError) as exc:
-            asymptotic_field(xs, 1e-2, na, normalization=normalization)
-        assert str(exc.value) == f"the closed form overflows a float at x = {named} cm"
+        # refused by its first depth, with no numpy RuntimeWarning, from a
+        # list and from an ndarray of depths alike
+        for given in (xs, np.array(xs)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as exc:
+                    asymptotic_values(given, 1e-2, na, normalization=normalization)
+            assert str(exc.value) == f"the closed form overflows a float at x = {named} cm"
 
 
 def numpy_closed_form(xs, Omega, m, normalization="per_Eprime0"):
@@ -561,14 +565,6 @@ class TestClosedFormAgainstNumpy:
         with pytest.raises(ValueError, match="the closed form overflows a float at x = "):
             asymptotic_values([bad], 1e-2, na, normalization=normalization)
 
-    def test_field_is_values_as_an_array(self, na):
-        # the ndarray wrapper keeps the shape, and a scalar depth gives a scalar
-        xs = np.linspace(1e-4, 3e-4, 6).reshape(2, 3)
-        got = asymptotic_field(xs, 1e-2, na)
-        assert got.shape == (2, 3) and got.dtype == np.float64
-        assert got.ravel().tolist() == asymptotic_values(xs.ravel().tolist(), 1e-2, na)
-        assert np.ndim(asymptotic_field(1e-4, 1e-2, na)) == 0
-
 
 class TestProfile:
     def test_numeric_matches_single_calls(self, p_1em4):
@@ -599,7 +595,7 @@ class TestProfile:
         # the direct axis is a cross-check (field_ratio_direct), not a method
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "direct")
-        # the closed form is asymptotic_field, not a profile method
+        # the closed form is asymptotic_values, not a profile method
         with pytest.raises(ValueError, match="unknown method"):
             profile([1e-5], p_1em4, "asymptotic")
 

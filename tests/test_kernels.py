@@ -34,13 +34,15 @@ QGRID = np.concatenate([
 ])
 
 
-@pytest.mark.parametrize("zi", [1e-4, -1e-4, 1e-6, -1e-6, 0.0])
+@pytest.mark.parametrize("zi", [1e-4, -1e-4, 1e-6, -1e-6, 0.0, 1e-160, 1e-300, 5e-324])
 def test_log_branch_against_mpmath(zi):
     # the real-arithmetic branch must be the principal log((z - q)/(z + q))
     # on both sides of q = 0, at the singular shell q = +-Om and far past
     # it; a slip by 2 pi or a flipped sign in the argument fails by far.
     # zi = 0 is the limit from Im z > 0, which z = Om + 1e-60 i stands
-    # in for; the shell itself is the log singularity there and is left out
+    # in for; the shell itself is the log singularity there and is left out.
+    # Below zi = 1e-154 Om the modulus ratio 4 Om^2 / zi^2 on the shell
+    # overflows a float, while the real part there, -+log(2 Om / zi), does not
     Om = 1e-2
     g = np.geomspace(1e-6, 1e3, 300)
     q = np.concatenate((-g[::-1], g) if zi == 0.0 else (-g[::-1], [-Om], g, [Om]))

@@ -319,6 +319,22 @@ class TestDomain:
         want = np.array(want)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + 1e-305), (got, want)
 
+    @pytest.mark.parametrize("q", [0.1, -0.1])
+    @pytest.mark.parametrize("eps", [1e-160, 1e-300])
+    def test_singular_shell_at_tiny_eps(self, q, eps):
+        # at |q| = Omega the modulus ratio of the logarithm, 4 Omega^2 /
+        # eps^2, overflows a float; the values stay finite, with no numpy
+        # warning, and agree with the mpmath permittivity (its derivative
+        # taken at 700 digits, which resolve a step below eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (eps_tr(q, 0.1, eps), d_eps_dq(q, 0.1, eps))
+        with mpmath.workdps(700):
+            f = lambda t: _mp_eps_tr(t, 0.1, eps, 1)
+            want = (complex(f(mpmath.mpf(q))), complex(mpmath.diff(f, mpmath.mpf(q))))
+        for g, w in zip(got, want):
+            _close(g, w, 1e-14)
+
     def test_scan_to_a_huge_q_max(self):
         # the first grid steps by 2e198, so its largest sample is the end node
         # q_min and the peak at 0.1 is never bracketed; no sample overflows
@@ -422,6 +438,14 @@ class TestKohnScan:
             warnings.simplefilter("error")
             res = kohn_scan(Omega, eps, Omega / 4, 4 * Omega, 100)
         assert res.q_star == pytest.approx(Omega * _mp_kohn_root(1.0, eps / Omega), rel=1e-12)
+
+    def test_tiny_eps_scan(self):
+        # a bisection midpoint lands on Omega, where the logarithm's modulus
+        # ratio overflows; the true peak, 0.2 eps above Omega, rounds to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kohn_scan(0.1, 1e-300, 0.05, 0.2, 50)
+        assert res.q_star == 0.1 and np.isfinite(res.max_abs_derivative)
 
     @pytest.mark.parametrize("q_min,q_max,end", [(0.12, 0.4, "0.12"), (0.02, 0.09, "0.09")])
     def test_unbracketed_peak_raises(self, q_min, q_max, end):
