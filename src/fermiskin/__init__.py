@@ -15,15 +15,15 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "analysis": ("AnalysisError", "CrossoverResult", "FitResult", "NoCrossoverError",
-                 "WavelengthEstimate", "crossover", "envelope_fit", "near_surface_fit",
+    "analysis": ("FitResult", "WavelengthEstimate", "envelope_fit", "near_surface_fit",
                  "wavelength_extract"),
-    "asymptotic": ("amplitude_A", "amplitude_B", "asymptotic_values", "f_of_Omega"),
+    "asymptotic": ("AnalysisError", "CrossoverResult", "NoCrossoverError", "amplitude_A",
+                   "amplitude_B", "asymptotic_values", "crossover", "f_of_Omega"),
     "constants": ("SPEED_OF_LIGHT",),
     "field": ("DispersionRootError", "FieldProfile", "field_ratio_ibp", "field_ratio_rescaled",
               "profile"),
-    "materials": ("BUILTIN_MATERIALS", "Material", "PlasmaParams", "fermi_velocity",
-                  "get_material", "load_materials_file", "params_for", "plasma_frequency"),
+    "materials": ("BUILTIN_MATERIALS", "Material", "PlasmaParams", "get_material",
+                  "load_materials_file", "params_for"),
     "permittivity": ("KohnScanResult", "SeriesValue", "d2_eps_dq2", "d2_eps_near_singularity",
                      "d_eps_dq", "eps_tr", "kohn_scan", "small_q_series"),
     "quadrature": ("QuadratureError", "QuadratureResult"),

@@ -58,10 +58,10 @@ N_LEGENDRE = 24
 
 
 def _legendre(t):
-    """P_0..P_24 at t by recurrence, as legvander without numpy.polynomial's 1 MB."""
-    p = np.ones((N_LEGENDRE + 1, t.size))
+    """P_0..P_23 at t by recurrence, as legvander without numpy.polynomial's 1 MB."""
+    p = np.ones((N_LEGENDRE, t.size))
     p[1] = t
-    for k in range(1, N_LEGENDRE):
+    for k in range(1, N_LEGENDRE - 1):
         p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
     return p
 
@@ -98,7 +98,7 @@ def _legendre_fit():
     """
     t = -np.cos(np.pi * (np.arange(N_LEGENDRE) + 0.75) / (N_LEGENDRE + 0.5))
     t, w = _gauss_legendre(t, N_LEGENDRE, 6)
-    v = _legendre(t)[:-1]
+    v = _legendre(t)
     m = (v * w * (np.arange(N_LEGENDRE) + 0.5)[:, None]).T
     m += np.einsum("ij,jk->ik", m, np.eye(N_LEGENDRE) - np.einsum("ij,jk->ik", v, m))
     t.flags.writeable = m.flags.writeable = False

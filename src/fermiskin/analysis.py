@@ -1,45 +1,27 @@
-"""Observable extraction from field profiles, and the crossover depth.
+"""Observable extraction from field profiles, on numpy.
 
 The extractors quantify the three signatures of the computed profiles:
 the inverse-square envelope of the far-field oscillation, its spatial
-period, and the exponential decay constant near the surface. The
-crossover depth, beyond which the oscillatory tail B/x^2 permanently
-overtakes the near-surface exponential exp(-omega_p x / c), is closed
-form: x_star = -(2c/omega_p) W_{-1}(-(omega_p/2c) sqrt(B)), on the lower
-real branch of the Lambert W function, evaluated by Halley's method.
-
-Extractors accept either a FieldProfile or a plain (xs, values) pair,
-so synthetic signals can be fed through the same code path the real
-profiles use. A FieldProfile is told apart by its xs attribute, so the
-crossover runs without importing field and its quadrature; the
-extractors import numpy when called, so the crossover runs without numpy.
+period, and the exponential decay constant near the surface (the
+crossover depth is closed form, in asymptotic). They accept either a
+FieldProfile, told apart by its xs attribute so that field is not
+imported, or a plain (xs, values) pair, so synthetic signals take the
+same code path as the real profiles.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .asymptotic import amplitude_B
-from .constants import SPEED_OF_LIGHT
-from .materials import Material
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+# crossover, because perfbench calls and wraps analysis.crossover
+from .asymptotic import AnalysisError, crossover
 
 # fewest refined peaks, sign changes and near-surface samples a fit accepts
 _MIN_EXTREMA = 4
 _MIN_CROSSINGS = 3
 _MIN_POINTS = 5
-_RESIDUAL_TOL = 1e-10
-
-
-class AnalysisError(RuntimeError):
-    """Extraction or root-finding failed on structurally unsuitable input."""
-
-
-class NoCrossoverError(AnalysisError):
-    """The oscillatory tail exceeds the exponential at every depth."""
 
 
 class FitResult(NamedTuple):
@@ -71,18 +53,8 @@ class WavelengthEstimate(NamedTuple):
     crossings: np.ndarray
 
 
-class CrossoverResult(NamedTuple):
-    """Crossover depth x_star (cm), |g(x_star)| and the Halley steps taken."""
-
-    x_star: float
-    g_residual: float
-    iterations: int
-
-
 def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
     """Accept a FieldProfile or an (xs, values) pair; drop non-finite points."""
-    import numpy as np
-
     if hasattr(profile, "xs"):
         x = profile.xs
         y = profile.values
@@ -106,8 +78,6 @@ def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_window(x: np.ndarray, window) -> np.ndarray:
-    import numpy as np
-
     if window is None:
         return np.ones(x.shape, dtype=bool)
     lo, hi = float(window[0]), float(window[1])
@@ -122,8 +92,6 @@ def _in_window(x: np.ndarray, window) -> np.ndarray:
 
 
 def _line_fit(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    import numpy as np
-
     slope, intercept = np.polyfit(u, v, 1)
     resid = v - (slope * u + intercept)
     ss_res = float(np.sum(resid**2))
@@ -134,8 +102,6 @@ def _line_fit(u: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
 
 def _refined_peaks(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local maxima of m by three-point comparison, parabolic refinement."""
-    import numpy as np
-
     j = np.nonzero((m[1:-1] > m[:-2]) & (m[1:-1] >= m[2:]))[0] + 1
     x0, x1, x2 = x[j - 1], x[j], x[j + 1]
     y1 = m[j]
@@ -158,8 +124,6 @@ def envelope_fit(profile, window=None) -> FitResult:
     ln(peak) against ln(x); a slope of -2 is the inverse-square
     envelope of the far-field oscillation.
     """
-    import numpy as np
-
     x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
@@ -186,8 +150,6 @@ def wavelength_extract(profile, window=None) -> WavelengthEstimate:
     changes of Re value. Constant-sign input has no crossings and is
     rejected.
     """
-    import numpy as np
-
     x, y = _coerce_profile(profile)
     keep = _in_window(x, window)
     x, y = x[keep], y[keep]
@@ -219,8 +181,6 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
     the profile's params when present, so it only needs passing for
     synthetic input.
     """
-    import numpy as np
-
     x, y = _coerce_profile(profile)
     if delta is None:
         if hasattr(profile, "xs"):
@@ -250,59 +210,3 @@ def near_surface_fit(profile, window, *, delta: float | None = None) -> FitResul
         slope=slope, intercept=intercept, r_squared=r2,
         window=(lo, hi), n_points=int(x.size),
     )
-
-
-def _lambert_w_lower(y: float) -> tuple[float, int]:
-    """Lower real branch W_{-1}(y) for -1/e <= y < 0, and the steps taken.
-
-    Four Halley steps on w e^w = y, started from the branch-point series
-    in p = -sqrt(2(1 + e y)) below y = -1/4 and from log(-y) - log(-log(-y))
-    above (Corless et al., Adv. Comput. Math. 5, 329 (1996)). At
-    y = -1/e the start is the root w = -1, where no step is taken.
-    """
-    if y < -0.25:
-        p = -math.sqrt(2.0 * (1.0 + math.e * y))
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    else:
-        w = math.log(-y) - math.log(-math.log(-y))
-    steps = 0
-    while steps < 4 and w != -1.0:
-        ew = math.exp(w)
-        f = w * ew - y
-        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-        steps += 1
-    return w, steps
-
-
-def crossover(Omega: float, material: Material) -> CrossoverResult:
-    """Depth where the oscillatory tail overtakes the surface exponential.
-
-    The root of B/x^2 = exp(-k x), k = omega_p / c, beyond the minimum of
-    g(x) = ln B - 2 ln x + k x at x = 2/k; g is convex, so past that
-    point the inverse-square tail wins for good. The equation reads
-    x e^{-kx/2} = sqrt(B), so x_star = -(2/k) W_{-1}(-k sqrt(B)/2), which
-    exists when k sqrt(B)/2 <= 1/e. The residual |g(x_star)| must come
-    out below _RESIDUAL_TOL = 1e-10.
-    """
-    B = amplitude_B(Omega, material)
-    k = material.omega_p / SPEED_OF_LIGHT
-
-    def g(x: float) -> float:
-        return math.log(B) - 2.0 * math.log(x) + k * x
-
-    y = -k * math.sqrt(B) / 2.0
-    if y < -1.0 / math.e:
-        x_min = 2.0 / k
-        raise NoCrossoverError(
-            "no crossover: Friedel tail dominates everywhere "
-            f"(min of ln(y1/y2) is {g(x_min):.3g} > 0 at x = {x_min:.3g} cm)"
-        )
-    w, iterations = _lambert_w_lower(y)
-    x_star = -2.0 * w / k
-    residual = abs(g(x_star))
-    # written so that a NaN residual fails too
-    if not residual <= _RESIDUAL_TOL:
-        raise AnalysisError(
-            f"crossover root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g}"
-        )
-    return CrossoverResult(x_star=x_star, g_residual=residual, iterations=iterations)

@@ -1,4 +1,5 @@
-"""Closed-form far field: the inverse-square-damped oscillation and its amplitudes.
+"""Closed-form far field: the inverse-square-damped oscillation, its
+amplitudes, and the depth where it overtakes the skin exponential.
 
 The tail that the permittivity's derivative singularity at |q| = Omega
 leaves past the skin layer, in closed form with no quadrature, one
@@ -9,9 +10,28 @@ numpy, field nor _kernels. Depths and E(x)/E'(0) are in cm.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .constants import SPEED_OF_LIGHT
 from .materials import Material, _check_regime
+
+_RESIDUAL_TOL = 1e-10
+
+
+class AnalysisError(RuntimeError):
+    """Extraction or root-finding failed on structurally unsuitable input."""
+
+
+class NoCrossoverError(AnalysisError):
+    """The oscillatory tail exceeds the exponential at every depth."""
+
+
+class CrossoverResult(NamedTuple):
+    """Crossover depth x_star (cm), |g(x_star)| and the Halley steps taken."""
+
+    x_star: float
+    g_residual: float
+    iterations: int
 
 
 def _too_large(Omega: float, material: Material) -> ValueError:
@@ -102,3 +122,59 @@ def asymptotic_values(
             raise ValueError(f"the closed form overflows a float at x = {x:g} cm")
         ys.append(y)
     return ys
+
+
+def _lambert_w_lower(y: float) -> tuple[float, int]:
+    """Lower real branch W_{-1}(y) for -1/e <= y < 0, and the steps taken.
+
+    Four Halley steps on w e^w = y, started from the branch-point series
+    in p = -sqrt(2(1 + e y)) below y = -1/4 and from log(-y) - log(-log(-y))
+    above (Corless et al., Adv. Comput. Math. 5, 329 (1996)). At
+    y = -1/e the start is the root w = -1, where no step is taken.
+    """
+    if y < -0.25:
+        p = -math.sqrt(2.0 * (1.0 + math.e * y))
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = math.log(-y) - math.log(-math.log(-y))
+    steps = 0
+    while steps < 4 and w != -1.0:
+        ew = math.exp(w)
+        f = w * ew - y
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        steps += 1
+    return w, steps
+
+
+def crossover(Omega: float, material: Material) -> CrossoverResult:
+    """Depth where the oscillatory tail overtakes the surface exponential.
+
+    The root of B/x^2 = exp(-k x), k = omega_p / c, beyond the minimum of
+    g(x) = ln B - 2 ln x + k x at x = 2/k; g is convex, so past that
+    point the inverse-square tail wins for good. The equation reads
+    x e^{-kx/2} = sqrt(B), so x_star = -(2/k) W_{-1}(-k sqrt(B)/2), which
+    exists when k sqrt(B)/2 <= 1/e. The residual |g(x_star)| must come
+    out below _RESIDUAL_TOL = 1e-10.
+    """
+    B = amplitude_B(Omega, material)
+    k = material.omega_p / SPEED_OF_LIGHT
+
+    def g(x: float) -> float:
+        return math.log(B) - 2.0 * math.log(x) + k * x
+
+    y = -k * math.sqrt(B) / 2.0
+    if y < -1.0 / math.e:
+        x_min = 2.0 / k
+        raise NoCrossoverError(
+            "no crossover: Friedel tail dominates everywhere "
+            f"(min of ln(y1/y2) is {g(x_min):.3g} > 0 at x = {x_min:.3g} cm)"
+        )
+    w, iterations = _lambert_w_lower(y)
+    x_star = -2.0 * w / k
+    residual = abs(g(x_star))
+    # written so that a NaN residual fails too
+    if not residual <= _RESIDUAL_TOL:
+        raise AnalysisError(
+            f"crossover root residual {residual:.3g} exceeds {_RESIDUAL_TOL:g}"
+        )
+    return CrossoverResult(x_star=x_star, g_residual=residual, iterations=iterations)

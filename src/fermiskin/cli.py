@@ -6,8 +6,9 @@ or a "generated" field (JSON). Exit codes: 0 success, 2 usage errors,
 1 computation errors with the originating module's message verbatim.
 
 Each subcommand imports the modules it runs in its body. The closed forms
-(`asymptotic`, `crossover`, `figures --fig 2-6`) run on `math` alone, so
-only `epsilon`, `kohn-scan`, `field` and `figures --fig 1` load numpy.
+(`asymptotic`, `crossover`, `figures --fig 2-6`) run on `math` and the
+`asymptotic` module alone, so only `epsilon`, `kohn-scan`, `field` and
+`figures --fig 1` load numpy.
 """
 
 from __future__ import annotations
@@ -83,21 +84,22 @@ def _emit(args, subcommand, meta, columns, rows, comments=()):
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
+    """The argparse type of --grid: min:max:n, a usage error otherwise."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"--grid must be min:max:n, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--grid must be min:max:n, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ValueError(
+        raise argparse.ArgumentTypeError(
             f"--grid must be min:max:n with numeric parts, got {text!r}"
         ) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"--grid needs finite min and max, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--grid needs finite min and max, got {text!r}")
     if not (lo < hi):
-        raise ValueError(f"--grid needs min < max, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--grid needs min < max, got {text!r}")
     if n < 2:
-        raise ValueError(f"--grid needs n >= 2, got {n}")
+        raise argparse.ArgumentTypeError(f"--grid needs n >= 2, got {n}")
     return lo, hi, n
 
 
@@ -181,11 +183,9 @@ def _cmd_materials(args) -> int:
 
 
 def _cmd_epsilon(args) -> int:
-    if (args.q is None) == (args.grid is None):
-        raise ValueError("epsilon needs exactly one of --q or --grid")
     from . import permittivity
 
-    qs = [args.q] if args.grid is None else _linspace(*_parse_grid(args.grid))
+    qs = [args.q] if args.grid is None else _linspace(*args.grid)
     vals = permittivity.eps_tr(qs, args.Omega, args.eps)
     meta = {"Omega": args.Omega, "eps": args.eps}
     rows = zip(qs, vals.real.tolist(), vals.imag.tolist())
@@ -197,7 +197,7 @@ def _cmd_epsilon(args) -> int:
 def _cmd_kohn_scan(args) -> int:
     from . import permittivity
 
-    res = permittivity.kohn_scan(args.Omega, args.eps, *_parse_grid(args.grid))
+    res = permittivity.kohn_scan(args.Omega, args.eps, *args.grid)
     meta = {
         "Omega": args.Omega,
         "eps": args.eps,
@@ -214,7 +214,7 @@ def _cmd_field(args) -> int:
 
     mat = _material(args)
     params = params_for(mat, args.Omega, args.eps)
-    prof = field.profile(_linspace(*_parse_grid(args.grid)), params, args.method)
+    prof = field.profile(_linspace(*args.grid), params, args.method)
     meta = _meta_params(params)
     meta["method"] = args.method
     rows = zip(prof.xs.tolist(), prof.values.real.tolist(), prof.values.imag.tolist(),
@@ -245,7 +245,7 @@ def _cmd_asymptotic(args) -> int:
               [f"material = {mat.name}"])
         return 0
     meta["normalization"] = args.normalization or "per_Eprime0"
-    xs = _linspace(*_parse_grid(args.grid))
+    xs = _linspace(*args.grid)
     vals = asymptotic.asymptotic_values(xs, args.Omega, mat,
                                         normalization=meta["normalization"])
     rows = ([x, v, 0.0, 0.0] for x, v in zip(xs, vals))
@@ -258,10 +258,10 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    from . import analysis
+    from . import asymptotic
 
     mat = _material(args)
-    res = analysis.crossover(args.Omega, mat)
+    res = asymptotic.crossover(args.Omega, mat)
     meta = {
         "material": mat.name,
         "Omega": args.Omega,
@@ -324,11 +324,11 @@ def _cmd_figures(args) -> int:
             data.append(asymptotic.asymptotic_values(xs, Om, get_material(name)))
         _emit_csv(out, cols, zip(*data), [comment])
     else:
-        from . import analysis, asymptotic
+        from . import asymptotic
 
         Om = _FIG_CROSSOVER[fig]
         mat = get_material("na")
-        res = analysis.crossover(Om, mat)
+        res = asymptotic.crossover(Om, mat)
         B = asymptotic.amplitude_B(Om, mat)
         k = mat.omega_p / SPEED_OF_LIGHT
         xs = _geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
@@ -367,8 +367,7 @@ def _cmd_figures(args) -> int:
 
 def _add_common(p, *, material=False):
     if material:
-        p.add_argument("--material",
-                       default=None if p.prog.endswith("materials") else "na",
+        p.add_argument("--material", default="na",
                        help="material name from the built-in table or config")
         p.add_argument("--config", default=None, help="materials JSON path")
     p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -386,28 +385,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("materials", help="print the material table (CGS and SI)")
-    _add_common(p, material=True)
+    p.add_argument("--material", default=None, help="print one material (default all)")
+    p.add_argument("--config", default=None, help="materials JSON path")
+    _add_common(p)
     p.set_defaults(func=_cmd_materials)
 
     p = sub.add_parser("epsilon", help="evaluate the transverse permittivity")
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--q", type=float, default=None, help="single wavevector")
-    p.add_argument("--grid", default=None, help="q grid as min:max:n")
+    q = p.add_mutually_exclusive_group(required=True)
+    q.add_argument("--q", type=float, help="single wavevector")
+    q.add_argument("--grid", type=_parse_grid, help="q grid as min:max:n")
     _add_common(p)
     p.set_defaults(func=_cmd_epsilon)
 
     p = sub.add_parser("kohn-scan", help="localize the permittivity-derivative peak")
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--grid", required=True, help="q grid as min:max:n")
+    p.add_argument("--grid", type=_parse_grid, required=True, help="q grid as min:max:n")
     _add_common(p)
     p.set_defaults(func=_cmd_kohn_scan)
 
     p = sub.add_parser("field", help="numeric field profile E(x)/E'(0)")
     p.add_argument("--Omega", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--grid", required=True, help="x grid in cm as min:max:n")
+    p.add_argument("--grid", type=_parse_grid, required=True,
+                   help="x grid in cm as min:max:n")
     # field.PROFILE_METHODS, spelled out so that parsing does not import field
     p.add_argument("--method", choices=("rescaled", "ibp"), default="rescaled")
     _add_common(p, material=True)
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotic", help="far-field coefficients or closed-form profile")
     p.add_argument("--Omega", type=float, required=True)
-    p.add_argument("--grid", default=None, help="x grid in cm as min:max:n")
+    p.add_argument("--grid", type=_parse_grid, help="x grid in cm as min:max:n")
     p.add_argument("--normalization", choices=("per_Eprime0", "per_E0"), default=None,
                    help="E/E'(0) or E/E(0) profile, with --grid (default per_Eprime0)")
     _add_common(p, material=True)

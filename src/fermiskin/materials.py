@@ -22,25 +22,6 @@ BUILTIN_DENSITIES = {
     "al": 18.1e22,
 }
 
-def plasma_frequency(n_e: float) -> float:
-    """Free-electron plasma (Langmuir) angular frequency, rad/s.
-
-    omega_p = sqrt(4 pi n e^2 / m) in CGS. Zero density gives zero.
-    """
-    if n_e < 0:
-        raise ValueError(f"electron density must be >= 0, got {n_e}")
-    return math.sqrt(4.0 * math.pi * n_e * ELEMENTARY_CHARGE**2 / ELECTRON_MASS)
-
-
-def fermi_velocity(n_e: float) -> float:
-    """Fermi velocity of the degenerate electron gas, cm/s.
-
-    v_F = (hbar/m) * (3 pi^2 n)^(1/3). Zero density gives zero.
-    """
-    if n_e < 0:
-        raise ValueError(f"electron density must be >= 0, got {n_e}")
-    return HBAR / ELECTRON_MASS * (3.0 * math.pi**2 * n_e) ** (1.0 / 3.0)
-
 
 class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float)])):
     """A free-electron metal, fixed by its electron density n_e (cm^-3).
@@ -56,23 +37,23 @@ class Material(NamedTuple("_MaterialFields", [("name", str), ("n_e", float)])):
     def __new__(cls, name: str, n_e: float):
         if not 0.0 < n_e < math.inf:
             raise ValueError(f"material {name!r}: n_e must be finite and > 0, got {n_e}")
-        v_F = fermi_velocity(n_e)
-        if v_F >= SPEED_OF_LIGHT:
+        self = super().__new__(cls, name, n_e)
+        if self.v_F >= SPEED_OF_LIGHT:
             raise ValueError(
-                f"material {name!r}: v_F = {v_F:g} cm/s is not "
+                f"material {name!r}: v_F = {self.v_F:g} cm/s is not "
                 "nonrelativistic (v_F < c required)"
             )
-        return super().__new__(cls, name, n_e)
+        return self
 
     @property
     def omega_p(self) -> float:
-        """Plasma frequency, rad/s."""
-        return plasma_frequency(self.n_e)
+        """Plasma (Langmuir) angular frequency sqrt(4 pi n e^2 / m), rad/s."""
+        return math.sqrt(4.0 * math.pi * self.n_e * ELEMENTARY_CHARGE**2 / ELECTRON_MASS)
 
     @property
     def v_F(self) -> float:
-        """Fermi velocity, cm/s."""
-        return fermi_velocity(self.n_e)
+        """Fermi velocity (hbar/m) (3 pi^2 n)^(1/3) of the degenerate gas, cm/s."""
+        return HBAR / ELECTRON_MASS * (3.0 * math.pi**2 * self.n_e) ** (1.0 / 3.0)
 
     @property
     def skin_depth(self) -> float:

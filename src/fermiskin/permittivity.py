@@ -184,12 +184,16 @@ def kohn_scan(
     # the sign of Re(conj(eps') eps'') from the members at Omega = 1, since
     # eps' = Omega^-3 H'(q/Omega) and eps'' = Omega^-4 H''(q/Omega) with H the
     # permittivity at (1, eps/Omega): their product overflows at a tiny Omega
-    # where the scan does not
+    # where the scan does not. The real part is summed by hand: the product's
+    # imaginary part overflows first. At mid = Omega and eps/Omega below about
+    # 1e-308 eps'', there its pole pair 1.5i Omega/eps, overflows to NaN; with
+    # Im eps' = 3 pi/4 > 0 the sign is +
     lo, hi = float(grid[i - 1]), float(grid[i + 1])
-    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
-        d1, d2 = _kernels._family_members(np.array([mid / Omega]), (1, 2), 1.0, eps / Omega)
-        if (d1.conjugate() * d2).real[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+            d1, d2 = _kernels._family_members(np.array([mid / Omega]), (1, 2), 1.0, eps / Omega)
+            if d1.real[0] * d2.real[0] + d1.imag[0] * d2.imag[0] <= 0.0:
+                hi = mid
+            else:  # > 0, or NaN
+                lo = mid
     return KohnScanResult(lo, abs(d_eps_dq(lo, Omega, eps)), grid, values)

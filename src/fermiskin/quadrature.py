@@ -137,7 +137,7 @@ def _bessel_constants():
     t, w = _kernels._gauss_legendre(t, _GAUSS_NODES, 4)
     # (-1)^(k//2) is i^-k for even k and i^(1-k) for odd k
     sign = np.array([1.0, 1.0, -1.0, -1.0] * (N_LEGENDRE // 4))[:, None]
-    rows = _kernels._legendre(t)[:-1] * w * sign
+    rows = _kernels._legendre(t) * w * sign
     k, m = np.ogrid[:N_LEGENDRE, :N_LEGENDRE]
     # a_km = (k+m)! / (m! (k-m)! 2^m), zero past m = k
     step = (k + m + 1) * (k - m) / (2.0 * (m + 1))

@@ -7,17 +7,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from fermiskin import analysis
-from fermiskin.analysis import (
+from fermiskin import analysis, asymptotic
+from fermiskin.analysis import envelope_fit, near_surface_fit, wavelength_extract
+from fermiskin.asymptotic import (
     AnalysisError,
     CrossoverResult,
     NoCrossoverError,
+    amplitude_B,
+    asymptotic_values,
     crossover,
-    envelope_fit,
-    near_surface_fit,
-    wavelength_extract,
 )
-from fermiskin.asymptotic import amplitude_B, asymptotic_values
 from fermiskin.constants import SPEED_OF_LIGHT
 from fermiskin.field import profile
 from fermiskin.materials import Material, get_material, params_for
@@ -300,7 +299,7 @@ class TestCrossover:
     def test_nan_residual_fails(self, na, monkeypatch):
         # a NaN amplitude propagates to the residual, which must not pass
         # for a root; amplitude_B never returns NaN, so it is injected
-        monkeypatch.setattr(analysis, "amplitude_B", lambda *args: math.nan)
+        monkeypatch.setattr(asymptotic, "amplitude_B", lambda *args: math.nan)
         with pytest.raises(AnalysisError, match="residual nan"):
             crossover(1e-2, na)
 
@@ -324,7 +323,7 @@ class TestLambertW:
 
     @pytest.mark.parametrize("y", YS)
     def test_against_mpmath(self, y):
-        w, steps = analysis._lambert_w_lower(y)
+        w, steps = asymptotic._lambert_w_lower(y)
         with mpmath.workdps(40):
             ref = mpmath.lambertw(y, -1).real
             rel = float(abs((w - ref) / ref))
@@ -336,4 +335,4 @@ class TestLambertW:
 
     def test_branch_point_is_minus_one(self):
         # the branch-point start is the root itself there: x_star = 2c/omega_p
-        assert analysis._lambert_w_lower(-1.0 / math.e) == (-1.0, 0)
+        assert asymptotic._lambert_w_lower(-1.0 / math.e) == (-1.0, 0)

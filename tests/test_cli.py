@@ -346,8 +346,8 @@ class TestBehavior:
         "figures --fig 1": ["_kernels", "permittivity"],
         "asymptotic": ["asymptotic"],
         **{f"figures --fig {n}": ["asymptotic"] for n in (2, 3, 4)},
-        "crossover": ["analysis", "asymptotic"],
-        **{f"figures --fig {n}": ["analysis", "asymptotic"] for n in (5, 6)},
+        "crossover": ["asymptotic"],
+        **{f"figures --fig {n}": ["asymptotic"] for n in (5, 6)},
         "field": ["_kernels", "field", "quadrature"],
     }
     # the subcommands that run without numpy: the material table and the
@@ -438,7 +438,7 @@ class TestBehavior:
     def test_exports(self):
         import fermiskin
 
-        assert len(fermiskin.__all__) == 37
+        assert len(fermiskin.__all__) == 35
         for name in fermiskin.__all__:
             assert getattr(fermiskin, name) is not None, name
         with pytest.raises(AttributeError, match="no attribute 'field_ratio_direct'"):
@@ -454,7 +454,7 @@ class TestBehavior:
         "field.FieldProfile": ["xs", "values", "abs_err", "params", "method", "diagnostics"],
         "analysis.FitResult": ["slope", "intercept", "r_squared", "window", "n_points"],
         "analysis.WavelengthEstimate": ["wavelength", "std", "n_crossings", "crossings"],
-        "analysis.CrossoverResult": ["x_star", "g_residual", "iterations"],
+        "asymptotic.CrossoverResult": ["x_star", "g_residual", "iterations"],
         "permittivity.KohnScanResult": ["q_star", "max_abs_derivative", "grid", "values"],
     }
 
@@ -502,13 +502,13 @@ class TestPlainFloatGrids:
         # so exp is compared at the same depths
         import numpy as np
 
-        from fermiskin import analysis
+        from fermiskin import asymptotic
 
         na = cli.get_material("na")
         k = na.omega_p / cli.SPEED_OF_LIGHT
         ranges = []
         for Om in cli._FIG_CROSSOVER.values():
-            x_star = analysis.crossover(Om, na).x_star
+            x_star = asymptotic.crossover(Om, na).x_star
             ranges.append((x_star / 20.0, x_star * 4.0))
         rng = np.random.default_rng(25)
         ranges += [tuple(sorted(10.0 ** rng.uniform(-9.0, -3.0, 2))) for _ in range(20)]
@@ -617,21 +617,11 @@ class TestExitCodes:
         "argv,fragment",
         [
             (["epsilon", "--Omega", "0.1", "--q", "0.05", "--grid", "0.1:0.2:5"],
-             "epsilon needs exactly one of --q or --grid"),
+             "argument --grid: not allowed with argument --q"),
             (["epsilon", "--Omega", "0.1"],
-             "epsilon needs exactly one of --q or --grid"),
+             "one of the arguments --q --grid is required"),
             (["kohn-scan", "--Omega", "0.08", "--eps", "1e-4", "--grid", "0.2:0.1:50"],
              "--grid needs min < max"),
-            (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
-              "--material", "unobtainium"],
-             "unknown material"),
-            # dense.json stands for a file holding a metal at n_e = 5e28 cm^-3
-            (["crossover", "--Omega", "1e-2", "--material", "dense", "--config", "dense.json"],
-             "no crossover: Friedel tail dominates everywhere"),
-            (["field", "--Omega", "1", "--grid", "1e-6:2e-6:2"],
-             "dispersion root on contour"),
-            (["field", "--Omega", "1.02", "--grid", "1e-6:2e-6:2"],
-             "dispersion root on contour"),
             (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:x"],
              "--grid must be min:max:n with numeric parts, got '1e-5:3e-5:x'"),
             (["asymptotic", "--Omega", "0.01", "--grid", "a:3e-5:3"],
@@ -642,6 +632,33 @@ class TestExitCodes:
              "--grid must be min:max:n, got '1e-5:3e-5:3:4'"),
             (["kohn-scan", "--Omega", "0.08", "--eps", "1e-4", "--grid", "0.02:0.2:1"],
              "--grid needs n >= 2, got 1"),
+            (["field", "--Omega", "0.01", "--grid", "1e-5:inf:3"],
+             "--grid needs finite min and max"),
+        ],
+    )
+    def test_grid_usage_errors_exit_2_verbatim(self, capsys, argv, fragment):
+        # argparse refuses the grid and the --q/--grid choice before any
+        # module runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["field", "--Omega", "0.01", "--grid", "1e-5:3e-5:3",
+              "--material", "unobtainium"],
+             "unknown material"),
+            # dense.json stands for a file holding a metal at n_e = 5e28 cm^-3
+            (["crossover", "--Omega", "1e-2", "--material", "dense", "--config", "dense.json"],
+             "no crossover: Friedel tail dominates everywhere"),
+            (["field", "--Omega", "1", "--grid", "1e-6:2e-6:2"],
+             "dispersion root on contour"),
+            (["field", "--Omega", "1.02", "--grid", "1e-6:2e-6:2"],
+             "dispersion root on contour"),
             (["asymptotic", "--Omega", "1e-2", "--grid", "1e300:1e301:2"],
              "the closed form overflows a float at x = 1e+300 cm"),
         ],
@@ -664,8 +681,8 @@ class TestExitCodes:
              "Omega must be finite and > 0, got nan"),
             (["crossover", "--Omega", "nan"],
              "Omega must be finite and > 0, got nan"),
-            (["field", "--Omega", "0.01", "--grid", "1e-5:inf:3"],
-             "--grid needs finite min and max"),
+            (["kohn-scan", "--Omega", "0.08", "--eps", "inf", "--grid", "0.02:0.2:50"],
+             "eps must be finite and >= 0, got inf"),
             # finite depths whose phase overflows
             (["field", "--Omega", "1e-2", "--grid", "1e299:1e300:2"],
              "x = 1e+299 cm: phase 8.60079e+306 times the mesh end S = "),

@@ -7,16 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermiskin as fs
-from fermiskin.constants import SPEED_OF_LIGHT
+from fermiskin.constants import ELECTRON_MASS, ELEMENTARY_CHARGE, HBAR, SPEED_OF_LIGHT
 from fermiskin.materials import (
     BUILTIN_DENSITIES,
     Material,
     PlasmaParams,
-    fermi_velocity,
     get_material,
     load_materials_file,
     params_for,
-    plasma_frequency,
 )
 
 # frozen from a 50-digit prototype evaluation of the free-electron formulas
@@ -28,29 +26,15 @@ FROZEN = {
 FROZEN_K_PROBE = (1.40e22, 6675065762949831.6, 86318425.597809077)
 
 
-def test_plasma_frequency_zero():
-    assert plasma_frequency(0.0) == 0.0
-
-
-def test_plasma_frequency_negative_rejected():
-    with pytest.raises(ValueError):
-        plasma_frequency(-1.0)
-
-
-def test_fermi_velocity_zero_and_negative():
-    assert fermi_velocity(0.0) == 0.0
-    with pytest.raises(ValueError):
-        fermi_velocity(-0.5)
-
-
 def test_plasma_frequency_sqrt_scaling():
     n = 3.3e22
-    assert plasma_frequency(4 * n) == pytest.approx(2 * plasma_frequency(n), rel=1e-14)
+    assert Material("x", 4 * n).omega_p == pytest.approx(2 * Material("x", n).omega_p,
+                                                        rel=1e-14)
 
 
 def test_fermi_velocity_cbrt_scaling():
     n = 3.3e22
-    assert fermi_velocity(8 * n) == pytest.approx(2 * fermi_velocity(n), rel=1e-14)
+    assert Material("x", 8 * n).v_F == pytest.approx(2 * Material("x", n).v_F, rel=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_DENSITIES))
@@ -63,17 +47,20 @@ def test_builtin_frozen_values(name):
 
 def test_probe_density_frozen_values():
     n_e, wp, vf = FROZEN_K_PROBE
-    assert plasma_frequency(n_e) == pytest.approx(wp, rel=1e-12)
-    assert fermi_velocity(n_e) == pytest.approx(vf, rel=1e-12)
+    m = Material("k", n_e)
+    assert m.omega_p == pytest.approx(wp, rel=1e-12)
+    assert m.v_F == pytest.approx(vf, rel=1e-12)
 
 
 def test_material_round_trip():
-    # the density is the whole state; the scales are the formulas' values
+    # the density is the whole state; the scales are the formulas' values,
+    # to the bit
     assert Material._fields == ("name", "n_e")
     for n_e in (1e21, 2.65e22, 18.1e22):
         m = Material("x", n_e)
-        assert m.omega_p == plasma_frequency(n_e)
-        assert m.v_F == fermi_velocity(n_e)
+        assert m.omega_p == math.sqrt(4.0 * math.pi * n_e * ELEMENTARY_CHARGE**2
+                                      / ELECTRON_MASS)
+        assert m.v_F == HBAR / ELECTRON_MASS * (3.0 * math.pi**2 * n_e) ** (1.0 / 3.0)
 
 
 def test_material_relativistic_rejected():
@@ -291,11 +278,10 @@ def test_config_file_bad_density_names_file_and_entry(tmp_path, n_e, fragment):
 
 def test_config_file_explicit_values_checked(tmp_path):
     # even the free-electron values themselves: a density is the whole entry
-    n_e = 1.40e22
+    k = Material("k", 1.40e22)
     cfg = tmp_path / "mats.json"
     cfg.write_text(json.dumps([{
-        "name": "k", "n_e_cm3": n_e,
-        "omega_p": plasma_frequency(n_e), "v_F": fermi_velocity(n_e),
+        "name": k.name, "n_e_cm3": k.n_e, "omega_p": k.omega_p, "v_F": k.v_F,
     }]))
     with pytest.raises(ValueError, match=r"unknown keys \['omega_p', 'v_F'\]"):
         load_materials_file(str(cfg))

@@ -447,6 +447,17 @@ class TestKohnScan:
             res = kohn_scan(0.1, 1e-300, 0.05, 0.2, 50)
         assert res.q_star == 0.1 and np.isfinite(res.max_abs_derivative)
 
+    @pytest.mark.parametrize("eps", [1e-307, 1e-310, 5e-324])
+    def test_subnormal_eps_scan(self, eps):
+        # at mid = Omega the product eps' eps'' overflows from eps = 1e-307
+        # down, and eps'' itself, a pole pair 1.5i Omega/eps, below about
+        # 1e-308; the sign of Re(conj(eps') eps'') is + there all the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kohn_scan(0.1, eps, 0.05, 0.2, 50)
+        assert res.q_star == 0.1
+        assert res.max_abs_derivative == abs(d_eps_dq(0.1, 0.1, eps))
+
     @pytest.mark.parametrize("q_min,q_max,end", [(0.12, 0.4, "0.12"), (0.02, 0.09, "0.09")])
     def test_unbracketed_peak_raises(self, q_min, q_max, end):
         # the peak at Omega = 0.1 lies outside the grid, so the largest sample
