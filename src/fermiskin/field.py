@@ -93,14 +93,10 @@ def _field_point(
                                     kappa)
     except ValueError as exc:
         raise ValueError(f"x = {x_cm:g} cm: {exc}") from None
-    scale = 2.0 * pref
-    if kernel_id == KERNEL_IBP_EXACT:
-        scale = -2.0 * pref / phase**2
-    value = scale * quad.value
-    abs_err = abs(scale) * (quad.error + quad.tail_bound)
+    scale = -2.0 * pref / phase**2 if kernel_id == KERNEL_IBP_EXACT else 2.0 * pref
     return FieldPointInfo(
-        value=complex(value),
-        abs_err_est=float(abs_err),
+        value=scale * quad.value,
+        abs_err_est=abs(scale) * (quad.error + quad.tail_bound),
         phase=phase,
         quad=quad,
     )

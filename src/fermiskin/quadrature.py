@@ -27,11 +27,12 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
-  h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). The spherical Bessel
-  functions of all panels come from one table per call (_sph_bessel), in
-  closed form: that integral by a 56-point Gauss-Legendre rule below
-  phase h = 40, the finite Hankel sum of j_k from there on, each one
-  matrix product over the panels, within 6e-16 of j_k.
+  h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). The mesh keeps h and c
+  as one array, and 2 h c_k signed for those cosines; a depth takes one cos
+  and one sin of phase (h, c), which serve the panels' phases and
+  _sph_bessel, whose table of j_k(phase h) is one matrix product on each
+  side of phase h = 40 (a 56-point Gauss-Legendre rule for that integral
+  below, the finite Hankel sum of j_k above), within 6e-16 of j_k.
 * Past S, K is replaced by its asymptote -1/(bcoef s^2) (or -6/(bcoef s^4)
   for (1/D)''), whose cosine integral is closed form in the sine integral.
 
@@ -128,29 +129,29 @@ def _si_complement(x: float) -> float:
 @functools.cache
 def _bessel_constants():
     """The fixed matrices of _sph_bessel, built on first use: the positive
-    nodes t_i of the _GAUSS_NODES-point Gauss-Legendre rule (Newton from
-    Tricomi's estimates; four steps take the weights to rounding), the rows
-    (-1)^(k//2) W_i P_k(t_i) for even and for odd k (W_i the weights), and
-    the coefficients of (1/w)^(m+1) cos(w) (rows k) and (1/w)^(m+1) sin(w)
-    (rows N_LEGENDRE + k) in the Hankel sum of j_k(w), column m."""
+    nodes t_i of the _GAUSS_NODES-point Gauss-Legendre rule, twice (Newton
+    from Tricomi's estimates; four steps take the weights to rounding), the
+    rows (-1)^(k//2) W_i P_k(t_i) (W_i the weights), and the coefficients of
+    (1/w)^(m+1) cos(w), then sin(w), column m, in the Hankel sum of j_k(w)."""
     t = np.cos(np.pi * (np.arange(_GAUSS_NODES // 2) + 0.75) / (_GAUSS_NODES + 0.5))
     t, w = _kernels._gauss_legendre(t, _GAUSS_NODES, 4)
-    # (-1)^(k//2) is i^-k for even k and i^(1-k) for odd k
-    sign = np.array([1.0, 1.0, -1.0, -1.0] * (N_LEGENDRE // 4))[:, None]
-    rows = _kernels._legendre(t) * w * sign
+    # (-1)^(k//2) (i^-k for even k, i^(1-k) for odd k): even k on cos(w t), odd k on sin(w t)
+    sign = np.array([1.0, 0.0, -1.0, 0.0] * (N_LEGENDRE // 4))[:, None]
+    rows = _kernels._legendre(t) * w
+    gauss = np.hstack((rows * sign, rows * np.roll(sign, 1)))
     k, m = np.ogrid[:N_LEGENDRE, :N_LEGENDRE]
     # a_km = (k+m)! / (m! (k-m)! 2^m), zero past m = k
     step = (k + m + 1) * (k - m) / (2.0 * (m + 1))
     a = np.cumprod(np.hstack((np.ones((N_LEGENDRE, 1)), step[:, :-1])), axis=1)
     # (-i)^(k+1) i^m e^(iw) has the real part cos(w + p pi/2), p = m - k - 1
     p = (m - k - 1) % 4
-    hankel = np.vstack((np.where(p % 2, 0.0, (1 - p) * a), np.where(p % 2, (p - 2) * a, 0.0)))
-    return tuple(map(_frozen, (t, rows[0::2], rows[1::2], hankel)))
+    hankel = np.hstack((np.where(p % 2, 0.0, (1 - p) * a), np.where(p % 2, (p - 2) * a, 0.0)))
+    return tuple(map(_frozen, (np.array((t, t))[:, :, None], gauss, hankel)))
 
 
-def _sph_bessel(w: np.ndarray) -> np.ndarray:
-    """j_k(w), k < N_LEGENDRE, for an ascending 1-d array of w >= 0: row k of
-    the result.
+def _sph_bessel(w: np.ndarray, cos_sin_w: np.ndarray) -> np.ndarray:
+    """j_k(w), k < N_LEGENDRE, for an ascending 1-d array of w >= 0 and the
+    rows cos(w), sin(w): row k of the result.
 
     Below w = _HANKEL_FROM, a prefix of w, the Gauss-Legendre sum of
     2 i^k j_k(w) = int_{-1}^{1} P_k(t) e^(iwt) dt on the positive nodes:
@@ -161,17 +162,17 @@ def _sph_bessel(w: np.ndarray) -> np.ndarray:
     Absolute error at most 6e-16 against mpmath on [0, 2e3]: the Gauss rule
     loses digits above w = 40, the Hankel sum to cancellation below it.
     """
-    nodes, even, odd, hankel = _bessel_constants()
+    nodes, gauss, hankel = _bessel_constants()
     out = np.empty((N_LEGENDRE, w.size))
-    m = int(np.searchsorted(w, _HANKEL_FROM))
+    m = w.searchsorted(_HANKEL_FROM)
     if m:
-        x = np.multiply.outer(nodes, w[:m])
-        out[0::2, :m] = even @ np.cos(x)
-        out[1::2, :m] = odd @ np.sin(x)
+        x = nodes * w[:m]
+        np.cos(x[0], out=x[0])
+        np.sin(x[1], out=x[1])
+        np.matmul(gauss, x.reshape(_GAUSS_NODES, m), out=out[:, :m])
     if m < w.size:
-        x = w[m:]
-        r = hankel @ (1.0 / x) ** _POWERS
-        out[:, m:] = np.cos(x) * r[:N_LEGENDRE] + np.sin(x) * r[N_LEGENDRE:]
+        x = (1.0 / w[m:]) ** _POWERS * cos_sin_w[:, None, m:]
+        np.matmul(hankel, x.reshape(2 * N_LEGENDRE, -1), out=out[:, m:])
     return out
 
 
@@ -208,13 +209,12 @@ def _s_peak(Om: float, zi: float, bcoef: float) -> float:
 class _Mesh(NamedTuple):
     """A Legendre mesh of one kernel, panels in ascending half-width h.
 
-    weights holds 2 h c_k times the sign of cos(phase c + k pi/2) against
-    cos(phase c) (k even) or sin(phase c) (k odd), c the panel midpoint, and
-    mag its modulus: row k of a (N_LEGENDRE, panels) array, flattened.
-    Every array is read-only."""
+    hc holds the half-widths h, then the midpoints c. weights holds 2 h c_k
+    times the sign of cos(phase c + k pi/2) against cos(phase c) (k even) or
+    sin(phase c) (k odd), and mag its modulus: row k of a (N_LEGENDRE,
+    panels) array, flattened. Every array is read-only."""
 
-    c: np.ndarray
-    h: np.ndarray
+    hc: np.ndarray
     weights: np.ndarray
     mag: np.ndarray
     trunc: float
@@ -249,9 +249,11 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
         if not split.any():
             break
         if lo.size + int(split.sum()) > _PANEL_BUDGET:
+            root = ((1.0 - 1.0 / (Om * complex(Om, zi))) / bcoef) ** 0.5
             raise QuadratureError(
-                f"panel budget {_PANEL_BUDGET} exhausted at error {trunc.sum():.3e}"
-            )
+                f"panel budget {_PANEL_BUDGET} exhausted at error {trunc.sum():.3e}" + (
+                    f"; at Omega = {Om:g} > 1 the denominator has a zero just above the real axis,"
+                    f" the transmitted light wave at s = {root:.4g}" if Om > 1 else ""))
         mid = 0.5 * (lo[split] + hi[split])
         child_lo = np.concatenate((lo[split], mid))
         child_hi = np.concatenate((mid, hi[split]))
@@ -274,13 +276,12 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     if kernel_id != KERNEL_RECIPROCAL:
         remainder *= 12.0 / (s_end * s_end)
     return _Mesh(
-        c=_frozen(c),
-        h=_frozen(h),
+        hc=_frozen(np.concatenate((h, c))),
         weights=_frozen(weights),
         mag=_frozen(np.abs(weights)),
         trunc=float(trunc.sum()),
         s_end=s_end,
-        remainder=remainder,
+        remainder=float(remainder),
         n_evals=int(n_evals),
     )
 
@@ -342,20 +343,23 @@ def oscillatory_halfline(
     if kernel_id != KERNEL_RECIPROCAL and not math.isfinite(phase * phase):
         # the asymptote's tail of (1/D)'' carries phase^2
         raise ValueError(f"integrated-by-parts kernel: phase {phase:g} squared is not finite")
-    n = mesh.h.size
-    bessel = _sph_bessel(phase * mesh.h)
-    pc = phase * mesh.c
-    terms = (bessel.reshape(-1, 2, n) * np.array((np.cos(pc), np.sin(pc)))).ravel()
+    n = mesh.hc.size // 2
+    x = phase * mesh.hc
+    trig = np.empty((2, 2 * n))
+    np.cos(x, out=trig[0])
+    np.sin(x, out=trig[1])
+    bessel = _sph_bessel(x[:n], trig[:, :n])
+    terms = bessel.reshape(-1, 2, n) * trig[:, n:]
     tail = _asymptote_tail(phase, mesh.s_end, bcoef, kernel_id)
-    value = complex(mesh.weights @ terms) + sum(tail)
-    magnitude = mesh.mag @ np.abs(bessel).ravel() + sum(abs(t) for t in tail)
+    value = complex(mesh.weights @ terms.ravel()) + sum(tail)
+    magnitude = float(mesh.mag @ np.abs(bessel, out=bessel).ravel())
     return QuadratureResult(
         value=value,
-        error=float(mesh.trunc + _FLOOR * magnitude),
-        tail_bound=float(mesh.remainder),
-        s_max=float(mesh.s_end),
-        q_max=float(kappa * mesh.s_end),
-        n_panels=int(n),
+        error=mesh.trunc + _FLOOR * (magnitude + sum(abs(t) for t in tail)),
+        tail_bound=mesh.remainder,
+        s_max=mesh.s_end,
+        q_max=kappa * mesh.s_end,
+        n_panels=n,
         n_evals=mesh.n_evals,
         n_tail_terms=0,
         branch="filon",

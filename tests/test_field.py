@@ -126,6 +126,25 @@ class TestDispersionDenominator:
         with pytest.raises(DispersionRootError, match="dispersion root on contour"):
             field_ratio_rescaled(1e-6, p)
 
+    @pytest.mark.parametrize("Omega,eps", [(1.2, 1e-6), (2.0, 1e-8)])
+    def test_light_wave_above_omega_one_is_named(self, na, Omega, eps):
+        # above the plasma frequency D(q) = eps_tr(q) - b q^2 has a zero at
+        # the transmitted light wave, q0 = sqrt(eps_tr(0) / b) to leading
+        # order (Re D changes sign within 1e-5 of it), and eps lifts it off
+        # the axis only by about 1e-3 eps; the mesh spends its budget there,
+        # and the error says so
+        p = params_for(na, Omega, eps)
+        q0 = cmath.sqrt(complex(eps_tr(0.0, Omega, eps)) / p.b)
+        assert 1e-4 * eps < q0.imag < 1e-2 * eps
+        q = q0.real * np.array([1.0 - 1e-5, 1.0 + 1e-5])
+        d = (eps_tr(q, Omega, eps) - p.b * q**2).real
+        assert d[0] > 0.0 > d[1]
+        with pytest.raises(QuadratureError, match="panel budget 20000 exhausted") as exc:
+            field_ratio_rescaled(1e-5, p)
+        assert str(exc.value).endswith(
+            f"; at Omega = {Omega:g} > 1 the denominator has a zero just above the real "
+            f"axis, the transmitted light wave at s = {q0:.4g}")
+
     def test_root_check_trips_on_soft_stiffness(self):
         # a fictitious density with v_F = 0.9 c; the crossing comes from
         # Omega >= 1, where D(0) = 1 - 1/Omega^2 is no longer negative
@@ -272,6 +291,26 @@ class TestRouteDomains:
         assert v == pytest.approx(-1.1593015167470724e42 - 6.6932304276586376e41j,
                                   rel=1e-12)
         assert info.abs_err_est == pytest.approx(2.469260952652263e28, rel=1e-12)
+
+
+# the fields of FieldPointInfo and of its QuadratureResult, and their types
+_BUILT_IN = {"value": complex, "abs_err_est": float, "phase": float, "error": float,
+             "tail_bound": float, "s_max": float, "q_max": float, "n_panels": int,
+             "n_evals": int, "n_tail_terms": int, "branch": str}
+
+
+@pytest.mark.parametrize("route,x", [(field_ratio_rescaled, 1e-5), (field_ratio_direct, 1e-5),
+                                     (field_ratio_ibp, 1e-5), (field_ratio_rescaled, 0.0),
+                                     (field_ratio_direct, 0.0)])
+def test_records_hold_built_in_scalars(p_1em4, route, x):
+    # every field is exactly a Python float, complex, int or str, never a
+    # numpy scalar, so records print, compare and serialize as plain numbers
+    _, info = route(x, p_1em4, full_output=True)
+    fields = {**info._asdict(), **info.quad._asdict()}
+    del fields["quad"]
+    assert fields.keys() == _BUILT_IN.keys()
+    for name, v in fields.items():
+        assert type(v) is _BUILT_IN[name], (name, type(v))
 
 
 class TestNearSurface:

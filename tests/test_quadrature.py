@@ -96,7 +96,7 @@ def _reference(args, floor):
 def test_bessel_table_against_scipy(w):
     # the Gauss sum below w = 40 and the Hankel sum above, near zero and
     # at the zeros of j_0 and j_1
-    got = quadrature._sph_bessel(w)
+    got = quadrature._sph_bessel(w, np.array((np.cos(w), np.sin(w))))
     want = np.array([spherical_jn(n, w) for n in range(k.N_LEGENDRE)])
     assert np.all(np.abs(got - want) <= 4e-15 + 1e-12 * np.abs(want))
 
@@ -126,7 +126,7 @@ def test_bessel_table_against_mpmath():
         np.pi * np.array([1, 2, 12, 13, 600]), j1_zeros,
     ))
     w = np.sort(w)
-    got = quadrature._sph_bessel(w)
+    got = quadrature._sph_bessel(w, np.array((np.cos(w), np.sin(w))))
     want = np.array([_mp_sph_bessel(x) for x in w]).T
     err = np.abs(got - want)
     assert err.max() <= 1e-15, (w[err.max(axis=0).argmax()], err.max())
@@ -430,8 +430,44 @@ def test_panel_budget_exhaustion_raises(na_params, monkeypatch):
     p = na_params
     phase = p.material.omega_p * 1e-5 / p.material.v_F
     monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 20)
-    with pytest.raises(QuadratureError, match="panel budget 20 exhausted"):
+    with pytest.raises(QuadratureError, match="panel budget 20 exhausted") as exc:
         oscillatory_halfline(phase, 0, p.Omega, p.eps, p.b, 1.0)
+    # below the plasma frequency there is no light wave to name
+    assert "light wave" not in str(exc.value)
+
+
+_MESH_CASES = [(name, eps, kernel_id)
+               for name, eps, kernel_id in itertools.product(
+                   ("na", "au", "al"), (0.0, 1e-4), (k.KERNEL_RECIPROCAL, k.KERNEL_IBP_EXACT))
+               if eps > 0.0 or kernel_id == k.KERNEL_RECIPROCAL]
+
+
+@pytest.mark.parametrize("name,eps,kernel_id", _MESH_CASES)
+def test_mesh_layout_of_the_depth_pass(name, eps, kernel_id):
+    # the depth pass reads h and c from one array, takes the Gauss side of
+    # the Bessel table as the prefix of phase h below 40 (searchsorted, so h
+    # ascends), and shares the cached arrays with every caller
+    p = params_for(get_material(name), 1e-2, eps)
+    mesh = quadrature._mesh(kernel_id, p.Omega, p.eps, p.b, 1.0)
+    n = mesh.hc.size // 2
+    h, c = mesh.hc[:n], mesh.hc[n:]
+    assert mesh.hc.shape == (2 * n,)
+    assert mesh.weights.shape == mesh.mag.shape == (k.N_LEGENDRE * n,)
+    assert h[0] > 0.0 and np.all(np.diff(h) >= 0.0)
+    # the panels [c - h, c + h] tile [0, s_end]
+    order = np.argsort(c)
+    lo, hi = (c - h)[order], (c + h)[order]
+    assert lo[0] == 0.0 and hi[-1] == pytest.approx(mesh.s_end, rel=1e-15)
+    assert np.allclose(lo[1:], hi[:-1], rtol=1e-14, atol=0.0)
+    # and the weights belong to them: row 0 is 2 h c_0, the panel integral
+    coef, _, _ = k.panel_batch(c - h, c + h, kernel_id, p.Omega, p.eps, p.b, 1.0)
+    assert np.allclose(mesh.weights[:n], 2.0 * h * coef[:, 0], rtol=1e-12, atol=0.0)
+    assert np.array_equal(mesh.mag, np.abs(mesh.weights))
+    for field in mesh:
+        if isinstance(field, np.ndarray):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 0.0
 
 
 def test_parameter_validation(na_params):
