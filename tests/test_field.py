@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermiskin import _kernels, quadrature
+from fermiskin import _kernels, cli, quadrature
 from fermiskin.asymptotic import (
     amplitude_A,
     amplitude_B,
@@ -614,6 +614,18 @@ class TestProfile:
             value, info = field_ratio_rescaled(float(x), p_1em4, full_output=True)
             assert (v, e, d) == (value, info.abs_err_est, info.quad)
         assert prof.method == "rescaled"
+
+    def test_figure_grids_are_certified(self):
+        # the numeric figures 2-4: their nine curves (13,200 depths) at
+        # eps = 0, every bar within 1e-7 of its value (6.5e-8 measured)
+        n = 0
+        for x_lo, x_hi, size, _, curves in cli._FIG_PROFILE.values():
+            xs = np.linspace(x_lo, x_hi, size)
+            for _, name, Om in curves:
+                prof = profile(xs, params_for(get_material(name), Om, 0.0))
+                assert np.all(prof.abs_err <= 1e-7 * np.abs(prof.values)), (name, Om)
+                n += xs.size
+        assert n == 13200
 
     def test_params_must_be_plasma_params(self, na):
         with pytest.raises(TypeError, match="params_for"):

@@ -102,28 +102,44 @@ def test_bessel_table_against_scipy(w):
 
 
 def _mp_sph_bessel(w):
-    # j_k(w) = sqrt(pi / (2 w)) J_(k+1/2)(w), at 40 digits
+    # j_k(w) = sqrt(pi / (2 w)) J_(k+1/2)(w) for the top two k, then the
+    # recurrence j_(k-1) = (2k + 1) j_k / w - j_(k+1) downwards, in which
+    # j_k is the dominant solution, at 40 digits
+    n = k.N_LEGENDRE
     if w == 0.0:
-        return [1.0] + [0.0] * (k.N_LEGENDRE - 1)
+        return [1.0] + [0.0] * (n - 1)
     with mpmath.workdps(40):
         x = mpmath.mpf(w)
         f = mpmath.sqrt(mpmath.pi / (2 * x))
-        return [float(f * mpmath.besselj(n + mpmath.mpf(0.5), x)) for n in range(k.N_LEGENDRE)]
+        j = [f * mpmath.besselj(m + mpmath.mpf(0.5), x) for m in (n - 1, n - 2)]
+        for m in range(n - 2, 0, -1):
+            j.append((2 * m + 1) / x * j[-1] - j[-2])
+        return [float(v) for v in reversed(j)]
 
 
 def test_bessel_table_against_mpmath():
     # both sides of the split at w = 40, the zeros of j_0 (n pi) and of j_1
-    # (tan w = w) on either side of it, and w out to 2e3, ascending as the
-    # table requires (the Gauss side is the prefix below w = 40)
+    # (tan w = w) on either side of it, a dense grid on both sides out to
+    # 2e3, and the poles of the Gauss side's half-angle tan: each w below 40
+    # with w t_i = (2j + 1) pi for a positive node t_i (113 of them), with
+    # its two neighbouring floats; ascending as the table requires (the
+    # Gauss side is the prefix below w = 40)
     with mpmath.workdps(40):
         j1_zeros = [float(mpmath.findroot(lambda x: mpmath.tan(x) - x, (n + 0.5) * mpmath.pi
                                           - 1 / ((n + 0.5) * mpmath.pi)))
                     for n in (1, 2, 7, 12, 13, 600)]
+    t = 2.0 * quadrature._bessel_constants()[0].ravel()
+    poles = np.pi * np.arange(1, quadrature._HANKEL_FROM / np.pi, 2)[:, None] / t
+    poles = poles[poles < quadrature._HANKEL_FROM]
+    assert poles.size == 113
     w = np.concatenate((
         [0.0, 1e-300, 1e-10, 1e-4],
         np.geomspace(1e-3, 2e3, 120),
         np.linspace(39.5, 40.5, 11), [np.nextafter(quadrature._HANKEL_FROM, 0.0)],
         np.pi * np.array([1, 2, 12, 13, 600]), j1_zeros,
+        np.linspace(0.0, 40.0, 800)[1:-1], np.linspace(40.0, 80.0, 401),
+        np.geomspace(80.0, 2e3, 101)[1:],
+        np.nextafter(poles, 0.0), poles, np.nextafter(poles, np.inf),
     ))
     w = np.sort(w)
     got = quadrature._sph_bessel(w, np.array((np.cos(w), np.sin(w))))
