@@ -154,31 +154,21 @@ def _cmd_materials(args) -> int:
     else:
         table = material_table(args.config)
         mats = [table[k] for k in sorted(table)]
-    columns = [
-        "name",
-        "n_e_cm3",
-        "n_e_per_m3",
-        "omega_p_rad_per_s",
-        "v_F_cm_per_s",
-        "v_F_m_per_s",
-        "delta_cm",
-        "delta_m",
+    rows = [
+        {
+            "name": m.name,
+            "n_e_cm3": m.n_e,
+            "n_e_per_m3": m.n_e * 1e6,
+            "omega_p_rad_per_s": m.omega_p,
+            "v_F_cm_per_s": m.v_F,
+            "v_F_m_per_s": m.v_F * 1e-2,
+            "delta_cm": m.skin_depth,
+            "delta_m": m.skin_depth * 1e-2,
+        }
+        for m in mats
     ]
-    rows = []
-    for m in mats:
-        rows.append(
-            [
-                m.name,
-                m.n_e,
-                m.n_e * 1e6,
-                m.omega_p,
-                m.v_F,
-                m.v_F * 1e-2,
-                m.skin_depth,
-                m.skin_depth * 1e-2,
-            ]
-        )
-    _emit(args, "materials", {"count": len(mats)}, columns, rows)
+    _emit(args, "materials", {"count": len(mats)}, list(rows[0]),
+          [list(row.values()) for row in rows])
     return 0
 
 
@@ -270,10 +260,7 @@ def _cmd_crossover(args) -> int:
         "g_residual": res.g_residual,
         "iterations": res.iterations,
     }
-    columns = ["material", "Omega", "x_star_cm", "x_star_um", "g_residual", "iterations"]
-    rows = [[mat.name, args.Omega, res.x_star, res.x_star * 1e4, res.g_residual,
-             res.iterations]]
-    _emit(args, "crossover", meta, columns, rows, _meta_comments(meta))
+    _emit(args, "crossover", meta, list(meta), [list(meta.values())], _meta_comments(meta))
     return 0
 
 

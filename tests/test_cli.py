@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fermiskin import cli, quadrature
+from fermiskin import asymptotic, cli, quadrature
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -48,9 +48,29 @@ def check_golden(name: str, text: str, regen: bool):
     assert text == path.read_text(encoding="utf-8")
 
 
+def fresh_env() -> dict:
+    """os.environ with the directory that holds the fermiskin under test put
+    first on PYTHONPATH, so that a fresh interpreter imports that one."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(*args, cwd=None) -> str:
+    """Run `python *args` in a fresh interpreter, assert that it exits 0, and
+    return its stdout."""
+    proc = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=120, env=fresh_env(), cwd=cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def readme_block(section: str, lang: str) -> list[str]:
     """The lines inside the README's ```lang fences between `## section` and
-    the next `## ` heading: the rule of the runtime-only CI job's sed."""
+    the next `## ` heading: the blocks that TestReadme runs."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = next(i for i, l in enumerate(lines) if l.startswith(f"## {section}"))
     out, inside = [], False
@@ -138,15 +158,17 @@ class TestGoldenOutputs:
 
 class TestBehavior:
     def test_epsilon_below_threshold_has_zero_imag(self, capsys):
-        code, out, err = run_cli(
-            capsys, ["epsilon", "--Omega", "0.1", "--eps", "0", "--q", "0.05"]
-        )
-        assert code == 0
-        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
-        assert rows[0] == "q,re_eps_tr,im_eps_tr"
-        q, re, im = rows[1].split(",")
-        assert q == "0.05"
-        assert im == "0"
+        # q = 0 too, on the small-q series: eps_tr = 1 - 1/Omega^2 there
+        for q_arg in ("0.05", "0"):
+            code, out, err = run_cli(
+                capsys, ["epsilon", "--Omega", "0.1", "--eps", "0", "--q", q_arg]
+            )
+            assert code == 0
+            rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+            assert rows[0] == "q,re_eps_tr,im_eps_tr"
+            q, re, im = rows[1].split(",")
+            assert q == q_arg
+            assert im == "0"
 
     def test_epsilon_at_a_huge_wavevector(self, capsys):
         # eps_tr -> 1 + 3 pi i / (4 Omega q): a finite row, not an overflow
@@ -260,15 +282,7 @@ class TestBehavior:
             f"if __name__ == '__main__':\n    sys.exit({ep.attr}())\n",
             encoding="utf-8",
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, str(wrapper), "materials"],
-            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "na" in proc.stdout
+        assert "na" in run_fresh(str(wrapper), "materials", cwd=tmp_path)
 
     def test_runtime_imports_no_scipy(self):
         # numpy is the only runtime dependency: importing the package,
@@ -294,26 +308,20 @@ class TestBehavior:
             "                        if m.split('.')[0] == 'scipy'\n"
             "                        or m.startswith('numpy.polynomial'))))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert json.loads(run_fresh("-c", script).splitlines()[-1]) == []
 
     def test_start_up_footprint(self, tmp_path):
-        # a fresh process that takes a rescaled point loads neither numpy.ma
-        # (np.unique imports it on first call), json, dataclasses, nor the
-        # submodules the point does not run; a field command loads no numpy.ma
-        # either; every export resolves on first access, star import included
+        # a fresh process that takes a rescaled and an ibp point loads neither
+        # numpy.ma (np.unique imports it on first call), json, dataclasses,
+        # nor the submodules the points do not run; a field command loads no
+        # numpy.ma either; every export resolves on first access, star import
+        # included
         script = (
             "import contextlib, io, sys\n"
             "import fermiskin\n"
             "p = fermiskin.params_for(fermiskin.get_material('na'), 1e-2, 1e-4)\n"
             "fermiskin.field_ratio_rescaled(1e-5, p)\n"
+            "fermiskin.field_ratio_ibp(1e-5, p)\n"
             "unwanted = ['numpy.ma', 'json', 'dataclasses', 'fermiskin.analysis',\n"
             "            'fermiskin.asymptotic', 'fermiskin.permittivity', 'fermiskin.cli']\n"
             "print(sorted(set(unwanted) & set(sys.modules)))\n"
@@ -327,15 +335,7 @@ class TestBehavior:
             "print(sorted(set(fermiskin.__all__) - set(names)))\n"
             "print(sorted(set(fermiskin.__all__) - set(dir(fermiskin))))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]"] * 4
+        assert run_fresh("-c", script, cwd=tmp_path).splitlines() == ["[]"] * 4
 
     # the fermiskin modules a subcommand loads besides cli, constants and
     # materials
@@ -371,21 +371,15 @@ class TestBehavior:
             "                               if m.startswith('fermiskin.')),\n"
             "                  'numpy' in sys.modules, 'dataclasses' in sys.modules]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
+        out = run_fresh("-c", script, *argv, cwd=tmp_path)
         key = " ".join(argv[:3]) if argv[0] == "figures" else argv[0]
         expected = sorted(["cli", "constants", "materials", *self.SUBCOMMAND_MODULES[key]])
-        assert json.loads(proc.stdout) == [0, expected, key not in self.NUMPY_FREE, False]
+        assert json.loads(out) == [0, expected, key not in self.NUMPY_FREE, False]
 
     def test_closed_forms_run_with_numpy_blocked(self, tmp_path):
         # the nine closed-form golden commands, in one fresh interpreter in
-        # which importing numpy raises, write their golden payloads
+        # which importing numpy raises, write their golden payloads; there
+        # the Python API's closed-form values and crossover are plain floats
         cases = [(name, argv) for name, argv in STDOUT_CASES
                  if argv[0] in ("asymptotic", "crossover")]
         cases += [(f"fig{n}.csv", ["figures", "--fig", str(n), "--output",
@@ -394,24 +388,26 @@ class TestBehavior:
         script = (
             "import contextlib, io, json, sys\n"
             "sys.modules['numpy'] = None\n"
+            "import fermiskin\n"
             "from fermiskin import cli\n"
             "outs = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "        assert cli.main(argv) == 0, argv\n"
             "    outs.append(out.getvalue())\n"
-            "print(json.dumps(outs))\n"
+            "na = fermiskin.get_material('na')\n"
+            "ys = fermiskin.asymptotic_values([1e-4, 2e-4], 1e-2, na)\n"
+            "x_star = fermiskin.crossover(1e-2, na).x_star\n"
+            "assert all(type(v) is float for v in [*ys, x_star]), (ys, x_star)\n"
+            "print(json.dumps([outs, ys, x_star]))\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps([argv for _, argv in cases])],
-            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
+        argv_list = json.dumps([argv for _, argv in cases])
+        outs, ys, x_star = json.loads(run_fresh("-c", script, argv_list, cwd=tmp_path))
+        na = cli.get_material("na")
+        assert ys == asymptotic.asymptotic_values([1e-4, 2e-4], 1e-2, na)
+        assert x_star == asymptotic.crossover(1e-2, na).x_star
         payloads = {}
-        for (name, argv), out in zip(cases, json.loads(proc.stdout)):
+        for (name, argv), out in zip(cases, outs):
             if argv[0] == "figures":
                 payloads[name] = strip_csv_stamp((tmp_path / name).read_text(encoding="utf-8"))
                 if name in ("fig5.csv", "fig6.csv"):
@@ -501,8 +497,6 @@ class TestPlainFloatGrids:
         # math and numpy may differ in the last bit of log10, 10**v and exp,
         # so exp is compared at the same depths
         import numpy as np
-
-        from fermiskin import asymptotic
 
         na = cli.get_material("na")
         k = na.omega_p / cli.SPEED_OF_LIGHT
@@ -669,6 +663,9 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, [str(cfg) if a == cfg.name else a for a in argv])
         assert code == 1
         assert fragment in err
+        # the message alone, on one line, and no rows
+        assert err.count("\n") == 1
+        assert out == ""
 
     @pytest.mark.parametrize(
         "argv,fragment",
@@ -717,6 +714,23 @@ class TestExitCodes:
         assert code == 1
         assert fragment in err
         assert out == ""
+
+    def test_closed_pipe_exits_0(self):
+        # a reader that stops after the first line closes the pipe while the
+        # command still writes 1.3 MB, 20 times the 64 KiB pipe buffer: the
+        # command stops there and exits 0, with nothing on stderr. Unbuffered,
+        # sys.stdout drops what the pipe did not take without an error, so
+        # the command would never see the closed pipe
+        argv = [sys.executable, "-m", "fermiskin", "epsilon", "--Omega", "0.1",
+                "--eps", "0.01", "--grid", "0.03:0.2:30000"]
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"# generated: ")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 0
+            assert proc.stderr.read() == b""
 
     def test_nan_materials_file_rejected(self, capsys, tmp_path):
         # NaN is valid JSON to Python's reader; it must not load as a metal
