@@ -69,7 +69,7 @@ def _coerce_profile(profile) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("xs and values must be matching 1-d arrays")
-    ok = np.isfinite(x) & np.isfinite(np.real(y)) & np.isfinite(np.imag(np.asarray(y, dtype=np.complex128)))
+    ok = np.isfinite(x) & np.isfinite(y)
     if not ok.all():
         x, y = x[ok], y[ok]
     if x.size < 4:

@@ -5,6 +5,9 @@ item is an ISO-8601 timestamp carried in a leading comment line (CSV)
 or a "generated" field (JSON). Exit codes: 0 success, 2 usage errors,
 1 computation errors with the originating module's message verbatim.
 
+Every table, the figures' included, goes out through `_emit`, the one
+writer; only the figure 5/6 JSON sidecar is written beside it.
+
 Each subcommand imports the modules it runs in its body. The closed forms
 (`asymptotic`, `crossover`, `figures --fig 2-6`) run on `math` and the
 `asymptotic` module alone, so only `epsilon`, `kohn-scan`, `field` and
@@ -39,24 +42,6 @@ def _write(path, text):
             fh.write(text)
 
 
-def _emit_csv(path, columns, rows, comments=()):
-    fh = io.StringIO()
-    fh.write(f"# generated: {_timestamp()}\n")
-    for line in comments:
-        fh.write(f"# {line}\n")
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(columns)
-    # rows hold str, int and Python float cells: plain floats from the
-    # closed forms, .tolist() of arrays from the numeric commands
-    w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
-    _write(path, fh.getvalue())
-
-
-def _json_number(v):
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
 def _write_json(path, doc):
     """Write doc as JSON indented by 2, plus a newline, to path (None: stdout)."""
     import json
@@ -64,23 +49,31 @@ def _write_json(path, doc):
     _write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_json(path, subcommand, meta, columns, rows):
-    doc = {
-        "generated": _timestamp(),
-        "subcommand": subcommand,
-        "meta": meta,
-        "columns": list(columns),
-        # JSON cannot spell a non-finite number; one goes out as null
-        "rows": [[v if isinstance(v, str) else _json_number(v) for v in row] for row in rows],
-    }
-    _write_json(path, doc)
-
-
-def _emit(args, subcommand, meta, columns, rows, comments=()):
+def _emit(args, subcommand, meta, columns, rows, comments=None):
+    """Write one table to args.output (None: stdout) as args.format. Cells are
+    str, int or Python float; CSV comments default to meta as `key = value`."""
     if args.format == "json":
-        _emit_json(args.output, subcommand, meta, columns, rows)
-    else:
-        _emit_csv(args.output, columns, rows, comments)
+        doc = {
+            "generated": _timestamp(),
+            "subcommand": subcommand,
+            "meta": meta,
+            "columns": columns,
+            # JSON cannot spell a non-finite number; one goes out as null
+            "rows": [[v if isinstance(v, str) else float(v) if math.isfinite(v) else None
+                      for v in row] for row in rows],
+        }
+        _write_json(args.output, doc)
+        return
+    if comments is None:
+        comments = [f"{k} = {v if isinstance(v, str) else _G % v}" for k, v in meta.items()]
+    fh = io.StringIO()
+    fh.write(f"# generated: {_timestamp()}\n")
+    for line in comments:
+        fh.write(f"# {line}\n")
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows([v if isinstance(v, str) else _G % v for v in row] for row in rows)
+    _write(args.output, fh.getvalue())
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -121,28 +114,6 @@ def _geomspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo] + [10.0**v for v in logs[1:-1]] + [hi]
 
 
-def _material(args) -> Material:
-    return get_material(args.material, args.config)
-
-
-def _meta_params(params) -> dict:
-    return {
-        "material": params.material.name,
-        "Omega": params.Omega,
-        "eps": params.eps,
-        "a": params.a,
-        "b": params.b,
-        "omega_rad_per_s": params.omega,
-        "nu_rad_per_s": params.nu,
-        "l_cm": "infinite" if params.l == float("inf") else params.l,
-        "delta_cm": params.delta,
-    }
-
-
-def _meta_comments(meta: dict) -> list[str]:
-    return [f"{k} = {v if isinstance(v, str) else _G % v}" for k, v in meta.items()]
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -150,7 +121,7 @@ def _meta_comments(meta: dict) -> list[str]:
 
 def _cmd_materials(args) -> int:
     if args.material:
-        mats = [_material(args)]
+        mats = [get_material(args.material, args.config)]
     else:
         table = material_table(args.config)
         mats = [table[k] for k in sorted(table)]
@@ -167,8 +138,7 @@ def _cmd_materials(args) -> int:
         }
         for m in mats
     ]
-    _emit(args, "materials", {"count": len(mats)}, list(rows[0]),
-          [list(row.values()) for row in rows])
+    _emit(args, "materials", {"count": len(mats)}, list(rows[0]), map(dict.values, rows), [])
     return 0
 
 
@@ -179,8 +149,7 @@ def _cmd_epsilon(args) -> int:
     vals = permittivity.eps_tr(qs, args.Omega, args.eps)
     meta = {"Omega": args.Omega, "eps": args.eps}
     rows = zip(qs, vals.real.tolist(), vals.imag.tolist())
-    _emit(args, "epsilon", meta, ["q", "re_eps_tr", "im_eps_tr"], rows,
-          _meta_comments(meta))
+    _emit(args, "epsilon", meta, ["q", "re_eps_tr", "im_eps_tr"], rows)
     return 0
 
 
@@ -195,32 +164,37 @@ def _cmd_kohn_scan(args) -> int:
         "max_abs_derivative": res.max_abs_derivative,
     }
     rows = zip(res.grid.tolist(), res.values.tolist())
-    _emit(args, "kohn-scan", meta, ["q", "abs_d_eps_dq"], rows, _meta_comments(meta))
+    _emit(args, "kohn-scan", meta, ["q", "abs_d_eps_dq"], rows)
     return 0
 
 
 def _cmd_field(args) -> int:
     from . import field
 
-    mat = _material(args)
-    params = params_for(mat, args.Omega, args.eps)
+    params = params_for(get_material(args.material, args.config), args.Omega, args.eps)
     prof = field.profile(_linspace(*args.grid), params, args.method)
-    meta = _meta_params(params)
-    meta["method"] = args.method
+    meta = {
+        "material": params.material.name,
+        "Omega": params.Omega,
+        "eps": params.eps,
+        "a": params.a,
+        "b": params.b,
+        "omega_rad_per_s": params.omega,
+        "nu_rad_per_s": params.nu,
+        "l_cm": "infinite" if params.l == float("inf") else params.l,
+        "delta_cm": params.delta,
+        "method": args.method,
+    }
     rows = zip(prof.xs.tolist(), prof.values.real.tolist(), prof.values.imag.tolist(),
                prof.abs_err.tolist())
-    _emit(
-        args, "field", meta,
-        ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
-        rows, _meta_comments(meta),
-    )
+    _emit(args, "field", meta, ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"], rows)
     return 0
 
 
 def _cmd_asymptotic(args) -> int:
     from . import asymptotic
 
-    mat = _material(args)
+    mat = get_material(args.material, args.config)
     meta = {
         "material": mat.name,
         "Omega": args.Omega,
@@ -239,110 +213,98 @@ def _cmd_asymptotic(args) -> int:
     vals = asymptotic.asymptotic_values(xs, args.Omega, mat,
                                         normalization=meta["normalization"])
     rows = ([x, v, 0.0, 0.0] for x, v in zip(xs, vals))
-    _emit(
-        args, "asymptotic", meta,
-        ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
-        rows, _meta_comments(meta),
-    )
+    _emit(args, "asymptotic", meta, ["x_cm", "re_E_ratio_cm", "im_E_ratio_cm", "abs_err_est"],
+          rows)
     return 0
 
 
-def _cmd_crossover(args) -> int:
+def _crossover_meta(mat: Material, Omega: float, **extra) -> dict:
+    """The crossover's fields, for `crossover` and the figure 5/6 sidecar;
+    extra fields go after Omega."""
     from . import asymptotic
 
-    mat = _material(args)
-    res = asymptotic.crossover(args.Omega, mat)
-    meta = {
+    res = asymptotic.crossover(Omega, mat)
+    return {
         "material": mat.name,
-        "Omega": args.Omega,
+        "Omega": Omega,
+        **extra,
         "x_star_cm": res.x_star,
         "x_star_um": res.x_star * 1e4,
         "g_residual": res.g_residual,
         "iterations": res.iterations,
     }
-    _emit(args, "crossover", meta, list(meta), [list(meta.values())], _meta_comments(meta))
+
+
+def _cmd_crossover(args) -> int:
+    meta = _crossover_meta(get_material(args.material, args.config), args.Omega)
+    _emit(args, "crossover", meta, list(meta), [list(meta.values())])
     return 0
 
 
-# figure recipes, ranges fixed to the source plots: x range, points,
-# comment line, and one (column, material, Omega) per closed-form curve
+# figure recipes, ranges fixed to the source plots: x range, points, the
+# meta written as comments, and one (column, material, Omega) per closed-form curve
 _FIG_PROFILE = {
-    2: (2e-5, 2e-3, 400, "Omega = 0.0001",
+    2: (2e-5, 2e-3, 400, {"Omega": 1e-4},
         [(f"E_ratio_{m}_cm", m, 1e-4) for m in ("na", "au", "al")]),
-    3: (9e-5, 3e-3, 2000, "Omega = 0.001",
+    3: (9e-5, 3e-3, 2000, {"Omega": 1e-3},
         [(f"E_ratio_{m}_cm", m, 1e-3) for m in ("na", "au", "al")]),
-    4: (1.5e-3, 1.8e-3, 2000, "material = al",
+    4: (1.5e-3, 1.8e-3, 2000, {"material": "al"},
         [(f"E_ratio_Omega_{om:g}_cm", "al", om) for om in (1e-4, 1e-3, 1e-2)]),
 }
 # Omega of the two crossover figures, both for na
 _FIG_CROSSOVER = {5: 1e-2, 6: 1e-1}
 
 
-def _sidecar_path(csv_path: str) -> str:
-    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
-
-
 def _cmd_figures(args) -> int:
     fig = args.fig
-    out = args.output or f"fig{fig}.csv"
+    out = args.output = args.output or f"fig{fig}.csv"
+    if fig in _FIG_CROSSOVER:
+        from . import asymptotic
+
+        Om = _FIG_CROSSOVER[fig]
+        mat = get_material("na")
+        meta = _crossover_meta(mat, Om, B_cm2=asymptotic.amplitude_B(Om, mat))
+        B, x_star = meta["B_cm2"], meta["x_star_cm"]
+        k = mat.omega_p / SPEED_OF_LIGHT
+        xs = _geomspace(x_star / 20.0, x_star * 4.0, 300)
+        rows = ([x, B / (x * x), math.exp(-k * x)] for x in xs)
+        _emit(
+            args, "figures", meta, ["x_cm", "y1", "y2"], rows,
+            [
+                f"material = {mat.name}",
+                f"Omega = {Om:g}",
+                "y1 = B/x^2, y2 = exp(-omega_p x/c)",
+                f"x_star_cm = {_G % x_star}",
+            ],
+        )
+        sidecar = (out[:-4] if out.endswith(".csv") else out) + ".json"
+        _write_json(sidecar, {"generated": _timestamp(), "fig": fig, **meta})
+        print(f"wrote {out} and {sidecar}")
+        return 0
     if fig == 1:
         from . import permittivity
 
         eps = 1e-4
         scans = {Om: permittivity.kohn_scan(Om, eps, 0.02, 0.2, 500) for Om in (0.1, 0.08)}
+        meta = {"eps": eps}
         cols = ["q"]
-        data = [scans[0.1].grid]  # the scans share their grid
-        comments = [f"eps = {eps:g}"]
+        data = [scans[0.1].grid.tolist()]  # the scans share their grid
         for Om, scan in scans.items():
             tag = ("%g" % Om).replace(".", "p")
             cols.append(f"abs_d_eps_dq_Omega_{tag}")
-            data.append(scan.values)
-            comments.append(f"q_star(Omega = {Om:g}) = {_G % scan.q_star}")
-        _emit_csv(out, cols, zip(*(d.tolist() for d in data)), comments)
-    elif fig in _FIG_PROFILE:
+            data.append(scan.values.tolist())
+            meta[f"q_star(Omega = {Om:g})"] = scan.q_star
+    else:
         from . import asymptotic
 
-        x_lo, x_hi, n, comment, curves = _FIG_PROFILE[fig]
+        x_lo, x_hi, n, meta, curves = _FIG_PROFILE[fig]
         xs = _linspace(x_lo, x_hi, n)
         cols = ["x_cm"]
         data = [xs]
         for col, name, Om in curves:
             cols.append(col)
             data.append(asymptotic.asymptotic_values(xs, Om, get_material(name)))
-        _emit_csv(out, cols, zip(*data), [comment])
-    else:
-        from . import asymptotic
-
-        Om = _FIG_CROSSOVER[fig]
-        mat = get_material("na")
-        res = asymptotic.crossover(Om, mat)
-        B = asymptotic.amplitude_B(Om, mat)
-        k = mat.omega_p / SPEED_OF_LIGHT
-        xs = _geomspace(res.x_star / 20.0, res.x_star * 4.0, 300)
-        rows = ([x, B / (x * x), math.exp(-k * x)] for x in xs)
-        _emit_csv(
-            out, ["x_cm", "y1", "y2"], rows,
-            [
-                f"material = {mat.name}",
-                f"Omega = {Om:g}",
-                "y1 = B/x^2, y2 = exp(-omega_p x/c)",
-                f"x_star_cm = {_G % res.x_star}",
-            ],
-        )
-        sidecar = {
-            "generated": _timestamp(),
-            "fig": fig,
-            "material": mat.name,
-            "Omega": Om,
-            "B_cm2": B,
-            "x_star_cm": res.x_star,
-            "x_star_um": res.x_star * 1e4,
-            "g_residual": res.g_residual,
-            "iterations": res.iterations,
-        }
-        _write_json(_sidecar_path(out), sidecar)
-        print(f"wrote {out} and {_sidecar_path(out)}")
-        return 0
+    _emit(args, "figures", meta, cols, zip(*data))
     print(f"wrote {out}")
     return 0
 
@@ -419,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="emit one of the six reference data sets")
     p.add_argument("--fig", type=int, required=True, choices=(1, 2, 3, 4, 5, 6))
     p.add_argument("--output", default=None, help="output path (default figN.csv)")
-    p.set_defaults(func=_cmd_figures)
+    p.set_defaults(func=_cmd_figures, format="csv")
 
     return ap
 
@@ -437,7 +399,3 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(str(exc), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

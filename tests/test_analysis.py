@@ -84,8 +84,12 @@ class TestEnvelopeFit:
 
     def test_failed_points_are_dropped(self):
         xs, y = synthetic_wave()
-        y = y.copy()
+        y = y.astype(np.complex128)
         y[100:110] = np.nan
+        # a finite real part does not save a point whose imaginary part failed
+        y[150] = complex(y[150].real, np.inf)
+        kept, _ = analysis._coerce_profile((xs, y))
+        assert kept.tolist() == np.delete(xs, [*range(100, 110), 150]).tolist()
         fit = envelope_fit((xs, y))
         assert fit.slope == pytest.approx(-2.0, abs=0.02)
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -193,6 +194,25 @@ class TestBehavior:
         assert meta["q_star"] == pytest.approx(0.08004078578352956, rel=1e-12)
         assert meta["max_abs_derivative"] == pytest.approx(13792.028339264314, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["epsilon", "--Omega", "0.1", "--eps", "0.01", "--grid", "0.03:0.2:8"],
+        ["kohn-scan", "--Omega", "0.08", "--eps", "1e-4", "--grid", "0.02:0.2:50"],
+        ["field", "--Omega", "0.01", "--eps", "1e-4", "--grid", "1e-5:3e-5:3"],
+        ["asymptotic", "--Omega", "1e-2", "--grid", "1e-4:3e-4:5"],
+        ["crossover", "--Omega", "1e-2", "--material", "al"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_comments_are_the_json_meta(self, capsys, argv):
+        # one writer: the CSV comments are the JSON meta as `key = value`,
+        # same keys in the same order, numbers as %.12g
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        comments = [l[2:] for l in strip_csv_stamp(out).splitlines() if l.startswith("# ")]
+        code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert comments == [f"{k} = {v if isinstance(v, str) else '%.12g' % v}"
+                            for k, v in meta.items()]
+
     def test_materials_table_is_sorted(self, capsys):
         code, out, _ = run_cli(capsys, ["materials", "--format", "json"])
         doc = json.loads(out)
@@ -234,7 +254,8 @@ class TestBehavior:
             raise ValueError(f"{name} is not JSON")
 
         rows = [[0.08, math.nan], [0.09, math.inf], ["na", 1.5]]
-        cli._emit_json(None, "kohn-scan", {}, ["q", "abs_d_eps_dq"], rows)
+        cli._emit(argparse.Namespace(format="json", output=None), "kohn-scan", {},
+                  ["q", "abs_d_eps_dq"], rows)
         doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
         assert doc["rows"] == [[0.08, None], [0.09, None], ["na", 1.5]]
 
