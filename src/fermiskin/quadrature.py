@@ -27,14 +27,15 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
-  h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). The mesh keeps h and c
-  as one array, and 2 h c_k signed for those cosines; a depth takes one cos
-  and one sin of phase (h, c), which serve the panels' phases and the
-  Hankel side of _sph_bessel. Its table of j_k(phase h) is one matrix
-  product on each side of phase h = 40: below, a 56-point Gauss-Legendre
-  rule for that integral, whose cos and sin at the nodes come from one tan
-  of the half angle; above, the finite Hankel sum of j_k. The table is
-  within 9e-16 of j_k.
+  h sum_k c_k 2 j_k(phase h) cos(phase c + k pi/2). _sph_bessel's table of
+  j_k(phase h) is one matrix product on each side of phase h = 40: below,
+  a 56-point Gauss-Legendre rule for that integral; above, the finite
+  Hankel sum of j_k. The table is within 8.3e-16 of j_k. The mesh keeps
+  h, c and the products of h with the rule's nodes as one array, so every
+  cos and sin of a depth (of phase c, of phase h and at the nodes) comes
+  from one tan of the half angle; and it keeps 2 h c_k, signed for those
+  cosines, as real and imaginary rows and their modulus, so one product
+  gives the sum and the magnitudes of its terms.
 * Past S, K is replaced by its asymptote -1/(bcoef s^2) (or -6/(bcoef s^4)
   for (1/D)''), whose cosine integral is closed form in the sine integral.
 
@@ -76,7 +77,9 @@ _SIGNS = np.array([1.0, -1.0, -1.0, 1.0] * (N_LEGENDRE // 4))
 # _sph_bessel: a Gauss-Legendre sum below _HANKEL_FROM, the Hankel sum above
 _GAUSS_NODES = 56
 _HANKEL_FROM = 40.0
-_POWERS = np.arange(1, N_LEGENDRE + 1)[:, None]
+_POWERS = -np.arange(1.0, N_LEGENDRE + 1)[:, None]
+# lengths per panel in _lengths: h, c and h t_i for the positive nodes t_i
+_LENGTHS = 2 + _GAUSS_NODES // 2
 
 
 class QuadratureError(RuntimeError):
@@ -128,64 +131,86 @@ def _si_complement(x: float) -> float:
     return math.sin(x) * h.real - math.cos(x) * h.imag
 
 
+def _by_parity(a: np.ndarray) -> np.ndarray:
+    """The rows k of a in parity order, shaped (2, N_LEGENDRE // 2, ...):
+    row k at [k % 2, k // 2]."""
+    return a.reshape(N_LEGENDRE // 2, 2, *a.shape[1:]).swapaxes(0, 1)
+
+
 @functools.cache
 def _bessel_constants():
     """The fixed matrices of _sph_bessel, built on first use: the positive
-    nodes t_i of the _GAUSS_NODES-point Gauss-Legendre rule, halved, as a
-    column (Newton from Tricomi's estimates; four steps take the weights to
-    rounding), the rows (-1)^(k//2) W_i P_k(t_i) (W_i the weights), and the
-    coefficients of (1/w)^(m+1) cos(w), then sin(w), column m, in the Hankel
-    sum of j_k(w)."""
+    nodes t_i of the _GAUSS_NODES-point Gauss-Legendre rule (Newton from
+    Tricomi's estimates; four steps take the weights to rounding), the
+    columns (-1)^(k//2) W_i P_k(t_i) (W_i the weights) for even k, then odd
+    k, and the coefficients of (w/2)^-(m+1) cos(w), then sin(w), column m,
+    in the Hankel sum of j_k(w), rows in the same order."""
     t = np.cos(np.pi * (np.arange(_GAUSS_NODES // 2) + 0.75) / (_GAUSS_NODES + 0.5))
     t, w = _kernels._gauss_legendre(t, _GAUSS_NODES, 4)
     # (-1)^(k//2) (i^-k for even k, i^(1-k) for odd k): even k on cos(w t), odd k on sin(w t)
-    sign = np.array([1.0, 0.0, -1.0, 0.0] * (N_LEGENDRE // 4))[:, None]
-    rows = _kernels._legendre(t) * w
-    gauss = np.hstack((rows * sign, rows * np.roll(sign, 1)))
+    sign = (-1.0) ** (np.arange(N_LEGENDRE) // 2)[:, None]
+    gauss = _by_parity(_kernels._legendre(t) * w * sign).swapaxes(1, 2)
     k, m = np.ogrid[:N_LEGENDRE, :N_LEGENDRE]
-    # a_km = (k+m)! / (m! (k-m)! 2^m), zero past m = k
-    step = (k + m + 1) * (k - m) / (2.0 * (m + 1))
-    a = np.cumprod(np.hstack((np.ones((N_LEGENDRE, 1)), step[:, :-1])), axis=1)
+    # a_km = (k+m)! / (m! (k-m)! 4^m 2), zero past m = k
+    step = (k + m + 1) * (k - m) / (4.0 * (m + 1))
+    a = np.cumprod(np.hstack((np.full((N_LEGENDRE, 1), 0.5), step[:, :-1])), axis=1)
     # (-i)^(k+1) i^m e^(iw) has the real part cos(w + p pi/2), p = m - k - 1
     p = (m - k - 1) % 4
     hankel = np.hstack((np.where(p % 2, 0.0, (1 - p) * a), np.where(p % 2, (p - 2) * a, 0.0)))
-    return tuple(map(_frozen, (0.5 * t[:, None], gauss, hankel)))
+    hankel = _by_parity(hankel).reshape(N_LEGENDRE, -1)
+    return tuple(map(_frozen, (t, gauss, hankel)))
 
 
-def _sph_bessel(w: np.ndarray, cos_sin_w: np.ndarray) -> np.ndarray:
-    """j_k(w), k < N_LEGENDRE, for an ascending 1-d array of w >= 0 and the
-    rows cos(w), sin(w): row k of the result.
+def _lengths(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """What a phase multiplies into every angle of _sph_bessel: the panel
+    half-widths h, then the midpoints c, then h t_i for each h, t_i the
+    positive nodes of its Gauss rule."""
+    return np.concatenate((h, c, (h[:, None] * _bessel_constants()[0]).ravel()))
+
+
+def _sph_bessel(phase: float, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j_k(w), k < N_LEGENDRE, for w = phase h, from _lengths(h, c) with h
+    ascending and >= 0, as the (2, N_LEGENDRE // 2, h.size) table in parity
+    order (j_k at [k % 2, k // 2]); and the rows cos(phase c), sin(phase c).
 
     Below w = _HANKEL_FROM, a prefix of w, the Gauss-Legendre sum of
     2 i^k j_k(w) = int_{-1}^{1} P_k(t) e^(iwt) dt on the positive nodes:
     cos(w t) for even k, sin(w t) for odd k. From there on, the finite
     Hankel sum
     j_k(w) = Re[(-i)^(k+1) e^(iw)/w sum_{m<=k} (k+m)!/(m!(k-m)!) (i/2w)^m]
-    in powers of 1/w. Each side is one matrix product over all its w.
-    Absolute error at most 8.3e-16 on the Gauss side (the poles of the half
-    angle's tan included) and 8.8e-16 on the Hankel side (at w = 40.5),
-    measured against 40-digit mpmath on [0, 2e3]: the Gauss rule loses
-    digits above w = 40, the Hankel sum to cancellation below it.
+    in powers of 2/w. Each side is one matrix product over all its w. Every
+    cosine and sine, of w, of phase c and of w t on the Gauss side, comes
+    from one tan sweep of the half angles. Absolute error at most 8.3e-16 on
+    the Gauss side (the poles of the half angle's tan included) and 4.8e-16
+    on the Hankel side, measured against 40-digit mpmath on [0, 2e3]: the
+    Gauss rule loses digits above w = 40, the Hankel sum to cancellation
+    below it.
     """
-    half_nodes, gauss, hankel = _bessel_constants()
-    out = np.empty((N_LEGENDRE, w.size))
-    m = w.searchsorted(_HANKEL_FROM)
+    _, gauss, hankel = _bessel_constants()
+    n = lengths.size // _LENGTHS
+    trig = np.empty((2, lengths.size))
+    half = np.multiply(0.5 * phase, lengths, out=trig[0])
+    m = half[:n].searchsorted(0.5 * _HANKEL_FROM)
+    if m < n:
+        powers = half[m:n] ** _POWERS
+    # cos and sin of an angle from s = tan(angle / 2): 1 + cos = 2 / (1 + s^2)
+    # and sin = s (1 + cos); the Gauss side ends the lengths, so the angles
+    # w t_i of w >= 40 are left out
+    g = lengths.size - (n - m) * (_GAUSS_NODES // 2)
+    cos, sin = trig[0, :g], trig[1, :g]
+    np.tan(cos, out=sin)
+    np.square(sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+    table = np.empty((2, N_LEGENDRE // 2, n))
     if m:
-        # cos and sin of w t from s = tan(w t / 2): 1 + cos = 2 / (1 + s^2)
-        # and sin = s (1 + cos), one transcendental per node
-        x = np.empty((2, _GAUSS_NODES // 2, m))
-        cos, sin = x
-        np.tan(np.multiply(half_nodes, w[:m], out=sin), out=sin)
-        np.square(sin, out=cos)
-        cos += 1.0
-        np.divide(2.0, cos, out=cos)
-        sin *= cos
-        cos -= 1.0
-        np.matmul(gauss, x.reshape(_GAUSS_NODES, m), out=out[:, :m])
-    if m < w.size:
-        x = (1.0 / w[m:]) ** _POWERS * cos_sin_w[:, None, m:]
-        np.matmul(hankel, x.reshape(2 * N_LEGENDRE, -1), out=out[:, m:])
-    return out
+        np.matmul(trig[:, 2 * n:g].reshape(2, m, -1), gauss, out=table[..., :m].swapaxes(1, 2))
+    if m < n:
+        x = powers * trig[:, None, m:n]
+        np.matmul(hankel, x.reshape(2 * N_LEGENDRE, -1), out=table.reshape(N_LEGENDRE, n)[:, m:])
+    return table, trig[:, n:2 * n]
 
 
 def _ascending_distinct(a: np.ndarray, gap: float = 0.0) -> np.ndarray:
@@ -221,14 +246,15 @@ def _s_peak(Om: float, zi: float, bcoef: float) -> float:
 class _Mesh(NamedTuple):
     """A Legendre mesh of one kernel, panels in ascending half-width h.
 
-    hc holds the half-widths h, then the midpoints c. weights holds 2 h c_k
-    times the sign of cos(phase c + k pi/2) against cos(phase c) (k even) or
-    sin(phase c) (k odd), and mag its modulus: row k of a (N_LEGENDRE,
-    panels) array, flattened. Every array is read-only."""
+    lengths holds the half-widths h, then the midpoints c, then the
+    products of each h with the nodes of _sph_bessel (_lengths). The
+    weights W are 2 h c_k times the sign of cos(phase c + k pi/2) against
+    cos(phase c) (k even) or sin(phase c) (k odd), in the order of
+    _sph_bessel's table (k % 2, k // 2, panel), flattened; weights holds the
+    rows Re W, Im W and |W|. Every array is read-only."""
 
-    hc: np.ndarray
+    lengths: np.ndarray
     weights: np.ndarray
-    mag: np.ndarray
     trunc: float
     s_end: float
     remainder: float
@@ -278,7 +304,7 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     h = 0.5 * (hi - lo)
     order = np.argsort(h, kind="stable")
     h, c = h[order], (lo + h)[order]
-    weights = (coef[order] * (2.0 * h)[:, None] * _SIGNS).T.ravel()
+    weights = _by_parity((coef[order] * (2.0 * h)[:, None] * _SIGNS).T).ravel()
     # past s_end, where bcoef s^2 exceeds |eps_tr| 1e8-fold, K - asymptote
     # is -eps_tr / (bcoef^2 s^4) for 1/D and about -20 eps_tr / (bcoef^2
     # s^6) for (1/D)''; |eps_tr| -> 1 falls past s_end, and the bound
@@ -288,9 +314,8 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     if kernel_id != KERNEL_RECIPROCAL:
         remainder *= 12.0 / (s_end * s_end)
     return _Mesh(
-        hc=_frozen(np.concatenate((h, c))),
-        weights=_frozen(weights),
-        mag=_frozen(np.abs(weights)),
+        lengths=_frozen(_lengths(h, c)),
+        weights=_frozen(np.stack((weights.real, weights.imag, np.abs(weights)))),
         trunc=float(trunc.sum()),
         s_end=s_end,
         remainder=float(remainder),
@@ -355,16 +380,16 @@ def oscillatory_halfline(
     if kernel_id != KERNEL_RECIPROCAL and not math.isfinite(phase * phase):
         # the asymptote's tail of (1/D)'' carries phase^2
         raise ValueError(f"integrated-by-parts kernel: phase {phase:g} squared is not finite")
-    n = mesh.hc.size // 2
-    x = phase * mesh.hc
-    trig = np.empty((2, 2 * n))
-    np.cos(x, out=trig[0])
-    np.sin(x, out=trig[1])
-    bessel = _sph_bessel(x[:n], trig[:, :n])
-    terms = bessel.reshape(-1, 2, n) * trig[:, n:]
+    table, trig = _sph_bessel(phase, mesh.lengths)
+    n = table.shape[-1]
+    # the panel terms, then |table|: one product gives Re and Im of the sum
+    # and the summed term magnitudes
+    terms = np.empty((2, N_LEGENDRE * n))
+    np.multiply(table, trig[:, None], out=terms[0].reshape(table.shape))
+    np.abs(table, out=terms[1].reshape(table.shape))
+    (re, _), (im, _), (_, magnitude) = (mesh.weights @ terms.T).tolist()
     tail = _asymptote_tail(phase, mesh.s_end, bcoef, kernel_id)
-    value = complex(mesh.weights @ terms.ravel()) + sum(tail)
-    magnitude = float(mesh.mag @ np.abs(bessel, out=bessel).ravel())
+    value = complex(re, im) + sum(tail)
     return QuadratureResult(
         value=value,
         error=mesh.trunc + _FLOOR * (magnitude + sum(abs(t) for t in tail)),

@@ -86,6 +86,13 @@ def _reference(args, floor):
     return ref
 
 
+def _table(w):
+    """_sph_bessel's table at an ascending w, rows in k order, with its
+    cos and sin of the midpoints, here w itself."""
+    table, trig = quadrature._sph_bessel(1.0, quadrature._lengths(w, w))
+    return table.swapaxes(0, 1).reshape(k.N_LEGENDRE, -1), trig
+
+
 @pytest.mark.parametrize(
     "w",
     [np.array([0.0]), np.array([1e-300, 1e-10, 1e-4]),
@@ -95,10 +102,11 @@ def _reference(args, floor):
 )
 def test_bessel_table_against_scipy(w):
     # the Gauss sum below w = 40 and the Hankel sum above, near zero and
-    # at the zeros of j_0 and j_1
-    got = quadrature._sph_bessel(w, np.array((np.cos(w), np.sin(w))))
+    # at the zeros of j_0 and j_1; the cos and sin of the same tan sweep
+    got, trig = _table(w)
     want = np.array([spherical_jn(n, w) for n in range(k.N_LEGENDRE)])
     assert np.all(np.abs(got - want) <= 4e-15 + 1e-12 * np.abs(want))
+    assert np.all(np.abs(trig - (np.cos(w), np.sin(w))) <= 1e-15)
 
 
 def _mp_sph_bessel(w):
@@ -128,7 +136,7 @@ def test_bessel_table_against_mpmath():
         j1_zeros = [float(mpmath.findroot(lambda x: mpmath.tan(x) - x, (n + 0.5) * mpmath.pi
                                           - 1 / ((n + 0.5) * mpmath.pi)))
                     for n in (1, 2, 7, 12, 13, 600)]
-    t = 2.0 * quadrature._bessel_constants()[0].ravel()
+    t = quadrature._bessel_constants()[0]
     poles = np.pi * np.arange(1, quadrature._HANKEL_FROM / np.pi, 2)[:, None] / t
     poles = poles[poles < quadrature._HANKEL_FROM]
     assert poles.size == 113
@@ -142,7 +150,7 @@ def test_bessel_table_against_mpmath():
         np.nextafter(poles, 0.0), poles, np.nextafter(poles, np.inf),
     ))
     w = np.sort(w)
-    got = quadrature._sph_bessel(w, np.array((np.cos(w), np.sin(w))))
+    got, _ = _table(w)
     want = np.array([_mp_sph_bessel(x) for x in w]).T
     err = np.abs(got - want)
     assert err.max() <= 1e-15, (w[err.max(axis=0).argmax()], err.max())
@@ -460,30 +468,86 @@ _MESH_CASES = [(name, eps, kernel_id)
 
 @pytest.mark.parametrize("name,eps,kernel_id", _MESH_CASES)
 def test_mesh_layout_of_the_depth_pass(name, eps, kernel_id):
-    # the depth pass reads h and c from one array, takes the Gauss side of
-    # the Bessel table as the prefix of phase h below 40 (searchsorted, so h
-    # ascends), and shares the cached arrays with every caller
+    # the depth pass reads h, c and the Gauss side's h t_i from one array,
+    # takes the Gauss side of the Bessel table as the prefix of phase h
+    # below 40 (searchsorted, so h ascends), and shares the cached arrays
+    # with every caller
     p = params_for(get_material(name), 1e-2, eps)
     mesh = quadrature._mesh(kernel_id, p.Omega, p.eps, p.b, 1.0)
-    n = mesh.hc.size // 2
-    h, c = mesh.hc[:n], mesh.hc[n:]
-    assert mesh.hc.shape == (2 * n,)
-    assert mesh.weights.shape == mesh.mag.shape == (k.N_LEGENDRE * n,)
+    t = quadrature._bessel_constants()[0]
+    n = mesh.weights.shape[1] // k.N_LEGENDRE
+    h, c = mesh.lengths[:n], mesh.lengths[n:2 * n]
+    assert mesh.weights.shape == (3, k.N_LEGENDRE * n)
+    assert mesh.lengths.shape == ((2 + t.size) * n,)
+    assert np.array_equal(mesh.lengths[2 * n:].reshape(n, t.size), h[:, None] * t)
     assert h[0] > 0.0 and np.all(np.diff(h) >= 0.0)
     # the panels [c - h, c + h] tile [0, s_end]
     order = np.argsort(c)
     lo, hi = (c - h)[order], (c + h)[order]
     assert lo[0] == 0.0 and hi[-1] == pytest.approx(mesh.s_end, rel=1e-15)
     assert np.allclose(lo[1:], hi[:-1], rtol=1e-14, atol=0.0)
-    # and the weights belong to them: row 0 is 2 h c_0, the panel integral
+    # and the weights belong to them: row k = 0 (the first, in parity
+    # order) is 2 h c_0, the panel integral; the last row is |W|
     coef, _, _ = k.panel_batch(c - h, c + h, kernel_id, p.Omega, p.eps, p.b, 1.0)
-    assert np.allclose(mesh.weights[:n], 2.0 * h * coef[:, 0], rtol=1e-12, atol=0.0)
-    assert np.array_equal(mesh.mag, np.abs(mesh.weights))
+    w = mesh.weights[0] + 1j * mesh.weights[1]
+    assert np.allclose(w[:n], 2.0 * h * coef[:, 0], rtol=1e-12, atol=0.0)
+    assert np.array_equal(mesh.weights[2], np.abs(w))
     for field in mesh:
         if isinstance(field, np.ndarray):
             assert not field.flags.writeable
             with pytest.raises(ValueError):
                 field[0] = 0.0
+
+
+def _oracle_phases(mesh, kernel_id, s_peak):
+    """All-Gauss phases (phase h < 40 on every panel), all-Hankel ones
+    (phase h >= 40 on every panel) and each split 40 / h_p with its two
+    neighbouring floats."""
+    h = mesh.lengths[:mesh.lengths.size // quadrature._LENGTHS]
+    low = 1e-9 / s_peak if kernel_id else 0.0
+    split = quadrature._HANKEL_FROM / h[::7]
+    return [
+        *(p for p in (0.0, 1e-100, 1e-10, 1e-3 / h[-1], 30.0 / h[-1]) if p >= low),
+        quadrature._HANKEL_FROM / h[0], 3.0 * quadrature._HANKEL_FROM / h[0],
+        *np.nextafter(split, 0.0), *split, *np.nextafter(split, np.inf),
+    ]
+
+
+@pytest.mark.parametrize("name,Omega,eps,kernel_id",
+                         [("na", 1e-2, 1e-4, 0), ("na", 1e-2, 1e-4, 1), ("al", 1e-3, 0.0, 0)])
+def test_depth_pass_against_a_plain_sum(monkeypatch, name, Omega, eps, kernel_id):
+    # the Filon sum of the module docstring written out with scipy's j_k on
+    # the mesh's panels, refitted by panel_batch:
+    # sum_k,p W_kp j_k(phase h_p) cos(phase c_p + k pi/2), W_kp = 2 h_p c_k,
+    # plus the closed-form tail; and the summed magnitudes |W_kp| |j_k| that
+    # the rounding part of the bar carries
+    p = params_for(get_material(name), Omega, eps)
+    args = (kernel_id, Omega, eps, p.b, 1.0)
+    mesh = quadrature._mesh(*args)
+    n = mesh.lengths.size // quadrature._LENGTHS
+    h, c = mesh.lengths[:n], mesh.lengths[n:2 * n]
+    coef, _, _ = k.panel_batch(c - h, c + h, *args)
+    weights = 2.0 * h * coef.T
+    orders = np.arange(k.N_LEGENDRE)[:, None]
+    s_peak = quadrature._s_peak(Omega, eps, p.b)
+    for phase in _oracle_phases(mesh, kernel_id, s_peak):
+        j = spherical_jn(orders, phase * h)
+        x = phase * c
+        # cos(x + k pi/2) for k = 0, 1, 2, 3 mod 4
+        shifted = np.array((np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)))[orders[:, 0] % 4]
+        tail = quadrature._asymptote_tail(phase, mesh.s_end, p.b, kernel_id)
+        want = np.sum(weights * j * shifted) + sum(tail)
+        magnitude = np.sum(np.abs(weights) * np.abs(j))
+        res = oscillatory_halfline(phase, *args)
+        assert abs(res.value - want) <= 0.1 * (res.error + res.tail_bound), phase
+        # at a floor of 1, and without the tail, the bar is the truncation
+        # plus the panels' magnitudes (the mesh stays the cached one, built
+        # at the production floor)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_FLOOR", 1.0)
+            mp.setattr(quadrature, "_asymptote_tail", lambda *_: [0.0])
+            bar = oscillatory_halfline(phase, *args).error
+        assert bar - mesh.trunc == pytest.approx(magnitude, rel=1e-13, abs=0.0), phase
 
 
 def test_parameter_validation(na_params):
