@@ -24,6 +24,12 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
   error bar below. Past _PANEL_BUDGET panels the mesh raises
   QuadratureError. Meshes are cached per (kernel, Om, zi, bcoef, kappa),
   _MESH_CACHE of them.
+* The Lorentzian. The mesh carries K - A for A(s) = -1/(bcoef (s^2 +
+  a^2)), a = s_peak, which has K's asymptote -1/(bcoef s^2); for (1/D)'',
+  A'' = (2/bcoef) (a^2 - 3 s^2)/(s^2 + a^2)^3, which has -6/(bcoef s^4).
+  The panels are refined on K; A's fit at their nodes is subtracted. A's
+  cosine integral, -pi e^(-phase a) / (2 bcoef a) (times -phase^2 for
+  A''; _lorentzian), is added at every depth; past S, a bound is left.
 * Each depth. The plane-wave expansion e^(iwt) = sum_k (2k + 1) i^k
   j_k(w) P_k(t) gives int_{-1}^{1} P_k(t) e^(iwt) dt = 2 i^k j_k(w), so a
   panel of midpoint c contributes
@@ -33,21 +39,26 @@ mesh of K serves every depth, as in Filon's rule (Proc. R. Soc. Edinb. 49,
   Hankel sum of j_k. The table is within 8.3e-16 of j_k. The mesh keeps
   h, c and the products of h with the rule's nodes as one array, so every
   cos and sin of a depth (of phase c, of phase h and at the nodes) comes
-  from one tan of the half angle; and it keeps 2 h c_k, signed for those
-  cosines, as real and imaginary rows and their modulus, so one product
-  gives the sum and the magnitudes of its terms.
-* Past S, K is replaced by its asymptote -1/(bcoef s^2) (or -6/(bcoef s^4)
-  for (1/D)''), whose cosine integral is closed form in the sine integral.
+  from one tan of the half angle; and it keeps 2 h c_k of K - A, signed
+  for those cosines, as real and imaginary rows, and 2 h |c_k| of K, so
+  one product gives the sum and the magnitudes of its terms.
 
 The error bar, QuadratureResult.error plus tail_bound, has three parts:
 
-* Legendre truncation: the panels' truncations summed, which bound the
-  neglected part of each fit against cos(phase s) at any phase;
-* rounding: _FLOOR times the summed magnitudes of the panel terms
-  h |c_k| |2 j_k| and of the closed-form tail's terms;
-* tail_bound: the integral of |K - asymptote| past S, from
-  K - asymptote = O(|eps_tr| / (bcoef^2 s^4)) for 1/D (its second
-  derivative for (1/D)'').
+* Legendre truncation: the truncations of the K - A fits summed, which
+  bound the neglected part of each fit against cos(phase s) at any phase;
+* rounding: _FLOOR times the summed magnitudes h |c_k| |2 j_k| of K's
+  panel terms (the kernel's rounding scales with K, not with K - A), and
+  (phase a + 4) eps_mach times the modulus of A's integral, whose
+  exponential turns the rounding of phase a into phase a ulp;
+* tail_bound: the integrals of |K - asymptote| and |asymptote - A| past
+  S. The first follows from K - asymptote = O(|eps_tr| / (bcoef^2 s^4))
+  for 1/D (its second derivative for (1/D)''). The second: A + 1/(bcoef
+  s^2) = a^2 / (bcoef s^2 (s^2 + a^2)) <= a^2 / (bcoef s^4), whose
+  integral past S is a^2 / (3 bcoef S^3); A'' + 6/(bcoef s^4) = 2 (10 a^2
+  s^4 + 9 a^4 s^2 + 3 a^6) / (bcoef s^4 (s^2 + a^2)^3) is at most its
+  numerator over bcoef s^10, whose integral past S is (4 a^2 / S^5 +
+  18 a^4 / (7 S^7) + 2 a^6 / (3 S^9)) / bcoef.
 """
 
 from __future__ import annotations
@@ -89,46 +100,13 @@ class QuadratureError(RuntimeError):
 class QuadratureResult(NamedTuple):
     value: complex
     error: float  # Legendre truncation plus rounding
-    tail_bound: float  # |K - asymptote| integrated past s_max
+    tail_bound: float  # bounds |K - A| integrated past s_max (A: the Lorentzian)
     s_max: float
     q_max: float
     n_panels: int
     n_evals: int  # kernel evaluations of the mesh, made once per cached mesh
-    n_tail_terms: int  # 0: the tail past s_max is closed form
+    n_tail_terms: int  # 0: nothing is summed past s_max, the tail is only bounded
     branch: str  # "filon"
-
-
-def _si_complement(x: float) -> float:
-    """pi/2 - Si(x) for x >= 0, where Si is the sine integral.
-
-    A power series below x = 4 and, above it, the continued fraction for
-    E1(ix) = -Ci(x) - i (pi/2 - Si(x)) (Numerical Recipes cisi; A&S 5.2),
-    evaluated by the modified Lentz method. The complement is formed
-    directly, so it keeps its accuracy where Si(x) is close to pi/2.
-    """
-    if x < 4.0:
-        # Si(x) = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!)
-        x2 = x * x
-        term = x
-        si = x
-        for n in range(3, 41, 2):
-            term *= -x2 / ((n - 1) * n)
-            si += term / n
-        return 0.5 * math.pi - si
-    b = complex(1.0, x)
-    c = 1e300  # Lentz start: 1/tiny stands in for the empty numerator
-    d = h = 1.0 / b
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 2.0 * _MACH_EPS:
-            break
-    # E1(ix) = exp(-ix) h
-    return math.sin(x) * h.real - math.cos(x) * h.imag
 
 
 def _by_parity(a: np.ndarray) -> np.ndarray:
@@ -250,13 +228,15 @@ class _Mesh(NamedTuple):
     products of each h with the nodes of _sph_bessel (_lengths). The
     weights W are 2 h c_k times the sign of cos(phase c + k pi/2) against
     cos(phase c) (k even) or sin(phase c) (k odd), in the order of
-    _sph_bessel's table (k % 2, k // 2, panel), flattened; weights holds the
-    rows Re W, Im W and |W|. Every array is read-only."""
+    _sph_bessel's table (k % 2, k // 2, panel), flattened, with c_k of
+    K - A; weights holds the rows Re W, Im W and 2 h |c_k| of K. Every
+    array is read-only."""
 
     lengths: np.ndarray
     weights: np.ndarray
     trunc: float
     s_end: float
+    s_peak: float
     remainder: float
     n_evals: int
 
@@ -303,40 +283,50 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
         trunc = np.concatenate((trunc[~split], ctrunc))
     h = 0.5 * (hi - lo)
     order = np.argsort(h, kind="stable")
-    h, c = h[order], (lo + h)[order]
-    weights = _by_parity((coef[order] * (2.0 * h)[:, None] * _SIGNS).T).ravel()
+    h, c, coef = h[order], (lo + h)[order], coef[order]
+    # the Lorentzian A (A'' for (1/D)''; see the module docstring) at the
+    # same nodes, fitted as panel_batch fits K
+    t, to_legendre = _kernels._legendre_fit()
+    s2 = np.square(c[:, None] + h[:, None] * t)
+    a2 = s_peak * s_peak
+    if kernel_id == KERNEL_RECIPROCAL:
+        lorentz = -1.0 / (bcoef * (s2 + a2))
+    else:
+        lorentz = 2.0 / bcoef * (a2 - 3.0 * s2) / (s2 + a2) ** 3
+    fit = coef - np.einsum("ij,jk->ik", lorentz, to_legendre)
+    trunc = 2.0 * h * np.abs(fit[:, -3:]).sum(axis=1)
+    weights = _by_parity((fit * (2.0 * h)[:, None] * _SIGNS).T).ravel()
+    magnitude = _by_parity(np.abs(coef * (2.0 * h)[:, None]).T).ravel()
     # past s_end, where bcoef s^2 exceeds |eps_tr| 1e8-fold, K - asymptote
     # is -eps_tr / (bcoef^2 s^4) for 1/D and about -20 eps_tr / (bcoef^2
     # s^6) for (1/D)''; |eps_tr| -> 1 falls past s_end, and the bound
-    # exceeds both integrals 7- to 12-fold (measured against mpmath)
+    # exceeds both integrals 7- to 12-fold (measured against mpmath). Then
+    # asymptote - A, bounded in the module docstring, with r = (a / S)^2
     eps_end = abs(_kernels.family_grid(np.array([kappa * s_end]), 0, Om, zi)[0])
     remainder = 3.0 * max(eps_end, 1.5) / (bcoef * bcoef * s_end**3)
-    if kernel_id != KERNEL_RECIPROCAL:
+    r = a2 / (s_end * s_end)
+    if kernel_id == KERNEL_RECIPROCAL:
+        remainder += r / (3.0 * bcoef * s_end)
+    else:
         remainder *= 12.0 / (s_end * s_end)
+        remainder += r * (4.0 + r * (18.0 / 7.0 + r * 2.0 / 3.0)) / (bcoef * s_end**3)
     return _Mesh(
         lengths=_frozen(_lengths(h, c)),
-        weights=_frozen(np.stack((weights.real, weights.imag, np.abs(weights)))),
+        weights=_frozen(np.stack((weights.real, weights.imag, magnitude))),
         trunc=float(trunc.sum()),
         s_end=s_end,
+        s_peak=s_peak,
         remainder=float(remainder),
         n_evals=int(n_evals),
     )
 
 
-def _asymptote_tail(phase: float, s_end: float, bcoef: float, kernel_id: int):
-    """int_S^inf cos(phase s) A(s) ds for the asymptote A = -1/(bcoef s^2)
-    (kernel 0) or -6/(bcoef s^4) (kernel 1), as the list of terms that sum
-    to it; their magnitudes enter the rounding estimate."""
-    x = phase * s_end
-    cos_x = math.cos(x)
-    # C2 = int_S^inf cos(phase s) / s^2 ds, by parts down to pi/2 - Si
-    c2 = (cos_x / s_end, -phase * _si_complement(x))
-    if kernel_id == KERNEL_RECIPROCAL:
-        return [-t / bcoef for t in c2]
-    # C4 = cos(x) / (3 S^3) - phase sin(x) / (6 S^2) - phase^2 C2 / 6
-    c4 = (cos_x / (3.0 * s_end**3), -phase * math.sin(x) / (6.0 * s_end**2),
-          *(-phase * phase * t / 6.0 for t in c2))
-    return [-6.0 * t / bcoef for t in c4]
+def _lorentzian(phase: float, a: float, bcoef: float, kernel_id: int) -> float:
+    """int_0^inf cos(phase s) A(s) ds for A = -1/(bcoef (s^2 + a^2)), or for
+    A'' with the integrated-by-parts kernel (1): -pi e^(-phase a) / (2 bcoef
+    a), times -phase^2 for A'' (by parts twice, A'(0) = 0)."""
+    value = -0.5 * math.pi / (bcoef * a) * math.exp(-phase * a)
+    return value if kernel_id == KERNEL_RECIPROCAL else -phase * phase * value
 
 
 def oscillatory_halfline(
@@ -378,7 +368,7 @@ def oscillatory_halfline(
             f"phase {phase:g} times the mesh end S = {mesh.s_end:.3g} is not finite"
         )
     if kernel_id != KERNEL_RECIPROCAL and not math.isfinite(phase * phase):
-        # the asymptote's tail of (1/D)'' carries phase^2
+        # the Lorentzian's integral for (1/D)'' carries phase^2
         raise ValueError(f"integrated-by-parts kernel: phase {phase:g} squared is not finite")
     table, trig = _sph_bessel(phase, mesh.lengths)
     n = table.shape[-1]
@@ -388,11 +378,11 @@ def oscillatory_halfline(
     np.multiply(table, trig[:, None], out=terms[0].reshape(table.shape))
     np.abs(table, out=terms[1].reshape(table.shape))
     (re, _), (im, _), (_, magnitude) = (mesh.weights @ terms.T).tolist()
-    tail = _asymptote_tail(phase, mesh.s_end, bcoef, kernel_id)
-    value = complex(re, im) + sum(tail)
+    lorentz = _lorentzian(phase, mesh.s_peak, bcoef, kernel_id)
     return QuadratureResult(
-        value=value,
-        error=mesh.trunc + _FLOOR * (magnitude + sum(abs(t) for t in tail)),
+        value=complex(re + lorentz, im),
+        error=mesh.trunc + _FLOOR * magnitude
+        + (phase * mesh.s_peak + 4.0) * _MACH_EPS * abs(lorentz),
         tail_bound=mesh.remainder,
         s_max=mesh.s_end,
         q_max=kappa * mesh.s_end,

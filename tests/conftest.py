@@ -33,16 +33,6 @@ def al():
     return fs.get_material("al")
 
 
-@pytest.fixture(scope="session")
-def na_params_1em4(na):
-    return fs.params_for(na, 1e-2, 1e-4)
-
-
-@pytest.fixture(scope="session")
-def na_params_1em5(na):
-    return fs.params_for(na, 1e-2, 1e-5)
-
-
 def _mp_eps_tr(q, Omega, eps, im_sign):
     # the closed form in mpmath arithmetic at the caller's precision
     import mpmath as mp

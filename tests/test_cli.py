@@ -309,7 +309,7 @@ class TestBehavior:
         # numpy is the only runtime dependency: importing the package,
         # running a command and taking a skin-layer field point, an ibp
         # point and a far-zone point at eps = 0 (the Bessel table and the
-        # sine integral among them) must not load scipy, nor
+        # Lorentzian's exponential among them) must not load scipy, nor
         # numpy.polynomial (1 MB and 5 ms of start-up for Gauss nodes)
         script = (
             "import contextlib, io, json, sys\n"

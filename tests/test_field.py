@@ -617,7 +617,7 @@ class TestProfile:
 
     def test_figure_grids_are_certified(self):
         # the numeric figures 2-4: their nine curves (13,200 depths) at
-        # eps = 0, every bar within 1e-7 of its value (6.5e-8 measured)
+        # eps = 0, every bar within 1e-7 of its value (6.1e-8 measured)
         n = 0
         for x_lo, x_hi, size, _, curves in cli._FIG_PROFILE.values():
             xs = np.linspace(x_lo, x_hi, size)
