@@ -55,6 +55,9 @@ D1_COEF = 2.0 * _M1 / ((2.0 * _M1 + 1.0) * (2.0 * _M1 + 3.0))
 D2_COEF = 2.0 * _M1 * (2.0 * _M1 - 1.0) / ((2.0 * _M1 + 1.0) * (2.0 * _M1 + 3.0))
 
 N_LEGENDRE = 24
+# the series of d2 eps/dq2 takes z**3, which raises OverflowError from
+# |z| of about 5.6e102: the cube root of the largest float
+_CUBE_MAX = float(np.finfo(np.float64).max) ** (1.0 / 3.0)
 
 
 def _legendre(t):
@@ -175,6 +178,10 @@ def _family_members(q, members, Om, zi):
     small = np.abs(q) < SERIES_SWITCH * abs(z)
     big = ~small
     qs, qb = q[small], q[big]
+    if 2 in members and qs.size and abs(z) > _CUBE_MAX:
+        raise ValueError(f"eps = {zi:g} is too large for d2 eps/dq2: its series takes "
+                         f"|Omega + i eps|^3, which overflows past |Omega + i eps| = "
+                         f"{_CUBE_MAX:.4g}")
     with np.errstate(divide="ignore", invalid="ignore"):
         # only the pole-pair member (3) does without the logarithm
         L = None if members == (3,) or not qb.size else _log_branch(qb, Om, zi)

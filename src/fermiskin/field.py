@@ -16,6 +16,7 @@ those values are in cm too, while E(x)/E(0) is dimensionless.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -63,43 +64,42 @@ class FieldPointInfo(NamedTuple):
     quad: QuadratureResult
 
 
-def _field_point(
-    x_cm: float,
-    params: PlasmaParams,
-    kernel_id: int,
-    kappa: float,
-) -> FieldPointInfo:
+@functools.lru_cache(maxsize=32)
+def _constants(params: PlasmaParams, kappa: float) -> tuple[float, float, float]:
+    """omega_p / v_F, bcoef and the field prefactor of params on the axis s = q/kappa."""
+    omega_p, v_F = params.material.omega_p, params.material.v_F
+    bcoef = params.b * kappa * kappa
+    pref = bcoef * v_F / (math.pi * omega_p * kappa)
+    # named before the mesh is built: its envelope overflows (a numpy
+    # RuntimeWarning) from Omega of about 1e-150 for Na. Raised on every
+    # call: an exception is never cached
+    if pref == math.inf:
+        raise ValueError(
+            f"Omega = {params.Omega:g} is too small for material "
+            f"{params.material.name!r}: the field prefactor overflows"
+        )
+    return omega_p / v_F, bcoef, pref
+
+
+def _field_point(x_cm: float, params: PlasmaParams, kernel_id: int,
+                 kappa: float) -> FieldPointInfo:
     # the transform on the axis s = q/kappa: kappa = 1 is the plasma-scaled
     # axis, kappa = eps the mean-free-path axis
     if not math.isfinite(x_cm):
         raise ValueError(f"x must be finite, got {x_cm}")
     if x_cm < 0:
         raise ValueError(f"x must be >= 0, got {x_cm}")
-    omega_p, v_F = params.material.omega_p, params.material.v_F
+    ratio, bcoef, pref = _constants(params, kappa)
     # omega_p * x alone overflows from about 2e292 cm
-    phase = kappa * (x_cm * (omega_p / v_F))
-    bcoef = params.b * kappa * kappa
-    pref = bcoef * v_F / (math.pi * omega_p * kappa)
-    # named before the mesh is built: its envelope overflows (a numpy
-    # RuntimeWarning) from Omega of about 1e-150 for Na
-    if pref == math.inf:
-        raise ValueError(
-            f"Omega = {params.Omega:g} is too small for material "
-            f"{params.material.name!r}: the field prefactor overflows"
-        )
+    phase = kappa * (x_cm * ratio)
     check_dispersion_roots(params)
     try:
-        quad = oscillatory_halfline(phase, kernel_id, params.Omega, params.eps, bcoef,
-                                    kappa)
+        quad = oscillatory_halfline(phase, kernel_id, params.Omega, params.eps, bcoef, kappa)
     except ValueError as exc:
         raise ValueError(f"x = {x_cm:g} cm: {exc}") from None
     scale = -2.0 * pref / phase**2 if kernel_id == KERNEL_IBP_EXACT else 2.0 * pref
-    return FieldPointInfo(
-        value=scale * quad.value,
-        abs_err_est=abs(scale) * (quad.error + quad.tail_bound),
-        phase=phase,
-        quad=quad,
-    )
+    return FieldPointInfo(scale * quad.value, abs(scale) * (quad.error + quad.tail_bound),
+                          phase, quad)
 
 
 def field_ratio_rescaled(

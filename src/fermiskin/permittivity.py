@@ -84,7 +84,8 @@ def d2_eps_dq2(q, Omega: float, eps: float = 0.0):
     """Full second q-derivative of eps_tr, closed form; even in q.
 
     Carries a simple pole pair at q = +-z, so it grows like 1/eps on
-    approach to |q| = Omega at finite collisionality.
+    approach to |q| = Omega at finite collisionality. Below |q| = 0.4 |z|
+    it needs |z|^3, so there it refuses |z| above about 5.6e102.
     """
     return _eval(q, 2, Omega, eps)
 

@@ -221,6 +221,22 @@ def _s_peak(Om: float, zi: float, bcoef: float) -> float:
     return math.sqrt(abs(1.0 - 1.0 / (Om * complex(Om, zi))) / bcoef)
 
 
+def _checked(Om, zi, bcoef, kappa) -> tuple[float, float, float, float]:
+    """The mesh arguments as floats; ValueError unless each is in range."""
+    if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
+        raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
+    return float(Om), float(zi), float(bcoef), float(kappa)
+
+
+def _ibp_refusal(zi: float, phase: float, s_peak: float) -> ValueError:
+    # (1/D)'' has a pole at s = kohn when zi = 0; below the phase threshold
+    # its integral, -phase^2 times the reciprocal kernel's, sinks under its
+    # own rounding floor
+    return ValueError(f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase of at "
+                      f"least 1e-9 / s_peak = {1e-9 / s_peak:.3g} (phase = {phase:g}; x = 0 has "
+                      "phase 0)")
+
+
 class _Mesh(NamedTuple):
     """A Legendre mesh of one kernel, panels in ascending half-width h.
 
@@ -236,7 +252,9 @@ class _Mesh(NamedTuple):
     weights: np.ndarray
     trunc: float
     s_end: float
+    q_end: float  # kappa s_end
     s_peak: float
+    bcoef: float  # as a float, like every argument a depth reads through the mesh
     remainder: float
     n_evals: int
 
@@ -249,6 +267,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_MESH_CACHE)
 def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _Mesh:
+    # checked here, once per mesh: an invalid set raises on every call, and
+    # an exception is never cached
+    Om, zi, bcoef, kappa = _checked(Om, zi, bcoef, kappa)
     kohn = Om / kappa
     s_peak = _s_peak(Om, zi, bcoef)
     q_smooth = max(4.0 * kohn, 12.0 * s_peak)
@@ -310,15 +331,9 @@ def _mesh(kernel_id: int, Om: float, zi: float, bcoef: float, kappa: float) -> _
     else:
         remainder *= 12.0 / (s_end * s_end)
         remainder += r * (4.0 + r * (18.0 / 7.0 + r * 2.0 / 3.0)) / (bcoef * s_end**3)
-    return _Mesh(
-        lengths=_frozen(_lengths(h, c)),
-        weights=_frozen(np.stack((weights.real, weights.imag, magnitude))),
-        trunc=float(trunc.sum()),
-        s_end=s_end,
-        s_peak=s_peak,
-        remainder=float(remainder),
-        n_evals=int(n_evals),
-    )
+    weights = _frozen(np.stack((weights.real, weights.imag, magnitude)))
+    return _Mesh(_frozen(_lengths(h, c)), weights, float(trunc.sum()), s_end, kappa * s_end,
+                 s_peak, bcoef, float(remainder), int(n_evals))
 
 
 def _lorentzian(phase: float, a: float, bcoef: float, kernel_id: int) -> float:
@@ -329,65 +344,42 @@ def _lorentzian(phase: float, a: float, bcoef: float, kernel_id: int) -> float:
     return value if kernel_id == KERNEL_RECIPROCAL else -phase * phase * value
 
 
-def oscillatory_halfline(
-    phase: float,
-    kernel_id: int,
-    Om: float,
-    zi: float,
-    bcoef: float,
-    kappa: float,
-) -> QuadratureResult:
+def oscillatory_halfline(phase: float, kernel_id: int, Om: float, zi: float, bcoef: float,
+                         kappa: float) -> QuadratureResult:
     """Evaluate int_0^inf cos(phase*s) K(s) ds for an envelope kernel K
     at z = Om + i zi, zi >= 0 (see _kernels for the convention).
 
     Every phase, 0 included, is summed on the kernel's cached mesh (see the
     module docstring); only the first call for a mesh evaluates K. The
-    integrated-by-parts kernel (1) raises ValueError at zi = 0, below a
-    phase of 1e-9 / s_peak and where the phase squared is not finite, and
-    every kernel raises ValueError where phase times the mesh end is not
-    finite. A mesh that needs more than _PANEL_BUDGET panels raises
-    QuadratureError.
+    mesh build checks Om > 0, zi >= 0, bcoef > 0 and kappa > 0 and takes
+    them as floats, so a failed check raises ValueError on every call. The
+    integrated-by-parts kernel (1) raises ValueError at zi = 0 before its
+    mesh is looked up, and after it below a phase of 1e-9 / s_peak and
+    where the phase squared is not finite; every kernel raises ValueError
+    where phase times the mesh end is not finite. A mesh that needs more
+    than _PANEL_BUDGET panels raises QuadratureError.
     """
-    if bcoef <= 0 or kappa <= 0 or Om <= 0 or zi < 0:
-        raise ValueError("need Om > 0, zi >= 0, bcoef > 0, kappa > 0")
     phase = abs(float(phase))
-    if kernel_id != KERNEL_RECIPROCAL:
-        s_peak = _s_peak(Om, zi, bcoef)
-        if zi == 0.0 or phase * s_peak < 1e-9:
-            # (1/D)'' has a pole at s = kohn when zi = 0; below the threshold
-            # its integral, -phase^2 times the reciprocal kernel's, sinks
-            # under its own rounding floor
-            raise ValueError(
-                f"integrated-by-parts kernel: need eps > 0 (zi = {zi:g}) and a phase "
-                f"of at least 1e-9 / s_peak = {1e-9 / s_peak:.3g} "
-                f"(phase = {phase:g}; x = 0 has phase 0)"
-            )
-    mesh = _mesh(kernel_id, float(Om), float(zi), float(bcoef), float(kappa))
+    ibp = kernel_id != KERNEL_RECIPROCAL
+    if ibp and zi == 0.0:
+        raise _ibp_refusal(zi, phase, _s_peak(*_checked(Om, zi, bcoef, kappa)[:3]))
+    mesh = _mesh(kernel_id, Om, zi, bcoef, kappa)
+    if ibp and phase * mesh.s_peak < 1e-9:
+        raise _ibp_refusal(zi, phase, mesh.s_peak)
     if not math.isfinite(phase * mesh.s_end):
-        raise ValueError(
-            f"phase {phase:g} times the mesh end S = {mesh.s_end:.3g} is not finite"
-        )
-    if kernel_id != KERNEL_RECIPROCAL and not math.isfinite(phase * phase):
+        raise ValueError(f"phase {phase:g} times the mesh end S = {mesh.s_end:.3g} is not finite")
+    if ibp and not math.isfinite(phase * phase):
         # the Lorentzian's integral for (1/D)'' carries phase^2
         raise ValueError(f"integrated-by-parts kernel: phase {phase:g} squared is not finite")
     table, trig = _sph_bessel(phase, mesh.lengths)
-    n = table.shape[-1]
     # the panel terms, then |table|: one product gives Re and Im of the sum
     # and the summed term magnitudes
-    terms = np.empty((2, N_LEGENDRE * n))
-    np.multiply(table, trig[:, None], out=terms[0].reshape(table.shape))
-    np.abs(table, out=terms[1].reshape(table.shape))
-    (re, _), (im, _), (_, magnitude) = (mesh.weights @ terms.T).tolist()
-    lorentz = _lorentzian(phase, mesh.s_peak, bcoef, kernel_id)
-    return QuadratureResult(
-        value=complex(re + lorentz, im),
-        error=mesh.trunc + _FLOOR * magnitude
-        + (phase * mesh.s_peak + 4.0) * _MACH_EPS * abs(lorentz),
-        tail_bound=mesh.remainder,
-        s_max=mesh.s_end,
-        q_max=kappa * mesh.s_end,
-        n_panels=n,
-        n_evals=mesh.n_evals,
-        n_tail_terms=0,
-        branch="filon",
-    )
+    terms = np.empty((2, *table.shape))
+    np.multiply(table, trig[:, None], out=terms[0])
+    np.abs(table, out=terms[1])
+    (re, _), (im, _), (_, magnitude) = (mesh.weights @ terms.reshape(2, -1).T).tolist()
+    lorentz = _lorentzian(phase, mesh.s_peak, mesh.bcoef, kernel_id)
+    return QuadratureResult(complex(re + lorentz, im), mesh.trunc + _FLOOR * magnitude
+                            + (phase * mesh.s_peak + 4.0) * _MACH_EPS * abs(lorentz),
+                            mesh.remainder, mesh.s_end, mesh.q_end, table.shape[-1],
+                            mesh.n_evals, 0, "filon")

@@ -676,6 +676,11 @@ class TestExitCodes:
              "dispersion root on contour"),
             (["asymptotic", "--Omega", "1e-2", "--grid", "1e300:1e301:2"],
              "the closed form overflows a float at x = 1e+300 cm"),
+            # d2 eps/dq2 for the ibp kernel takes |Omega + i eps|^3
+            (["field", "--Omega", "0.01", "--eps", "1e200", "--grid", "1e-5:3e-5:2",
+              "--method", "ibp"],
+             "x = 1e-05 cm: eps = 1e+200 is too large for d2 eps/dq2: its series takes "
+             "|Omega + i eps|^3, which overflows past |Omega + i eps| = 5.644e+102"),
         ],
     )
     def test_module_errors_exit_1_verbatim(self, capsys, tmp_path, argv, fragment):
@@ -735,6 +740,13 @@ class TestExitCodes:
         assert code == 1
         assert fragment in err
         assert out == ""
+
+    def test_epsilon_takes_no_cube_of_eps(self, capsys):
+        # eps_tr needs no |Omega + i eps|^3, so an eps past d2's bound prints
+        code, out, err = run_cli(capsys, ["epsilon", "--Omega", "0.05", "--eps", "1e200",
+                                          "--q", "0.05"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "0.05,1,2e-199"
 
     def test_closed_pipe_exits_0(self):
         # a reader that stops after the first line closes the pipe while the

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermiskin import _kernels, cli, quadrature
+from fermiskin import _kernels, cli, field, quadrature
 from fermiskin.asymptotic import (
     amplitude_A,
     amplitude_B,
@@ -291,6 +291,28 @@ class TestRouteDomains:
         assert v == pytest.approx(-1.1593015167470724e42 - 6.6932304276586376e41j,
                                   rel=1e-12)
         assert info.abs_err_est == pytest.approx(2.469260952652263e28, rel=1e-12)
+
+    def test_prefactor_overflow_repeats_on_every_call(self, na):
+        # the per-plasma constants are cached, their refusal is not
+        p = params_for(na, 1e-150)
+        before = field._constants.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                field_ratio_rescaled(1e-6, p)
+            assert str(exc.value) == ("Omega = 1e-150 is too small for material 'na': "
+                                      "the field prefactor overflows")
+        assert field._constants.cache_info().currsize == before
+
+    def test_ibp_refuses_an_eps_whose_cube_overflows(self, na):
+        # the ibp kernel needs d2 eps/dq2, whose series takes |Omega + i eps|^3:
+        # named, on every call, not a bare OverflowError
+        p = params_for(na, 1e-2, 1e200)
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                field_ratio_ibp(1e-5, p)
+            assert str(exc.value) == (
+                "x = 1e-05 cm: eps = 1e+200 is too large for d2 eps/dq2: its series takes "
+                "|Omega + i eps|^3, which overflows past |Omega + i eps| = 5.644e+102")
 
 
 # the fields of FieldPointInfo and of its QuadratureResult, and their types

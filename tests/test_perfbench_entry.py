@@ -7,7 +7,9 @@ _kernels.HAVE_NUMBA and jit_enabled() on its meta line and times
 _kernels.family_grid(q, 0, 1e-2, 1e-4, 1) with positional arguments. A
 change to the package API that breaks one of them fails here, in the unit
 tests, and not only in perfbench/selftest.py. If the engine stopped routing
-the kernel through panel_batch, evals_per_point would read 0.
+the kernel through panel_batch, evals_per_point would read 0; if field
+stopped calling oscillatory_halfline and check_dispersion_roots through its
+module for every depth, the spans would miss points.
 """
 
 import importlib
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermiskin import _kernels, quadrature
+from fermiskin import _kernels, field, quadrature
 from fermiskin.materials import get_material, params_for
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -97,3 +99,28 @@ def test_evaluation_counter_sees_the_mesh_once(monkeypatch):
     count[0] = 0
     quadrature.oscillatory_halfline(2e4, 0, p.Omega, p.eps, p.b, 1.0)
     assert count[0] == 0
+
+
+@pytest.mark.parametrize("route", ["field_ratio_rescaled", "field_ratio_direct",
+                                   "field_ratio_ibp", "profile-rescaled", "profile-ibp"])
+def test_field_calls_each_span_once_per_depth(monkeypatch, route):
+    # perfbench/spans.py wraps field.oscillatory_halfline and
+    # field.check_dispersion_roots: quadrature.calls and
+    # field.check_dispersion_roots.calls count every depth only while field
+    # looks both up on its module once per depth, warm caches included
+    calls = {}
+    for name in ("oscillatory_halfline", "check_dispersion_roots"):
+        def counted(*args, real=getattr(field, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(field, name, counted)
+    p = params_for(get_material("na"), 1e-2, 1e-4)
+    xs = [1e-6, 1e-5, 1e-4]
+    for _ in range(2):
+        if route.startswith("profile"):
+            field.profile(xs, p, route.removeprefix("profile-"))
+        else:
+            for x in xs:
+                getattr(field, route)(x, p)
+    assert calls == {"oscillatory_halfline": 6, "check_dispersion_roots": 6}

@@ -7,7 +7,7 @@ from conftest import _mp_eps_tr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiskin import cli
+from fermiskin import _kernels, cli
 from fermiskin.permittivity import (
     KohnScanResult,
     d2_eps_dq2,
@@ -334,6 +334,22 @@ class TestDomain:
             want = (complex(f(mpmath.mpf(q))), complex(mpmath.diff(f, mpmath.mpf(q))))
         for g, w in zip(got, want):
             _close(g, w, 1e-14)
+
+    def test_second_derivative_refuses_a_cube_that_overflows(self):
+        # the series of d2 eps/dq2 takes |Omega + i eps|^3, which overflows
+        # (a bare OverflowError from z**3) just past |z| = 5.6438e102: the
+        # last eps whose cube is a float works, the next is refused by name;
+        # eps_tr takes no cube, and past the series switch neither does d2
+        edge = _kernels._CUBE_MAX
+        assert np.isfinite(d2_eps_dq2(0.05, 0.1, edge))
+        for eps in (np.nextafter(edge, np.inf), 1e103):
+            with pytest.raises(ValueError) as exc:
+                d2_eps_dq2(0.05, 0.1, eps)
+            assert str(exc.value) == (
+                f"eps = {eps:g} is too large for d2 eps/dq2: its series takes "
+                "|Omega + i eps|^3, which overflows past |Omega + i eps| = 5.644e+102")
+        assert eps_tr(0.05, 0.1, 1e200) == pytest.approx(1.0 + 2e-199j, rel=1e-15)
+        assert np.isfinite(d2_eps_dq2(3e103, 0.1, 1e103))
 
     def test_scan_to_a_huge_q_max(self):
         # the first grid steps by 2e198, so its largest sample is the end node

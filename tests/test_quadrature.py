@@ -657,6 +657,74 @@ def test_ibp_kernel_domain(phase, zi):
         oscillatory_halfline(phase, 1, p.Omega, zi, p.b, 1.0)
 
 
+_ARGS_MESSAGE = "need Om > 0, zi >= 0, bcoef > 0, kappa > 0"
+_S_PEAK_NA = quadrature._s_peak(1e-2, 1e-4, params_for(get_material("na"), 1e-2).b)
+
+
+@pytest.mark.parametrize(
+    "args,message,meshes",
+    [
+        ((1.0, 0, 1e-2, 1e-4, -1.0, 1.0), _ARGS_MESSAGE, 0),
+        ((1.0, 0, 1e-2, 1e-4, 2.5, 0.0), _ARGS_MESSAGE, 0),
+        ((1.0, 0, 0.0, 1e-4, 2.5, 1.0), _ARGS_MESSAGE, 0),
+        ((1.0, 0, 1e-2, -1e-4, 2.5, 1.0), _ARGS_MESSAGE, 0),
+        # the ibp refusal at zi = 0 checks the arguments first, then names
+        # the threshold without building the mesh
+        ((2.0, 1, 1e-2, 0.0, -1.0, 1.0), _ARGS_MESSAGE, 0),
+        ((2.0, 1, 1e-2, 0.0, 2.5, 1.0),
+         "integrated-by-parts kernel: need eps > 0 (zi = 0) and a phase of at least "
+         f"1e-9 / s_peak = {1e-9 / quadrature._s_peak(1e-2, 0.0, 2.5):.3g} "
+         "(phase = 2; x = 0 has phase 0)", 0),
+        # below the threshold, read from the mesh
+        ((1e-20, 1, 1e-2, 1e-4, "b_na", 1.0),
+         "integrated-by-parts kernel: need eps > 0 (zi = 0.0001) and a phase of at least "
+         f"1e-9 / s_peak = {1e-9 / _S_PEAK_NA:.3g} (phase = 1e-20; x = 0 has phase 0)", 1),
+        ((1e306, 0, 1e-2, 1e-4, "b_na", 1.0),
+         "phase 1e+306 times the mesh end S = 427 is not finite", 1),
+        ((1e160, 1, 1e-2, 1e-4, "b_na", 1.0),
+         "integrated-by-parts kernel: phase 1e+160 squared is not finite", 1),
+    ],
+    ids=["bcoef", "kappa", "Om", "zi", "ibp-zi0-bcoef", "ibp-zi0", "ibp-small-phase",
+         "phase-times-S", "ibp-phase-squared"],
+)
+def test_refusals_repeat_on_every_call(args, message, meshes):
+    # no refusal is cached: the second call raises the same message, and an
+    # invalid set leaves no mesh behind (the later refusals keep the one
+    # mesh they read)
+    b_na = params_for(get_material("na"), 1e-2).b
+    args = tuple(b_na if a == "b_na" else a for a in args)
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            oscillatory_halfline(*args)
+        assert str(exc.value) == message
+    assert quadrature._mesh.cache_info().currsize == meshes
+
+
+@pytest.mark.parametrize("kernel_id", [0, 1])
+def test_argument_types(na_params, kernel_id):
+    # numpy scalars and ints give the record of the float call of the same
+    # values; np.float64 and int arguments hash as those floats, so they
+    # share its mesh, and a float32 set is taken as floats before it builds
+    # a mesh of its own
+    p = na_params
+    ref = oscillatory_halfline(100.0, kernel_id, p.Omega, p.eps, p.b, 1.0)
+    same = [
+        oscillatory_halfline(np.float64(100.0), kernel_id, *map(np.float64, (p.Omega, p.eps,
+                                                                              p.b, 1.0))),
+        oscillatory_halfline(100, kernel_id, p.Omega, p.eps, p.b, 1),
+    ]
+    for got in same:
+        assert got == ref
+        assert list(map(type, got)) == list(map(type, ref))
+    assert quadrature._mesh.cache_info().currsize == 1
+    f32 = [np.float32(a) for a in (100.0, p.Omega, p.eps, p.b, 1.0)]
+    got = oscillatory_halfline(f32[0], kernel_id, *f32[1:])
+    quadrature._mesh.cache_clear()
+    want = oscillatory_halfline(float(f32[0]), kernel_id, *map(float, f32[1:]))
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
 @pytest.mark.parametrize("phase", [None, 2.0])
 def test_n_evals_counts_every_kernel_evaluation(na_params, monkeypatch, phase):
     p = na_params
